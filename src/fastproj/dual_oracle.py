@@ -136,8 +136,11 @@ def approx_dual_oracle(
     if counters is not None:
         counters["gradient_evals"] = counters.get("gradient_evals", 0) + evals
 
+    # v is lagrangian_value's arithmetic on the same g: each constraint is
+    # evaluated once.
     g = eval_constraints(problem, x)
-    v = lagrangian_value(problem, x, lam)
+    d = x - x0
+    v = float(d @ d + lam @ g)
     return OracleTriple(x_lambda=x, g=g, v=v)
 
 

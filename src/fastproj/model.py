@@ -9,7 +9,7 @@ and safe to share across threads.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -113,7 +113,6 @@ class SolverConfig:
     max_doubling_rounds: int = 16
     warm_start: bool = False
     boundary_fraction: float = 0.9
-    rng_seed: int = 0
 
     def __post_init__(self):
         if not self.epsilon > 0:
@@ -193,16 +192,14 @@ def quadratic_constraint(
         raise ContractViolation("center must have the same dimension as A")
     if not c > 0:
         raise ContractViolation("level c must be positive")
-    # Failed factorization detects indefiniteness; the jitter admits PSD
-    # matrices with zero eigenvalues.
+    # One eigendecomposition gives the PSD test, the spectral norm and
+    # sigma_min.  The jitter admits PSD matrices whose zero eigenvalues
+    # round slightly negative; a NaN spectrum fails the test.
     scale = max(1.0, float(np.max(np.abs(np.diag(A)))))
-    try:
-        np.linalg.cholesky(A + (1e-12 * scale) * np.eye(n))
-    except np.linalg.LinAlgError as err:
-        raise ContractViolation("A must be positive semidefinite") from err
-
-    spectral = float(np.linalg.norm(A, 2))
     eigs = np.linalg.eigvalsh(A)
+    if not eigs[0] >= -1e-12 * scale:
+        raise ContractViolation("A must be positive semidefinite")
+    spectral = float(max(eigs[-1], -eigs[0]))
     sigma_min = max(float(eigs[0]), 1e-12)
     if working_radius is None:
         working_radius = float(np.linalg.norm(center) + np.sqrt(c / sigma_min) + 1.0)
@@ -323,29 +320,18 @@ def quadratic_working_radius(
     return float(np.linalg.norm(x0) + max(centers) + max(radii) + 1.0)
 
 
-def _rebuild_with_radius(oracle: ConstraintOracle, rho: float) -> ConstraintOracle:
-    meta = oracle.meta or {}
-    if meta.get("type") == "quadratic":
-        return quadratic_constraint(meta["A"], meta["center"], meta["c"], working_radius=rho)
-    spectral = meta["spectral_norm"]
-    return ConstraintOracle(
-        eval=oracle.eval,
-        grad=oracle.grad,
-        lipschitz_G=2.0 * spectral * rho,
-        smoothness_L=oracle.smoothness_L,
-        meta=meta,
-    )
-
-
 def quadratic_problem(
     x0: Array, quadratics: Sequence[ConstraintOracle], R: float
 ) -> ProjectionProblem:
     """Assemble a problem from quadratic oracles, fixing their Lipschitz bounds
-    to the instance-wide working radius (which needs x0 and all constraints)."""
+    to the instance-wide working radius (which needs x0 and all constraints).
+    The oracles' ``eval``/``grad`` are reused as they are."""
     rho = quadratic_working_radius(x0, quadratics)
     return ProjectionProblem(
         x0=x0,
-        constraints=tuple(_rebuild_with_radius(q, rho) for q in quadratics),
+        constraints=tuple(
+            replace(q, lipschitz_G=2.0 * q.meta["spectral_norm"] * rho) for q in quadratics
+        ),
         R=R,
     )
 

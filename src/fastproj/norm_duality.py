@@ -60,6 +60,10 @@ def project_norm_ball_via_dual(
 
     Bisects the dual over [0, R] with the exact oracle; the number of
     projector calls is exactly ``ceil(log2(R max(1, ||x0||) / eps)) + 2``.
+    The primal point of the last queried midpoint is returned: the oracle's
+    derivative sign is exact, so the final bracket holds the optimal
+    multiplier.  The best-value midpoint is not used, because far from the
+    ball the dual values of distant midpoints tie to float precision.
     Since the dual value at lam = 0 is 0 and exceeds d(lam) for every lam > 0
     exactly when x0 is already feasible, x0 itself is returned whenever no
     queried midpoint beats it.
@@ -68,9 +72,14 @@ def project_norm_ball_via_dual(
         raise ContractViolation("R and eps must be positive")
     x0 = np.asarray(x0, dtype=float)
     T = max(1, math.ceil(math.log2(R * max(1.0, float(np.linalg.norm(x0))) / eps)) + 2)
-    x_tau, _, trace = bisection_maximize(
-        lambda lam: exact_dual_norm_oracle(x0, lam, pi_star), R, T
-    )
+    last = None
+
+    def oracle(lam):
+        nonlocal last
+        last = exact_dual_norm_oracle(x0, lam, pi_star)
+        return last
+
+    _, _, trace = bisection_maximize(oracle, R, T)
     if max(trace.v) <= 0.0:
         return x0.copy()
-    return x_tau
+    return last.x_lambda

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -59,6 +61,26 @@ def test_triple_recomputation_identities(rng):
     triple = approx_dual_oracle(prob, lam, 1e-8)
     assert triple.v == lagrangian_value(prob, triple.x_lambda, lam)
     assert np.array_equal(triple.g, eval_constraints(prob, triple.x_lambda))
+
+
+def test_each_constraint_evaluated_once_per_call(rng):
+    prob = two_quadratics_problem(rng)
+    calls = [0] * prob.m
+
+    def counted(i, c):
+        def _eval(x):
+            calls[i] += 1
+            return c.eval(x)
+
+        return replace(c, eval=_eval)
+
+    counted_prob = replace(
+        prob, constraints=tuple(counted(i, c) for i, c in enumerate(prob.constraints))
+    )
+    lam = np.array([0.3, 0.7])
+    triple = approx_dual_oracle(counted_prob, lam, 1e-8)
+    assert calls == [1] * prob.m
+    assert triple.v == lagrangian_value(prob, triple.x_lambda, lam)
 
 
 def test_high_accuracy_dual_values_ball():

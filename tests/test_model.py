@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import fastproj.model as model
 from fastproj.model import (
     ContractViolation,
     ProjectionProblem,
@@ -14,6 +15,7 @@ from fastproj.model import (
     problem_to_json,
     quadratic_constraint,
     quadratic_problem,
+    quadratic_working_radius,
 )
 
 from conftest import fd_gradient, random_psd, unit_ball_problem
@@ -224,3 +226,71 @@ def test_problem_validation():
         SolverConfig(epsilon=1e-3, epsilon_tilde_override=1e-2)
     with pytest.raises(ContractViolation):
         SolverConfig(epsilon=1e-3, engine="newton")
+
+
+class _LinalgSpy:
+    """Stands in for ``np.linalg``, logging (function, ndim of first argument)."""
+
+    def __init__(self, calls):
+        self._calls = calls
+
+    def __getattr__(self, name):
+        fn = getattr(np.linalg, name)
+        if isinstance(fn, type) or not callable(fn):
+            return fn
+
+        def spy(*args, **kwargs):
+            self._calls.append((name, np.ndim(args[0]) if args else None))
+            return fn(*args, **kwargs)
+
+        return spy
+
+
+class _NumpySpy:
+    def __init__(self, linalg):
+        self.linalg = linalg
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def test_dense_load_runs_one_eigendecomposition_per_constraint(rng, monkeypatch):
+    quads = [
+        quadratic_constraint(random_psd(rng, 6), rng.standard_normal(6) * 0.3, 1.0),
+        quadratic_constraint(random_psd(rng, 6), rng.standard_normal(6) * 0.3, 1.5),
+    ]
+    doc = problem_to_json(quadratic_problem(rng.standard_normal(6), quads, R=3.0))
+    calls = []
+    monkeypatch.setattr(model, "np", _NumpySpy(_LinalgSpy(calls)))
+    problem_from_json(doc)
+    assert [name for name, _ in calls].count("eigvalsh") == 2
+    # Besides that, only the O(n) norms of x0 and the centers may run: no
+    # Cholesky, no SVD, no matrix norm.
+    assert all(name == "norm" and ndim == 1 for name, ndim in calls if name != "eigvalsh")
+
+
+def test_quadratic_constraint_psd_boundary():
+    quadratic_constraint(np.diag([1.0, 0.0, 0.0]), np.zeros(3), 1.0)
+    with pytest.raises(ContractViolation):
+        quadratic_constraint(np.diag([1.0, 0.5, -1e-6]), np.zeros(3), 1.0)
+
+
+def test_spectral_norm_matches_matrix_two_norm(rng):
+    for n in (1, 3, 8):
+        A = random_psd(rng, n, spectrum=rng.uniform(0.0, 5.0, n))
+        quad = quadratic_constraint(A, np.zeros(n), 1.0)
+        expected = np.linalg.norm(quad.meta["A"], 2)
+        assert quad.meta["spectral_norm"] == pytest.approx(expected, rel=1e-12)
+
+
+def test_quadratic_problem_reuses_dense_oracles(rng):
+    quads = [
+        quadratic_constraint(random_psd(rng, 4), rng.standard_normal(4) * 0.3, 1.0),
+        quadratic_constraint(random_psd(rng, 4), rng.standard_normal(4) * 0.3, 2.0),
+    ]
+    x0 = rng.standard_normal(4)
+    prob = quadratic_problem(x0, quads, R=2.0)
+    rho = quadratic_working_radius(x0, quads)
+    for q, p in zip(quads, prob.constraints):
+        assert p.eval is q.eval and p.grad is q.grad
+        assert p.lipschitz_G == 2.0 * q.meta["spectral_norm"] * rho

@@ -162,6 +162,16 @@ def test_round_trip_against_direct_projectors(rng):
             assert np.linalg.norm(via - direct(x0)) <= 1e-6, name
 
 
+def test_far_query_at_large_n_lands_on_direct_projection(rng):
+    # At ||x0|| ~ 950 the dual values of nearby midpoints tie to float
+    # precision, so only the final bracket locates the projection.
+    x0 = 3.0 * rng.standard_normal(100_000)
+    R = 2.0 * max(1.0, float(np.sum(np.abs(x0))))
+    for name, (pi_star, direct) in _PAIRS.items():
+        via = project_norm_ball_via_dual(x0, pi_star, R=R, eps=1e-8)
+        assert np.linalg.norm(via - direct(x0)) <= 1e-6, name
+
+
 def test_projector_call_count_bound(rng):
     for _ in range(20):
         x0 = rng.standard_normal(6) * 3.0
