@@ -1,5 +1,9 @@
 """Cutting-plane maximization of a concave dual with approximate oracles.
 
+Both engines query one oracle, ``lam -> OracleTriple``, exactly once per
+in-box round; the triple's ``g`` and ``v`` are the approximate dual gradient
+and value.  Out-of-box points are never queried.
+
 The localizer starts as an ellipsoid covering the dual box ``[0, R]^m`` and
 is cut through its center every round: with the negated approximate gradient
 when the center lies in the box, with a box separation vector otherwise.
@@ -7,7 +11,7 @@ Either way the kept half is guaranteed to contain every near-optimal dual
 point that has not already been certified by a visited iterate, and the
 localizer volume shrinks by a fixed factor per cut, so logarithmically many
 rounds suffice.  The returned point is the visited in-box point with the
-best value-oracle output (ties broken by earliest visit).
+best value estimate (ties broken by earliest visit).
 
 A one-dimensional bisection engine is provided for the single-constraint
 case; it brackets the maximizer by the sign of the approximate derivative.
@@ -49,29 +53,19 @@ class DualBox:
 
 @dataclass
 class EllipsoidState:
-    """Localizer ellipsoid ``{center + u : u^T shape^{-1} u <= 1}``.
+    """Localizer ellipsoid ``{center + B u : ||u|| <= 1}`` with ``B = factor``.
 
     ``log_volume_offset`` accumulates the analytic per-cut log-volume change
-    relative to the initial ellipsoid.  Updates are carried on ``factor`` B
-    with ``shape = B B^T``: rank-one updates on B keep the shape matrix
-    positive semidefinite by construction, where direct updates on the shape
-    matrix drift indefinite once the localizer becomes needle shaped (as it
-    must whenever a multiplier's optimum sits on the box boundary).
+    relative to the initial ellipsoid.  The ellipsoid is held only as its
+    factor: rank-one updates on B keep ``Q = B B^T`` positive semidefinite by
+    construction, where direct updates on Q drift indefinite once the
+    localizer becomes needle shaped (as it must whenever a multiplier's
+    optimum sits on the box boundary).
     """
 
     center: Array
-    shape: Array
+    factor: Array
     log_volume_offset: float = 0.0
-    factor: Array | None = None
-
-    def __post_init__(self):
-        if self.factor is None:
-            try:
-                self.factor = np.linalg.cholesky(self.shape)
-            except np.linalg.LinAlgError as err:
-                raise NumericalFailure(
-                    "shape matrix is not positive definite", payload=self
-                ) from err
 
 
 @dataclass
@@ -157,7 +151,7 @@ def ellipsoid_update(state: EllipsoidState, w: Array, cut_point: Array) -> Ellip
     m = state.center.size
     B = state.factor
     if m == 1:
-        half = math.sqrt(float(state.shape[0, 0]))
+        half = abs(float(B[0, 0]))
         sign = 1.0 if w[0] > 0 else -1.0
         center = state.center - sign * (half / 2.0)
         B_new = np.array([[half / 2.0]])
@@ -174,19 +168,15 @@ def ellipsoid_update(state: EllipsoidState, w: Array, cut_point: Array) -> Ellip
         scale = math.sqrt(m * m / (m * m - 1.0))
         gamma = 1.0 - math.sqrt((m - 1.0) / (m + 1.0))
         B_new = scale * (B - gamma * np.outer(Bp, p))
-    shape = B_new @ B_new.T
     return EllipsoidState(
         center=center,
-        shape=0.5 * (shape + shape.T),
         log_volume_offset=state.log_volume_offset + central_cut_log_factor(m),
         factor=B_new,
     )
 
 
 def cutting_plane_maximize(
-    grad_oracle: Callable[[Array], Array],
-    value_oracle: Callable[[Array], float],
-    sep_oracle: Callable[[Array], Array],
+    oracle: Callable[[Array], OracleTriple],
     box: DualBox,
     engine: str = "ellipsoid",
     T: int = 100,
@@ -194,6 +184,7 @@ def cutting_plane_maximize(
 ) -> tuple[Array, CutTrace]:
     """Run T rounds of the chosen engine and return the best visited point.
 
+    ``oracle`` is queried once per in-box round and never outside the box.
     ``early_stop_log_volume`` aborts once the localizer's (absolute) log
     volume drops below it: past that point the near-optimal set can no longer
     fit inside the localizer, so some visited point is already near optimal.
@@ -201,99 +192,68 @@ def cutting_plane_maximize(
     if T < 1:
         raise ContractViolation("T must be positive")
     if engine == "ellipsoid":
-        return _ellipsoid_maximize(grad_oracle, value_oracle, sep_oracle, box, T, early_stop_log_volume)
+        return _ellipsoid_maximize(oracle, box, T, early_stop_log_volume)
     if engine == "bisection":
         if box.m != 1:
             raise ContractViolation("bisection engine requires m = 1")
-        return _bisection_maximize_gv(grad_oracle, value_oracle, box.R, T)
+        _, lam, trace = bisection_maximize(lambda mid: oracle(np.array([mid])), box.R, T)
+        return np.array([lam]), trace
     raise ContractViolation(f"unknown engine {engine!r}")
 
 
-def _ellipsoid_maximize(grad_oracle, value_oracle, sep_oracle, box, T, early_stop_log_volume):
+def _ellipsoid_maximize(oracle, box, T, early_stop_log_volume):
     m = box.m
     # Smallest ball covering the box: the corners sit at distance sqrt(m) R/2.
-    state = EllipsoidState(
-        center=box.center(), shape=(m * (box.R / 2.0) ** 2) * np.eye(m)
-    )
-    log_vol_initial = log_unit_ball_volume(m) + 0.5 * float(
-        np.linalg.slogdet(state.shape)[1]
-    )
+    # Factor and log volume both come from its matrix Q0; a closed-form
+    # sqrt(m) R/2 factor can differ from cholesky(Q0) in the last bit.
+    Q0 = (m * (box.R / 2.0) ** 2) * np.eye(m)
+    state = EllipsoidState(center=box.center(), factor=np.linalg.cholesky(Q0))
+    log_vol_initial = log_unit_ball_volume(m) + 0.5 * float(np.linalg.slogdet(Q0)[1])
     trace = CutTrace()
+    best_v = -math.inf
+    best_lam = None
     try:
-        return _ellipsoid_rounds(
-            grad_oracle, value_oracle, sep_oracle, box, T,
-            early_stop_log_volume, state, log_vol_initial, trace,
-        )
+        for t in range(1, T + 1):
+            lam_t = state.center.copy()
+            log_vol = log_vol_initial + state.log_volume_offset
+            if box.contains(lam_t):
+                triple = oracle(lam_t)
+                g = np.asarray(triple.g, dtype=float)
+                v = float(triple.v)
+                if v > best_v:
+                    best_v, best_lam = v, lam_t
+                if not np.any(g):
+                    # A vanishing approximate gradient certifies
+                    # near-optimality and leaves no cut direction; stop here.
+                    trace.append(t, True, lam_t, np.zeros(m), v, log_vol)
+                    return lam_t, trace
+                w = -g
+                trace.append(t, True, lam_t, w, v, log_vol)
+            else:
+                w = separation_oracle_box(lam_t, box.R)
+                trace.append(t, False, lam_t, w, math.nan, log_vol)
+            # Once the localizer's extent along the cut is below the float
+            # resolution of the query point, further cuts cannot move it.
+            extent_tol = 1e-13 * (1.0 + float(np.max(np.abs(lam_t))))
+            if cut_resolution(state, w) <= (extent_tol**2) * float(w @ w):
+                break
+            state = ellipsoid_update(state, w, lam_t)
+            if t % (_PD_CHECK_EVERY * m) == 0:
+                sign, logdet = np.linalg.slogdet(state.factor)
+                if sign == 0 or not math.isfinite(logdet):
+                    raise NumericalFailure(
+                        "localizer factor failed its audit", payload=state
+                    )
+            if (
+                early_stop_log_volume is not None
+                and log_vol_initial + state.log_volume_offset < early_stop_log_volume
+            ):
+                break
     except NumericalFailure as err:
         err.trace = trace  # partial diagnostics travel with the failure
         raise
 
-
-def _ellipsoid_rounds(
-    grad_oracle, value_oracle, sep_oracle, box, T,
-    early_stop_log_volume, state, log_vol_initial, trace,
-):
-    m = box.m
-    best_v = -math.inf
-    best_lam = None
-
-    for t in range(1, T + 1):
-        lam_t = state.center.copy()
-        log_vol = log_vol_initial + state.log_volume_offset
-        if box.contains(lam_t):
-            g = np.asarray(grad_oracle(lam_t), dtype=float)
-            v = float(value_oracle(lam_t))
-            if v > best_v:
-                best_v, best_lam = v, lam_t
-            if not np.any(g):
-                # A vanishing approximate gradient certifies near-optimality
-                # and leaves no cut direction; stop here.
-                trace.append(t, True, lam_t, np.zeros(m), v, log_vol)
-                return lam_t, trace
-            w = -g
-            trace.append(t, True, lam_t, w, v, log_vol)
-        else:
-            w = sep_oracle(lam_t)
-            trace.append(t, False, lam_t, w, math.nan, log_vol)
-        # Once the localizer's extent along the cut is below the float
-        # resolution of the query point, further cuts cannot move it.
-        extent_tol = 1e-13 * (1.0 + float(np.max(np.abs(lam_t))))
-        if cut_resolution(state, w) <= (extent_tol**2) * float(w @ w):
-            break
-        state = ellipsoid_update(state, w, lam_t)
-        if t % (_PD_CHECK_EVERY * m) == 0:
-            sign, logdet = np.linalg.slogdet(state.factor)
-            if sign == 0 or not math.isfinite(logdet):
-                raise NumericalFailure(
-                    "localizer factor failed its audit", payload=state
-                )
-        if (
-            early_stop_log_volume is not None
-            and log_vol_initial + state.log_volume_offset < early_stop_log_volume
-        ):
-            break
-
     assert best_lam is not None  # the first center is the box center
-    return best_lam, trace
-
-
-def _bisection_maximize_gv(grad_oracle, value_oracle, R, T):
-    lo, hi = 0.0, float(R)
-    trace = CutTrace()
-    best_v = -math.inf
-    best_lam = None
-    for t in range(1, T + 1):
-        mid = 0.5 * (lo + hi)
-        lam_t = np.array([mid])
-        g = np.asarray(grad_oracle(lam_t), dtype=float)
-        v = float(value_oracle(lam_t))
-        trace.append(t, True, lam_t, -g, v, _log_bracket(hi - lo))
-        if v > best_v:
-            best_v, best_lam = v, lam_t
-        if g[0] > 0:
-            lo = mid
-        else:
-            hi = mid
     return best_lam, trace
 
 
@@ -308,22 +268,27 @@ def bisection_maximize(
     """Derivative-sign bisection over [0, R] driven by a triple oracle.
 
     Returns ``(x_tau, lam_tau, trace)`` where tau indexes the queried
-    midpoint with the best value estimate.
+    midpoint with the best value estimate.  A ``NumericalFailure`` raised by
+    the oracle carries the rounds completed so far as its ``trace``.
     """
     if T < 1:
         raise ContractViolation("T must be positive")
     lo, hi = 0.0, float(R)
     trace = CutTrace()
     best = None
-    for t in range(1, T + 1):
-        mid = 0.5 * (lo + hi)
-        triple = oracle(mid)
-        g = float(np.asarray(triple.g).reshape(-1)[0])
-        trace.append(t, True, np.array([mid]), np.array([-g]), triple.v, _log_bracket(hi - lo))
-        if best is None or triple.v > best[0]:
-            best = (triple.v, triple.x_lambda, mid)
-        if g > 0:
-            lo = mid
-        else:
-            hi = mid
+    try:
+        for t in range(1, T + 1):
+            mid = 0.5 * (lo + hi)
+            triple = oracle(mid)
+            g = float(np.asarray(triple.g).reshape(-1)[0])
+            trace.append(t, True, np.array([mid]), np.array([-g]), triple.v, _log_bracket(hi - lo))
+            if best is None or triple.v > best[0]:
+                best = (triple.v, triple.x_lambda, mid)
+            if g > 0:
+                lo = mid
+            else:
+                hi = mid
+    except NumericalFailure as err:
+        err.trace = trace  # partial diagnostics travel with the failure
+        raise
     return best[1], best[2], trace

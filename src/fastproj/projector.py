@@ -1,10 +1,11 @@
 """Fast projection: cutting planes on the dual fed by inner AGD solves.
 
 ``project`` maximizes the Lagrangian dual over the multiplier box with a
-cutting-plane engine whose gradient/value oracles come from approximately
-minimizing the Lagrangian in the primal, then extracts the primal solution
-at the best dual point found.  With the guaranteed inner-accuracy schedule
-the output ``x_hat`` satisfies, against every feasible x,
+cutting-plane engine whose oracle, one approximate minimization of the
+Lagrangian in the primal, yields the primal point, dual gradient and dual
+value together; it then extracts the primal solution at the best dual point
+found.  With the guaranteed inner-accuracy schedule the output ``x_hat``
+satisfies, against every feasible x,
 
     ||x_hat - x0||^2 <= ||x - x0||^2 + 6 eps      and      h_i(x_hat) <= eps.
 
@@ -26,7 +27,6 @@ from .cutting_plane import (
     central_cut_log_factor,
     cutting_plane_maximize,
     log_unit_ball_volume,
-    separation_oracle_box,
 )
 from .dual_oracle import approx_dual_oracle
 from .model import (
@@ -133,8 +133,6 @@ def project(
     m, R = problem.m, problem.R
     eps = config.epsilon
     G = problem.max_lipschitz()
-    if config.engine == "bisection" and m != 1:
-        raise ContractViolation("the bisection engine requires m = 1")
 
     eps_tilde = config.epsilon_tilde_override
     if eps_tilde is None:
@@ -145,24 +143,21 @@ def project(
         dist_sq_bound = 2.0 * (B * B + (m * G * R) ** 2)
 
     counters: dict = {}
-    cache: dict[bytes, object] = {}
-    last_x: list = [None]
+    warm = None  # with config.warm_start, the previous call's x_lambda
 
-    def fresh_triple(lam: Array):
-        key = np.asarray(lam, dtype=float).tobytes()
-        if key not in cache:
-            warm = last_x[0] if config.warm_start else None
-            triple = approx_dual_oracle(
-                problem,
-                lam,
-                eps_tilde,
-                warm_start=warm,
-                dist_sq_bound=dist_sq_bound,
-                counters=counters,
-            )
-            last_x[0] = triple.x_lambda
-            cache[key] = triple
-        return cache[key]
+    def oracle(lam: Array):
+        nonlocal warm
+        triple = approx_dual_oracle(
+            problem,
+            lam,
+            eps_tilde,
+            warm_start=warm,
+            dist_sq_bound=dist_sq_bound,
+            counters=counters,
+        )
+        if config.warm_start:
+            warm = triple.x_lambda
+        return triple
 
     box = DualBox(R=R, m=m)
     if config.engine == "bisection":
@@ -176,9 +171,7 @@ def project(
         T, stop_log_vol = _ellipsoid_budget(m, R, r, config.max_outer_iterations)
 
     lam_bar, trace = cutting_plane_maximize(
-        grad_oracle=lambda lam: fresh_triple(lam).g,
-        value_oracle=lambda lam: fresh_triple(lam).v,
-        sep_oracle=lambda lam: separation_oracle_box(lam, R),
+        oracle=oracle,
         box=box,
         engine=config.engine,
         T=T,
@@ -197,7 +190,7 @@ def project(
         objective=float(np.sum((x_hat - problem.x0) ** 2)),
         max_violation=float(np.max(eval_constraints(problem, x_hat))),
         dual_value=final.v,
-        oracle_calls=len(cache) + 1,
+        oracle_calls=sum(trace.in_box) + 1,
         inner_gradient_evals=counters.get("gradient_evals", 0),
         doubling_rounds_used=0,
         trace=trace,

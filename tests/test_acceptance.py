@@ -20,9 +20,8 @@ from fastproj.cutting_plane import (
     cutting_plane_maximize,
     ellipsoid_update,
     log_unit_ball_volume,
-    separation_oracle_box,
 )
-from fastproj.dual_oracle import approx_dual_oracle, dual_value_highacc
+from fastproj.dual_oracle import OracleTriple, approx_dual_oracle, dual_value_highacc
 from fastproj.model import SolverConfig
 from fastproj.norm_duality import DualBallProjector, project_norm_ball_via_dual
 from fastproj.projector import project, project_with_R_doubling
@@ -146,14 +145,14 @@ def test_criterion_4_dual_gradient_and_smoothness():
 def test_criterion_5_ellipsoid_engine():
     rng = np.random.default_rng(105)
     for m in (2, 3):
-        state = EllipsoidState(center=np.zeros(m), shape=np.eye(m) * 4.0)
+        state = EllipsoidState(center=np.zeros(m), factor=np.linalg.cholesky(np.eye(m) * 4.0))
         factor = central_cut_log_factor(m)
         total = 0.0
         for _ in range(25):
             w = rng.standard_normal(m)
-            logdet_before = np.linalg.slogdet(state.shape)[1]
+            logdet_before = np.linalg.slogdet(state.factor @ state.factor.T)[1]
             new = ellipsoid_update(state, w, state.center)
-            logdet_after = np.linalg.slogdet(new.shape)[1]
+            logdet_after = np.linalg.slogdet(new.factor @ new.factor.T)[1]
             drop = 0.5 * (logdet_after - logdet_before)
             assert abs(drop - factor) <= 1e-10
             total -= drop
@@ -161,10 +160,10 @@ def test_criterion_5_ellipsoid_engine():
             u = rng.standard_normal((10_000, m))
             u /= np.linalg.norm(u, axis=1, keepdims=True)
             u *= rng.uniform(0.0, 1.0, (10_000, 1)) ** (1.0 / m)
-            pts = state.center + u @ np.linalg.cholesky(state.shape).T
+            pts = state.center + u @ np.linalg.cholesky(state.factor @ state.factor.T).T
             kept = pts[(pts - state.center) @ w <= 0.0]
             diff = kept - new.center
-            quad = np.einsum("ki,ij,kj->k", diff, np.linalg.inv(new.shape), diff)
+            quad = np.einsum("ki,ij,kj->k", diff, np.linalg.inv(new.factor @ new.factor.T), diff)
             assert np.max(quad) <= 1.0 + 1e-9, "sampled point escaped the new ellipsoid"
             state = new
         assert total >= 25.0 / (2.0 * (m + 1.0))
@@ -190,9 +189,7 @@ def test_criterion_6_noisy_oracles_value_gap():
         log_vol_initial = log_unit_ball_volume(m) + m * math.log(math.sqrt(m) * R / 2.0)
         T = math.ceil((log_vol_initial - m * math.log(side)) / -central_cut_log_factor(m)) + 1
         lam_bar, _ = cutting_plane_maximize(
-            noisy_grad,
-            noisy_value,
-            lambda lam: separation_oracle_box(lam, R),
+            lambda lam: OracleTriple(lam, noisy_grad(lam), noisy_value(lam)),
             box,
             "ellipsoid",
             T,

@@ -16,7 +16,7 @@ from fastproj.cutting_plane import (
     log_unit_ball_volume,
     separation_oracle_box,
 )
-from fastproj.dual_oracle import approx_dual_oracle
+from fastproj.dual_oracle import OracleTriple, approx_dual_oracle
 from fastproj.model import ContractViolation
 
 from conftest import ball_dual_value, unit_ball_problem
@@ -50,19 +50,24 @@ def test_separation_keeps_every_box_corner(rng):
 # ------------------------------------------------------------------ ellipsoid
 
 
+def shape(state):
+    """The localizer matrix ``Q = B B^T`` of an ellipsoid state."""
+    return state.factor @ state.factor.T
+
+
 def test_central_cut_matches_hand_computation():
-    state = EllipsoidState(center=np.zeros(2), shape=np.eye(2))
+    state = EllipsoidState(center=np.zeros(2), factor=np.linalg.cholesky(np.eye(2)))
     new = ellipsoid_update(state, np.array([1.0, 0.0]), np.zeros(2))
     assert_allclose(new.center, [-1.0 / 3.0, 0.0])
-    assert_allclose(new.shape, np.diag([4.0 / 9.0, 4.0 / 3.0]), rtol=1e-12)
+    assert_allclose(shape(new), np.diag([4.0 / 9.0, 4.0 / 3.0]), rtol=1e-12)
 
 
 def test_interval_halving():
     # interval [0, 4]: center 2, half-length 2
-    state = EllipsoidState(center=np.array([2.0]), shape=np.array([[4.0]]))
+    state = EllipsoidState(center=np.array([2.0]), factor=np.linalg.cholesky(np.array([[4.0]])))
     new = ellipsoid_update(state, np.array([1.0]), np.array([2.0]))
     assert_allclose(new.center, [1.0])  # interval [0, 2]
-    assert_allclose(new.shape, [[1.0]])
+    assert_allclose(shape(new), [[1.0]])
     assert new.log_volume_offset == pytest.approx(-math.log(2.0))
 
 
@@ -74,32 +79,32 @@ def test_volume_ratio_two_dimensions():
 
 
 def test_update_tracks_determinant_volume(rng):
-    state = EllipsoidState(center=np.zeros(3), shape=np.eye(3) * 2.0)
-    logdet0 = np.linalg.slogdet(state.shape)[1]
+    state = EllipsoidState(center=np.zeros(3), factor=np.linalg.cholesky(np.eye(3) * 2.0))
+    logdet0 = np.linalg.slogdet(shape(state))[1]
     for _ in range(25):
         w = rng.standard_normal(3)
         state = ellipsoid_update(state, w, state.center)
-    logdet = np.linalg.slogdet(state.shape)[1]
+    logdet = np.linalg.slogdet(shape(state))[1]
     assert 0.5 * (logdet - logdet0) == pytest.approx(state.log_volume_offset, abs=1e-9)
 
 
 def test_kept_half_is_contained(rng):
-    state = EllipsoidState(center=rng.standard_normal(2), shape=np.eye(2))
+    state = EllipsoidState(center=rng.standard_normal(2), factor=np.linalg.cholesky(np.eye(2)))
     w = rng.standard_normal(2)
     new = ellipsoid_update(state, w, state.center)
     # sample the old ellipsoid uniformly, keep the cut side, check membership
     u = rng.standard_normal((10_000, 2))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     u *= np.sqrt(rng.uniform(0.0, 1.0, (10_000, 1)))
-    pts = state.center + u @ np.linalg.cholesky(state.shape).T
+    pts = state.center + u @ np.linalg.cholesky(shape(state)).T
     kept = pts[(pts - state.center) @ w <= 0.0]
     diff = kept - new.center
-    quad = np.einsum("ki,ij,kj->k", diff, np.linalg.inv(new.shape), diff)
+    quad = np.einsum("ki,ij,kj->k", diff, np.linalg.inv(shape(new)), diff)
     assert np.max(quad) <= 1.0 + 1e-9
 
 
 def test_update_rejects_zero_direction_and_off_center_cuts():
-    state = EllipsoidState(center=np.zeros(2), shape=np.eye(2))
+    state = EllipsoidState(center=np.zeros(2), factor=np.linalg.cholesky(np.eye(2)))
     with pytest.raises(ContractViolation):
         ellipsoid_update(state, np.zeros(2), np.zeros(2))
     with pytest.raises(ContractViolation):
@@ -111,9 +116,7 @@ def test_update_rejects_zero_direction_and_off_center_cuts():
 
 def run_engine(d, grad, box, engine, T, noise=None):
     return cutting_plane_maximize(
-        grad_oracle=lambda lam: np.atleast_1d(grad(lam)),
-        value_oracle=d,
-        sep_oracle=lambda lam: separation_oracle_box(lam, box.R),
+        oracle=lambda lam: OracleTriple(lam, np.atleast_1d(grad(lam)), d(lam)),
         box=box,
         engine=engine,
         T=T,
@@ -158,7 +161,9 @@ def test_localizer_soundness_along_a_run(rng):
     # replay a run, checking the kept half of M_t lands inside M_{t+1}
     box = DualBox(R=2.0, m=2)
     target = np.array([1.3, 0.4])
-    state = EllipsoidState(center=box.center(), shape=2 * (box.R / 2.0) ** 2 * np.eye(2))
+    state = EllipsoidState(
+        center=box.center(), factor=np.linalg.cholesky(2 * (box.R / 2.0) ** 2 * np.eye(2))
+    )
     for _ in range(30):
         lam = state.center
         w = (
@@ -173,10 +178,10 @@ def test_localizer_soundness_along_a_run(rng):
         u = rng.standard_normal((1000, 2))
         u /= np.linalg.norm(u, axis=1, keepdims=True)
         u *= np.sqrt(rng.uniform(0.0, 1.0, (1000, 1)))
-        pts = state.center + u @ np.linalg.cholesky(state.shape).T
+        pts = state.center + u @ np.linalg.cholesky(shape(state)).T
         kept = pts[(pts - lam) @ w <= 0.0]
         diff = kept - new.center
-        quad = np.einsum("ki,ij,kj->k", diff, np.linalg.inv(new.shape), diff)
+        quad = np.einsum("ki,ij,kj->k", diff, np.linalg.inv(shape(new)), diff)
         assert np.max(quad) <= 1.0 + 1e-9
         state = new
 
@@ -191,6 +196,26 @@ def test_volume_decay_rate():
     assert np.all(drops < 0)
     total = trace.log_volume[0] - trace.log_volume[-1]
     assert total >= (len(trace) - 1) / (2.0 * (box.m + 1.0)) - 1e-9
+
+
+def test_triple_oracle_called_once_per_in_box_round():
+    # the m = 2 target sits near a corner, so some centers leave the box
+    for engine, target in (("ellipsoid", [3.9, 0.2]), ("bisection", [3.9])):
+        target = np.array(target)
+        box = DualBox(R=4.0, m=target.size)
+        queried = []
+
+        def oracle(lam):
+            assert box.contains(lam), f"{engine} queried the oracle outside the box"
+            queried.append(np.array(lam))
+            return OracleTriple(lam, -2.0 * (lam - target), -float((lam - target) @ (lam - target)))
+
+        _, trace = cutting_plane_maximize(oracle, box, engine, 40)
+        in_box = [lam for lam, inside in zip(trace.lam, trace.in_box) if inside]
+        assert len(queried) == len(in_box)
+        assert all(np.array_equal(q, lam) for q, lam in zip(queried, in_box))
+        if engine == "ellipsoid":
+            assert not all(trace.in_box)
 
 
 def test_noisy_oracle_value_gap(rng):
@@ -213,9 +238,7 @@ def test_noisy_oracle_value_gap(rng):
         log_vol_initial = log_unit_ball_volume(m) + m * math.log(math.sqrt(m) * R / 2.0)
         T = math.ceil((log_vol_initial - m * math.log(side)) / -central_cut_log_factor(m)) + 1
         lam_bar, _ = cutting_plane_maximize(
-            noisy_grad,
-            noisy_value,
-            lambda lam: separation_oracle_box(lam, R),
+            lambda lam: OracleTriple(lam, noisy_grad(lam), noisy_value(lam)),
             box,
             "ellipsoid",
             T,
@@ -303,7 +326,7 @@ def test_noisy_bisection_value_gap(rng):
         side = math.sqrt(eps / a)
         T = max(1, math.ceil(math.log2(R / side))) + 1
         lam_bar, _ = cutting_plane_maximize(
-            grad, value, lambda lam: separation_oracle_box(lam, R),
+            lambda lam: OracleTriple(lam, grad(lam), value(lam)),
             DualBox(R=R, m=1), "bisection", T,
         )
         assert -d(lam_bar) <= 4.0 * eps

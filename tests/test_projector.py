@@ -293,9 +293,40 @@ def test_numerical_failure_carries_partial_trace():
         smoothness_L=2.0,
     )
     prob = ProjectionProblem(x0=np.array([2.0, 0.0]), constraints=(bad,), R=4.0)
-    with pytest.raises(NumericalFailure) as exc:
-        project(prob, SolverConfig(epsilon=1e-6))
-    assert hasattr(exc.value, "trace")
+    for engine in ("ellipsoid", "bisection"):
+        calls[0] = 0
+        with pytest.raises(NumericalFailure) as exc:
+            project(prob, SolverConfig(epsilon=1e-6, engine=engine))
+        assert hasattr(exc.value, "trace")
+
+
+def test_oracle_calls_count_every_inner_solve(monkeypatch, rng):
+    n = 8
+    quads = [
+        quadratic_constraint(random_psd(rng, n), rng.standard_normal(n) * 0.2, 1.0),
+        quadratic_constraint(random_psd(rng, n), rng.standard_normal(n) * 0.2, 1.3),
+    ]
+    x0 = rng.standard_normal(n)
+    x0 *= 2.5 / np.linalg.norm(x0)
+    cases = [
+        (unit_ball_problem([2.0, 0.0]), "bisection"),
+        (unit_ball_problem([2.0, 0.0]), "ellipsoid"),
+        (quadratic_problem(x0, quads, R=5.0), "ellipsoid"),
+    ]
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return approx_dual_oracle(*args, **kwargs)
+
+    monkeypatch.setattr("fastproj.projector.approx_dual_oracle", counted)
+    for prob, engine in cases:
+        for warm in (False, True):
+            calls[0] = 0
+            res = project(prob, SolverConfig(epsilon=1e-4, engine=engine, warm_start=warm))
+            # the final primal extraction is one more inner solve
+            assert res.oracle_calls == calls[0]
+            assert res.oracle_calls == sum(res.trace.in_box) + 1
 
 
 def test_concurrent_solves_share_problem(rng):
