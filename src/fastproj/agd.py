@@ -25,13 +25,20 @@ class SmoothObjective:
             raise ContractViolation("need beta >= alpha > 0")
 
 
-def agd_minimize(objective: SmoothObjective, x_init: Array, iterations: int) -> Array:
+def agd_minimize(
+    objective: SmoothObjective,
+    x_init: Array,
+    iterations: int,
+    g_init: Array | None = None,
+) -> Array:
     """Run exactly ``iterations`` momentum steps and return the last y iterate.
 
     Update per step: ``y+ = x - grad(x)/beta`` followed by the momentum
     combination ``x+ = (1 + gamma) y+ - gamma y`` with
     ``gamma = (sqrt(kappa) - 1)/(sqrt(kappa) + 1)``, ``kappa = beta/alpha``.
-    No line search, restarts or adaptivity.
+    No line search, restarts or adaptivity.  ``g_init``, the gradient at
+    ``x_init`` when the caller already has it, replaces the first gradient
+    call (read only), so the run makes ``iterations - 1`` gradient calls.
     """
     if iterations < 1:
         raise ContractViolation("iterations must be >= 1")
@@ -42,8 +49,8 @@ def agd_minimize(objective: SmoothObjective, x_init: Array, iterations: int) -> 
 
     x = np.array(x_init, dtype=float)
     y = x.copy()
-    for _ in range(iterations):
-        g = objective.gradient(x)
+    for k in range(iterations):
+        g = g_init if k == 0 and g_init is not None else objective.gradient(x)
         # Any inf or nan entry makes g.g non-finite, so the elementwise test
         # runs only then; it clears a finite g whose square overflows.
         if not math.isfinite(g.dot(g)) and not np.isfinite(g).all():

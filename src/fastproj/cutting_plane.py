@@ -11,10 +11,12 @@ Either way the kept half is guaranteed to contain every near-optimal dual
 point that has not already been certified by a visited iterate, and the
 localizer volume shrinks by a fixed factor per cut, so logarithmically many
 rounds suffice.  The returned point is the visited in-box point with the
-best value estimate (ties broken by earliest visit).
+best value estimate (ties broken by earliest visit), returned with its
+triple.
 
 A one-dimensional bisection engine is provided for the single-constraint
-case; it brackets the maximizer by the sign of the approximate derivative.
+case; it brackets the maximizer by the sign of the approximate derivative
+and can stop early on a caller's predicate, such as a duality certificate.
 """
 
 from __future__ import annotations
@@ -181,13 +183,18 @@ def cutting_plane_maximize(
     engine: str = "ellipsoid",
     T: int = 100,
     early_stop_log_volume: float | None = None,
-) -> tuple[Array, CutTrace]:
-    """Run T rounds of the chosen engine and return the best visited point.
+    stop: Callable[[Array, OracleTriple], bool] | None = None,
+) -> tuple[OracleTriple, Array, CutTrace]:
+    """Run up to T rounds of the chosen engine; return ``(triple, lam, trace)``
+    for the returned point ``lam`` and the oracle's triple there.
 
     ``oracle`` is queried once per in-box round and never outside the box.
-    ``early_stop_log_volume`` aborts once the localizer's (absolute) log
-    volume drops below it: past that point the near-optimal set can no longer
-    fit inside the localizer, so some visited point is already near optimal.
+    ``early_stop_log_volume`` (ellipsoid only) aborts once the localizer's
+    (absolute) log volume drops below it: past that point the near-optimal
+    set can no longer fit inside the localizer, so some visited point is
+    already near optimal.  ``stop(lam, triple)`` (bisection only) ends the
+    run at the first queried point where it holds and returns that point;
+    otherwise the best visited point is returned.
     """
     if T < 1:
         raise ContractViolation("T must be positive")
@@ -196,8 +203,11 @@ def cutting_plane_maximize(
     if engine == "bisection":
         if box.m != 1:
             raise ContractViolation("bisection engine requires m = 1")
-        _, lam, trace = bisection_maximize(lambda mid: oracle(np.array([mid])), box.R, T)
-        return np.array([lam]), trace
+        scalar_stop = None if stop is None else lambda mid, t: stop(np.array([mid]), t)
+        triple, lam, trace = bisection_maximize(
+            lambda mid: oracle(np.array([mid])), box.R, T, scalar_stop
+        )
+        return triple, np.array([lam]), trace
     raise ContractViolation(f"unknown engine {engine!r}")
 
 
@@ -211,7 +221,7 @@ def _ellipsoid_maximize(oracle, box, T, early_stop_log_volume):
     log_vol_initial = log_unit_ball_volume(m) + 0.5 * float(np.linalg.slogdet(Q0)[1])
     trace = CutTrace()
     best_v = -math.inf
-    best_lam = None
+    best = None  # (lam, triple) of the best value so far
     try:
         for t in range(1, T + 1):
             lam_t = state.center.copy()
@@ -221,12 +231,12 @@ def _ellipsoid_maximize(oracle, box, T, early_stop_log_volume):
                 g = np.asarray(triple.g, dtype=float)
                 v = float(triple.v)
                 if v > best_v:
-                    best_v, best_lam = v, lam_t
+                    best_v, best = v, (lam_t, triple)
                 if not np.any(g):
                     # A vanishing approximate gradient certifies
                     # near-optimality and leaves no cut direction; stop here.
                     trace.append(t, True, lam_t, np.zeros(m), v, log_vol)
-                    return lam_t, trace
+                    return triple, lam_t, trace
                 w = -g
                 trace.append(t, True, lam_t, w, v, log_vol)
             else:
@@ -253,8 +263,8 @@ def _ellipsoid_maximize(oracle, box, T, early_stop_log_volume):
         err.trace = trace  # partial diagnostics travel with the failure
         raise
 
-    assert best_lam is not None  # the first center is the box center
-    return best_lam, trace
+    assert best is not None  # the first center is the box center
+    return best[1], best[0], trace
 
 
 def _log_bracket(width: float) -> float:
@@ -263,13 +273,18 @@ def _log_bracket(width: float) -> float:
 
 
 def bisection_maximize(
-    oracle: Callable[[float], OracleTriple], R: float, T: int
-) -> tuple[Array, float, CutTrace]:
+    oracle: Callable[[float], OracleTriple],
+    R: float,
+    T: int,
+    stop: Callable[[float, OracleTriple], bool] | None = None,
+) -> tuple[OracleTriple, float, CutTrace]:
     """Derivative-sign bisection over [0, R] driven by a triple oracle.
 
-    Returns ``(x_tau, lam_tau, trace)`` where tau indexes the queried
-    midpoint with the best value estimate.  A ``NumericalFailure`` raised by
-    the oracle carries the rounds completed so far as its ``trace``.
+    Returns ``(triple_tau, lam_tau, trace)``.  When ``stop(mid, triple)``
+    holds at a queried midpoint, the run ends there and tau is that round;
+    otherwise all T rounds run and tau indexes the queried midpoint with the
+    best value estimate.  A ``NumericalFailure`` raised by the oracle carries
+    the rounds completed so far as its ``trace``.
     """
     if T < 1:
         raise ContractViolation("T must be positive")
@@ -282,8 +297,10 @@ def bisection_maximize(
             triple = oracle(mid)
             g = float(np.asarray(triple.g).reshape(-1)[0])
             trace.append(t, True, np.array([mid]), np.array([-g]), triple.v, _log_bracket(hi - lo))
-            if best is None or triple.v > best[0]:
-                best = (triple.v, triple.x_lambda, mid)
+            if stop is not None and stop(mid, triple):
+                return triple, mid, trace
+            if best is None or triple.v > best[0].v:
+                best = (triple, mid)
             if g > 0:
                 lo = mid
             else:
@@ -291,4 +308,4 @@ def bisection_maximize(
     except NumericalFailure as err:
         err.trace = trace  # partial diagnostics travel with the failure
         raise
-    return best[1], best[2], trace
+    return best[0], best[1], trace

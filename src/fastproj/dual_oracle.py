@@ -119,8 +119,9 @@ def approx_dual_oracle(
             dist_sq = float(dist_sq_bound)
         budget = agd_iterations(2.0, beta, dist_sq, eps_eff)
         for _ in range(_MAX_DOUBLING_ROUNDS):
-            y = agd_minimize(objective, x, budget)
-            evals += budget
+            # grad is the gradient at x: AGD's first step reuses it.
+            y = agd_minimize(objective, x, budget, grad)
+            evals += budget - 1
             grad_y = objective.gradient(y)
             evals += 1
             grad_y_sq = float(grad_y @ grad_y)
@@ -128,7 +129,7 @@ def approx_dual_oracle(
             # stagnation: no further budget can help.
             stalled = grad_y_sq > 0.5 * grad_sq
             if grad_y_sq < grad_sq:
-                x, grad_sq = y, grad_y_sq
+                x, grad, grad_sq = y, grad_y, grad_y_sq
             if grad_sq <= 4.0 * eps_eff or stalled:
                 break
             budget *= 2

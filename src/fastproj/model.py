@@ -206,7 +206,8 @@ def quadratic_constraint(
 
     def _eval(x, A=A, center=center, c=c):
         d = np.asarray(x, dtype=float) - center
-        return np.einsum("...i,ij,...j->...", d, A, d) - c
+        # d @ A goes to BLAS; a three-operand einsum does not.
+        return np.einsum("...i,...i->...", d @ A, d) - c
 
     def _grad(x, A=A, center=center):
         return 2.0 * ((np.asarray(x, dtype=float) - center) @ A)

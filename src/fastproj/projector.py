@@ -3,11 +3,15 @@
 ``project`` maximizes the Lagrangian dual over the multiplier box with a
 cutting-plane engine whose oracle, one approximate minimization of the
 Lagrangian in the primal, yields the primal point, dual gradient and dual
-value together; it then extracts the primal solution at the best dual point
-found.  With the guaranteed inner-accuracy schedule the output ``x_hat``
-satisfies, against every feasible x,
+value together; the primal solution is the oracle's point at the dual point
+the engine returns.  With the guaranteed inner-accuracy schedule the output
+``x_hat`` satisfies, against every feasible x,
 
     ||x_hat - x0||^2 <= ||x - x0||^2 + 6 eps      and      h_i(x_hat) <= eps.
+
+The bisection engine stops as soon as a queried point passes ``certified``,
+the weak-duality test that already proves the tighter bound
+``||x_hat - x0||^2 <= ||x - x0||^2 + eps + eps_eff``.
 
 ``project_with_R_doubling`` wraps it with the restart-on-boundary policy for
 the case where the multiplier bound R is unknown.
@@ -28,13 +32,12 @@ from .cutting_plane import (
     cutting_plane_maximize,
     log_unit_ball_volume,
 )
-from .dual_oracle import approx_dual_oracle
+from .dual_oracle import OracleTriple, approx_dual_oracle
 from .model import (
     Array,
     ContractViolation,
     ProjectionProblem,
     SolverConfig,
-    eval_constraints,
 )
 
 
@@ -99,6 +102,18 @@ def _inscribed_radius(eps: float, m: int, G: float, H: float | None) -> float:
     return (eps / (2.0 * m * G)) * min(1.0, 1.0 / math.sqrt(eps))
 
 
+def certified(lam: Array, triple: OracleTriple, eps: float) -> bool:
+    """Weak-duality certificate of the triple at ``lam``: ``max h(x_lam) <= eps``
+    and ``-lam . h(x_lam) <= eps``.
+
+    When it holds, ``x_lam`` violates no constraint by more than eps, and
+    ``||x_lam - x0||^2 = v - lam . h(x_lam) <= d(lam) + eps_eff + eps``,
+    which is at most ``OPT + eps + eps_eff`` since ``d(lam) <= OPT``.
+    """
+    g = triple.g
+    return float(np.max(g)) <= eps and -float(lam @ g) <= eps
+
+
 def default_inner_accuracy(eps: float, m: int, R: float, G: float) -> float:
     """The guaranteed inner-accuracy schedule ``eps^4 / (256 (m R G)^6)``."""
     return eps**4 / (256.0 * (m * R * G) ** 6)
@@ -129,6 +144,10 @@ def project(
     the distance from x0 to the feasible set) are optional diagnostics: H
     sharpens the outer iteration budget, B the inner one.  Neither affects
     the guarantees.
+
+    The answer is the engine's own triple at ``lambda_bar``; no inner solve
+    is repeated.  Only a warm-started triple without a ``certified``
+    duality certificate is solved again, cold, at ``lambda_bar``.
     """
     m, R = problem.m, problem.R
     eps = config.epsilon
@@ -170,27 +189,31 @@ def project(
         r = _inscribed_radius(eps, m, G, H)
         T, stop_log_vol = _ellipsoid_budget(m, R, r, config.max_outer_iterations)
 
-    lam_bar, trace = cutting_plane_maximize(
+    final, lam_bar, trace = cutting_plane_maximize(
         oracle=oracle,
         box=box,
         engine=config.engine,
         T=T,
         early_stop_log_volume=stop_log_vol,
+        stop=lambda lam, triple: certified(lam, triple, eps),
     )
+    oracle_calls = sum(trace.in_box)
+    if config.warm_start and not certified(lam_bar, final, eps):
+        # A warm-started solve can stop at a seed that passes the inner test
+        # yet lies far from x_lam; without a duality certificate, solve cold.
+        final = approx_dual_oracle(
+            problem, lam_bar, eps_tilde, dist_sq_bound=dist_sq_bound, counters=counters
+        )
+        oracle_calls += 1
 
-    # Fresh primal extraction at lam_bar: intermediate solves may have been
-    # warm started, the final one is re-solved at the full inner accuracy.
-    final = approx_dual_oracle(
-        problem, lam_bar, eps_tilde, dist_sq_bound=dist_sq_bound, counters=counters
-    )
     x_hat = final.x_lambda
     return ProjectionResult(
         x_hat=x_hat,
         lambda_bar=np.array(lam_bar),
         objective=float(np.sum((x_hat - problem.x0) ** 2)),
-        max_violation=float(np.max(eval_constraints(problem, x_hat))),
+        max_violation=float(np.max(final.g)),
         dual_value=final.v,
-        oracle_calls=sum(trace.in_box) + 1,
+        oracle_calls=oracle_calls,
         inner_gradient_evals=counters.get("gradient_evals", 0),
         doubling_rounds_used=0,
         trace=trace,

@@ -188,7 +188,7 @@ def test_criterion_6_noisy_oracles_value_gap():
         side = min(math.sqrt(eps / (a * m)), 0.1 * R)
         log_vol_initial = log_unit_ball_volume(m) + m * math.log(math.sqrt(m) * R / 2.0)
         T = math.ceil((log_vol_initial - m * math.log(side)) / -central_cut_log_factor(m)) + 1
-        lam_bar, _ = cutting_plane_maximize(
+        _, lam_bar, _ = cutting_plane_maximize(
             lambda lam: OracleTriple(lam, noisy_grad(lam), noisy_value(lam)),
             box,
             "ellipsoid",

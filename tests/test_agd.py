@@ -147,3 +147,24 @@ def test_input_validation():
         SmoothObjective(lambda x: 0.0, lambda x: x, alpha=3.0, beta=2.0)
     with pytest.raises(ContractViolation):
         agd_iterations(2.0, 1.0, 1.0, 1e-6)
+
+
+def test_start_gradient_replaces_the_first_call():
+    M = np.diag([1.0, 10.0, 3.0])
+    base = quadratic_objective(M, np.array([0.5, -1.0, 2.0]))
+    calls = [0]
+
+    def counted(x):
+        calls[0] += 1
+        return base.gradient(x)
+
+    obj = SmoothObjective(value=base.value, gradient=counted, alpha=base.alpha, beta=base.beta)
+    x_init = np.array([1.0, 1.0, -1.0])
+    plain = agd_minimize(obj, x_init, 12)
+    assert calls[0] == 12
+    calls[0] = 0
+    g_init = base.gradient(x_init)
+    seeded = agd_minimize(obj, x_init, 12, g_init)
+    assert calls[0] == 11
+    assert np.array_equal(seeded, plain)
+    assert np.array_equal(g_init, base.gradient(x_init))  # read, not written

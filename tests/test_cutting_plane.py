@@ -18,6 +18,7 @@ from fastproj.cutting_plane import (
 )
 from fastproj.dual_oracle import OracleTriple, approx_dual_oracle
 from fastproj.model import ContractViolation
+from fastproj.projector import certified
 
 from conftest import ball_dual_value, unit_ball_problem
 
@@ -115,12 +116,13 @@ def test_update_rejects_zero_direction_and_off_center_cuts():
 
 
 def run_engine(d, grad, box, engine, T, noise=None):
-    return cutting_plane_maximize(
+    _, lam_bar, trace = cutting_plane_maximize(
         oracle=lambda lam: OracleTriple(lam, np.atleast_1d(grad(lam)), d(lam)),
         box=box,
         engine=engine,
         T=T,
     )
+    return lam_bar, trace
 
 
 def test_one_dim_quadratic_exact_oracles():
@@ -210,7 +212,7 @@ def test_triple_oracle_called_once_per_in_box_round():
             queried.append(np.array(lam))
             return OracleTriple(lam, -2.0 * (lam - target), -float((lam - target) @ (lam - target)))
 
-        _, trace = cutting_plane_maximize(oracle, box, engine, 40)
+        _, _, trace = cutting_plane_maximize(oracle, box, engine, 40)
         in_box = [lam for lam, inside in zip(trace.lam, trace.in_box) if inside]
         assert len(queried) == len(in_box)
         assert all(np.array_equal(q, lam) for q, lam in zip(queried, in_box))
@@ -237,7 +239,7 @@ def test_noisy_oracle_value_gap(rng):
         side = min(math.sqrt(eps / (a * m)), 0.1 * R)
         log_vol_initial = log_unit_ball_volume(m) + m * math.log(math.sqrt(m) * R / 2.0)
         T = math.ceil((log_vol_initial - m * math.log(side)) / -central_cut_log_factor(m)) + 1
-        lam_bar, _ = cutting_plane_maximize(
+        _, lam_bar, _ = cutting_plane_maximize(
             lambda lam: OracleTriple(lam, noisy_grad(lam), noisy_value(lam)),
             box,
             "ellipsoid",
@@ -255,18 +257,18 @@ def test_bisection_converges_to_ball_multiplier():
     prob = unit_ball_problem([2.0, 0.0], R=4.0)
     T = 30
     oracle = lambda lam: approx_dual_oracle(prob, np.array([lam]), 1e-12)
-    x_tau, lam_tau, trace = bisection_maximize(oracle, 4.0, T)
+    triple_tau, lam_tau, trace = bisection_maximize(oracle, 4.0, T)
     assert abs(lam_tau - 1.0) <= 4.0 * 2.0**-T + 1e-6
-    assert_allclose(x_tau, [1.0, 0.0], atol=1e-4)
+    assert_allclose(triple_tau.x_lambda, [1.0, 0.0], atol=1e-4)
     assert len(trace) == T
 
 
 def test_bisection_feasible_point_drives_lambda_to_zero():
     prob = unit_ball_problem([0.3, 0.1], R=2.0)
     oracle = lambda lam: approx_dual_oracle(prob, np.array([lam]), 1e-12)
-    x_tau, lam_tau, _ = bisection_maximize(oracle, 2.0, 25)
+    triple_tau, lam_tau, _ = bisection_maximize(oracle, 2.0, 25)
     assert lam_tau <= 2.0 * 2.0**-24
-    assert_allclose(x_tau, prob.x0, atol=1e-5)
+    assert_allclose(triple_tau.x_lambda, prob.x0, atol=1e-5)
 
 
 def test_bisection_value_trace_is_unimodal_on_ball():
@@ -283,6 +285,34 @@ def test_bisection_value_trace_is_unimodal_on_ball():
     peak = int(np.argmax(vals))
     assert np.all(np.diff(vals[: peak + 1]) >= -1e-12)
     assert np.all(np.diff(vals[peak:]) <= 1e-12)
+
+
+def test_bisection_stops_where_the_predicate_holds():
+    prob = unit_ball_problem([2.0, 0.0], R=4.0)
+    oracle = lambda lam: approx_dual_oracle(prob, np.array([lam]), 1e-12)
+    asked = []
+
+    def stop(mid, triple):
+        asked.append(mid)
+        return len(asked) == 3
+
+    triple, lam, trace = bisection_maximize(oracle, 4.0, 30, stop)
+    assert len(trace) == 3 and lam == asked[-1] == trace.lam[-1][0]
+    assert np.array_equal(triple.x_lambda, oracle(lam).x_lambda)
+
+
+def test_never_certified_oracle_runs_all_rounds():
+    # g = 1 > eps everywhere: the certificate never holds, so the run keeps
+    # its T rounds and its best-value answer
+    oracle = lambda lam: OracleTriple(lam, np.array([1.0]), float(lam[0]))
+    box, T = DualBox(R=4.0, m=1), 17
+    plain = cutting_plane_maximize(oracle, box, "bisection", T)
+    stopped = cutting_plane_maximize(
+        oracle, box, "bisection", T, stop=lambda lam, t: certified(lam, t, 1e-3)
+    )
+    assert len(plain[2]) == len(stopped[2]) == T
+    assert np.array_equal(plain[1], stopped[1])
+    assert stopped[1][0] == 4.0 * (1.0 - 2.0**-T)
 
 
 def test_bisection_bracket_keeps_maximizer_with_exact_signs():
@@ -325,7 +355,7 @@ def test_noisy_bisection_value_gap(rng):
         value = lambda lam: d(lam) + eps * float(rng.choice([-1.0, 1.0]))
         side = math.sqrt(eps / a)
         T = max(1, math.ceil(math.log2(R / side))) + 1
-        lam_bar, _ = cutting_plane_maximize(
+        _, lam_bar, _ = cutting_plane_maximize(
             lambda lam: OracleTriple(lam, grad(lam), value(lam)),
             DualBox(R=R, m=1), "bisection", T,
         )

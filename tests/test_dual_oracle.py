@@ -160,6 +160,28 @@ def test_dual_concavity_sampled(rng):
         assert v_mid >= theta * v1 + (1.0 - theta) * v2 - 3.0 * eps_tilde
 
 
+def test_gradient_counter_matches_real_calls(rng):
+    # m = 1 with lam > 0: each Lagrangian gradient calls the constraint's
+    # grad once.  AGD starts from the gradient the oracle already took at
+    # the start point, so the second call is at a new point.
+    n = 6
+    quad = quadratic_constraint(random_psd(rng, n), rng.standard_normal(n) * 0.3, 1.0)
+    prob = quadratic_problem(rng.standard_normal(n) * 3.0, [quad], R=4.0)
+    points = []
+
+    def grad(x, inner=prob.constraints[0].grad):
+        points.append(np.array(x).tobytes())
+        return inner(x)
+
+    prob = replace(prob, constraints=(replace(prob.constraints[0], grad=grad),))
+    for eps_tilde in (1e-4, 1e-12):
+        points.clear()
+        counters = {}
+        approx_dual_oracle(prob, np.array([0.7]), eps_tilde, counters=counters)
+        assert counters["gradient_evals"] == len(points) > 1
+        assert points[0] == prob.x0.tobytes() != points[1]
+
+
 def test_warm_start_certificate_skip(rng):
     prob = two_quadratics_problem(rng)
     lam = np.array([0.5, 0.5])

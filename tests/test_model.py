@@ -162,12 +162,18 @@ def test_lagrangian_midpoint_convexity(rng):
 
 
 def test_lagrangian_linear_in_multiplier(rng):
+    # Integer matrices and points with dyadic multipliers: every product and
+    # sum below is exact in floats, whatever order the kernels add in.
+    def small_int_pd():
+        M = rng.integers(-3, 4, (4, 4)).astype(float)
+        return M.T @ M + np.eye(4)
+
     quads = [
-        quadratic_constraint(random_psd(rng, 4), np.zeros(4), 1.0),
-        quadratic_constraint(random_psd(rng, 4), np.zeros(4), 2.0),
+        quadratic_constraint(small_int_pd(), np.zeros(4), 1.0),
+        quadratic_constraint(small_int_pd(), np.zeros(4), 2.0),
     ]
-    prob = quadratic_problem(rng.standard_normal(4), quads, R=2.0)
-    x = rng.standard_normal(4)
+    prob = quadratic_problem(rng.integers(-3, 4, 4).astype(float), quads, R=2.0)
+    x = rng.integers(-3, 4, 4).astype(float)
     base = lagrangian_value(prob, x, np.zeros(2))
     lam = np.array([1.25, 0.5])
     # halves are exactly representable, so additivity is exact in floats

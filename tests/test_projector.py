@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from fastproj.model import (
 from fastproj.projector import (
     bound_R_quadratic,
     bound_R_single,
+    certified,
     project,
     project_with_R_doubling,
     r_epsilon,
@@ -275,6 +277,25 @@ def test_warm_start_matches_cold(rng):
     assert warm.max_violation <= 1e-4
 
 
+def test_bisection_stops_early_on_its_certificate():
+    from fastproj.cli import random_quadratic_instance
+    from fastproj.dual_oracle import effective_eps_tilde
+    from fastproj.projector import default_inner_accuracy
+
+    eps = 1e-3
+    cases = [unit_ball_problem([2.5, -1.5, 0.5])]
+    cases += [random_quadratic_instance(32, 1, seed) for seed in (3, 4)]
+    for prob in cases:
+        G = prob.max_lipschitz()
+        T = math.ceil(math.log2(prob.R * G / eps))
+        res = project(prob, SolverConfig(epsilon=eps, engine="bisection"))
+        eps_eff = effective_eps_tilde(prob, default_inner_accuracy(eps, 1, prob.R, G))
+        assert len(res.trace) < T
+        assert res.oracle_calls == len(res.trace)
+        assert res.max_violation <= eps
+        assert res.objective - res.dual_value <= eps + eps_eff
+
+
 def test_numerical_failure_carries_partial_trace():
     from fastproj.model import ConstraintOracle, NumericalFailure
 
@@ -309,24 +330,37 @@ def test_oracle_calls_count_every_inner_solve(monkeypatch, rng):
     x0 = rng.standard_normal(n)
     x0 *= 2.5 / np.linalg.norm(x0)
     cases = [
-        (unit_ball_problem([2.0, 0.0]), "bisection"),
-        (unit_ball_problem([2.0, 0.0]), "ellipsoid"),
-        (quadratic_problem(x0, quads, R=5.0), "ellipsoid"),
+        (unit_ball_problem([2.0, 0.0]), "bisection", None),
+        (unit_ball_problem([2.0, 0.0]), "ellipsoid", None),
+        (quadratic_problem(x0, quads, R=5.0), "ellipsoid", None),
+        (quadratic_problem(x0, quads, R=5.0), "ellipsoid", 1e-5),
     ]
-    calls = [0]
+    solves = []  # (lam, triple) of every inner solve, in order
 
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return approx_dual_oracle(*args, **kwargs)
+    def counted(problem, lam, *args, **kwargs):
+        triple = approx_dual_oracle(problem, lam, *args, **kwargs)
+        solves.append((np.array(lam), triple))
+        return triple
 
     monkeypatch.setattr("fastproj.projector.approx_dual_oracle", counted)
-    for prob, engine in cases:
+    eps = 1e-4
+    resolved_any = False
+    for prob, engine, eps_tilde in cases:
         for warm in (False, True):
-            calls[0] = 0
-            res = project(prob, SolverConfig(epsilon=1e-4, engine=engine, warm_start=warm))
-            # the final primal extraction is one more inner solve
-            assert res.oracle_calls == calls[0]
-            assert res.oracle_calls == sum(res.trace.in_box) + 1
+            solves.clear()
+            cfg = SolverConfig(
+                epsilon=eps, epsilon_tilde_override=eps_tilde, engine=engine, warm_start=warm
+            )
+            res = project(prob, cfg)
+            assert res.oracle_calls == len(solves)
+            # the engine's triple at lambda_bar is the answer, solved again
+            # (cold) only when warm started and uncertified
+            at_bar = [t for lam, t in solves if np.array_equal(lam, res.lambda_bar)]
+            resolved = warm and not certified(res.lambda_bar, at_bar[0], eps)
+            assert res.oracle_calls == sum(res.trace.in_box) + resolved
+            assert len(at_bar) == 1 + resolved
+            resolved_any |= resolved
+    assert resolved_any
 
 
 def test_concurrent_solves_share_problem(rng):
