@@ -14,9 +14,11 @@ rounds suffice.  The returned point is the visited in-box point with the
 best value estimate (ties broken by earliest visit), returned with its
 triple.
 
-A one-dimensional bisection engine is provided for the single-constraint
-case; it brackets the maximizer by the sign of the approximate derivative
-and can stop early on a caller's predicate, such as a duality certificate.
+A one-dimensional bracketing engine is provided for the single-constraint
+case; it brackets the maximizer by the sign of the approximate derivative,
+queries interpolated roots of that derivative under the ITP safeguard (the
+bracket after round t is at most ``R 2^(ITP_N0 - t)``), and can stop early
+on a caller's predicate, such as a duality certificate.
 """
 
 from __future__ import annotations
@@ -33,6 +35,10 @@ from .model import Array, ContractViolation, NumericalFailure
 
 # Audit cadence for the localizer factor, in updates per dimension.
 _PD_CHECK_EVERY = 8
+# Slack rounds of the bisection engine's ITP safeguard: interpolated queries
+# may leave the bracket after round t as wide as R 2^(ITP_N0 - t), so in the
+# worst case they cost ITP_N0 rounds against plain bisection.
+ITP_N0 = 3
 
 
 @dataclass(frozen=True)
@@ -194,7 +200,9 @@ def cutting_plane_maximize(
     set can no longer fit inside the localizer, so some visited point is
     already near optimal.  ``stop(lam, triple)`` (bisection only) ends the
     run at the first queried point where it holds and returns that point;
-    otherwise the best visited point is returned.
+    otherwise the best visited point is returned.  The bisection engine's
+    bracket after T rounds is at most ``R 2^(ITP_N0 - T)`` wide (see
+    ``bisection_maximize``).
     """
     if T < 1:
         raise ContractViolation("T must be positive")
@@ -272,39 +280,83 @@ def _log_bracket(width: float) -> float:
     return math.log(width) if width > 0.0 else -math.inf
 
 
+def _interpolated_root(queries: list[tuple[float, float]]) -> float | None:
+    """Root of g by inverse interpolation through the last queried
+    ``(lam, g)`` pairs: inverse-quadratic through the last three, else the
+    secant through the last two (Brent, 1973, ch. 4).  Pairs are used only
+    when their g values take both signs, so the estimate never extrapolates
+    from one side, and are skipped when a g value is zero or repeats.  None
+    when neither set qualifies."""
+    for points in (queries[-3:], queries[-2:]):
+        gs = [g for _, g in points]
+        usable = len(points) >= 2 and min(gs) < 0.0 < max(gs)
+        if not usable or 0.0 in gs or len(set(gs)) < len(gs):
+            continue
+        # Lagrange form of lam(g) at g = 0; the g values are distinct.
+        root = 0.0
+        for i, (lam_i, g_i) in enumerate(points):
+            term = lam_i
+            for j, (_, g_j) in enumerate(points):
+                if j != i:
+                    term *= g_j / (g_j - g_i)
+            root += term
+        return root
+    return None
+
+
 def bisection_maximize(
     oracle: Callable[[float], OracleTriple],
     R: float,
     T: int,
     stop: Callable[[float, OracleTriple], bool] | None = None,
 ) -> tuple[OracleTriple, float, CutTrace]:
-    """Derivative-sign bisection over [0, R] driven by a triple oracle.
+    """Safeguarded root search for the derivative sign change over [0, R],
+    driven by a triple oracle.
 
-    Returns ``(triple_tau, lam_tau, trace)``.  When ``stop(mid, triple)``
-    holds at a queried midpoint, the run ends there and tau is that round;
-    otherwise all T rounds run and tau indexes the queried midpoint with the
+    The bracket ``[lo, hi]`` moves ``lo`` to queries with ``g > 0`` and
+    ``hi`` to queries with ``g <= 0``.  Each round queries the root of g
+    interpolated through the last queries when their g values take both
+    signs and the root lies strictly inside the bracket, else the midpoint;
+    so until g has changed sign the rounds bisect.  The ITP projection
+    (Oliveira & Takahashi, ACM TOMS 2021) clips an interpolated query to
+    within ``R 2^(ITP_N0 - t) - (hi - lo)/2`` of the midpoint, so after round
+    t the bracket is at most ``R 2^(ITP_N0 - t)`` wide: ``T + ITP_N0`` rounds
+    give plain bisection's ``R 2^-T``, while a smooth monotone g is found
+    superlinearly.
+
+    Returns ``(triple_tau, lam_tau, trace)``.  When ``stop(lam, triple)``
+    holds at a queried point, the run ends there and tau is that round;
+    otherwise all T rounds run and tau indexes the queried point with the
     best value estimate.  A ``NumericalFailure`` raised by the oracle carries
     the rounds completed so far as its ``trace``.
     """
     if T < 1:
         raise ContractViolation("T must be positive")
-    lo, hi = 0.0, float(R)
+    R = float(R)
+    lo, hi = 0.0, R
+    queries: list[tuple[float, float]] = []
     trace = CutTrace()
     best = None
     try:
         for t in range(1, T + 1):
             mid = 0.5 * (lo + hi)
-            triple = oracle(mid)
+            lam = mid
+            x = _interpolated_root(queries)
+            if x is not None and lo < x < hi:
+                r = max(0.0, R * 2.0 ** (ITP_N0 - t) - 0.5 * (hi - lo))
+                lam = min(max(x, mid - r), mid + r)
+            triple = oracle(lam)
             g = float(np.asarray(triple.g).reshape(-1)[0])
-            trace.append(t, True, np.array([mid]), np.array([-g]), triple.v, _log_bracket(hi - lo))
-            if stop is not None and stop(mid, triple):
-                return triple, mid, trace
+            trace.append(t, True, np.array([lam]), np.array([-g]), triple.v, _log_bracket(hi - lo))
+            if stop is not None and stop(lam, triple):
+                return triple, lam, trace
             if best is None or triple.v > best[0].v:
-                best = (triple, mid)
+                best = (triple, lam)
+            queries.append((lam, g))
             if g > 0:
-                lo = mid
+                lo = lam
             else:
-                hi = mid
+                hi = lam
     except NumericalFailure as err:
         err.trace = trace  # partial diagnostics travel with the failure
         raise

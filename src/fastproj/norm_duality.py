@@ -8,8 +8,9 @@ dual unit ball: with ``y_lam = proj_{P* <= 1}(2 x0 / lam)``,
     d'(lam) = y_lam . x0 - (lam/2) ||y_lam||^2 - 1          (= P(x_lam) - 1)
     x_lam   = x0 - (lam/2) y_lam
 
-so exact oracles are available and one-dimensional bisection finds the
-projection with logarithmically many projector calls.  The derivative
+so exact oracles are available and a one-dimensional bracketing search
+(``cutting_plane.bisection_maximize``) finds the projection with
+logarithmically many projector calls.  The derivative
 formula follows from differentiating d at the fixed maximizer y_lam and is
 validated against central finite differences of d in the test suite.
 """
@@ -58,15 +59,16 @@ def project_norm_ball_via_dual(
 ) -> Array:
     """Project x0 onto {x : P(x) <= 1} using only the dual-ball projector.
 
-    Bisects the dual over [0, R] with the exact oracle; the number of
-    projector calls is exactly ``ceil(log2(R max(1, ||x0||) / eps)) + 2``.
-    The primal point of the last queried midpoint is returned: the oracle's
-    derivative sign is exact, so the final bracket holds the optimal
-    multiplier.  The best-value midpoint is not used, because far from the
-    ball the dual values of distant midpoints tie to float precision.
-    Since the dual value at lam = 0 is 0 and exceeds d(lam) for every lam > 0
-    exactly when x0 is already feasible, x0 itself is returned whenever no
-    queried midpoint beats it.
+    Runs the safeguarded bisection over [0, R] with the exact oracle for
+    exactly ``T = ceil(log2(R max(1, ||x0||) / eps)) + 2`` projector calls.
+    The primal point of the last queried multiplier is returned: the
+    oracle's derivative sign is exact, so the final bracket, at most
+    ``R 2^(ITP_N0 - T)`` wide, holds the optimal multiplier, and the
+    interpolated queries usually pin it to float precision much sooner.
+    The best-value query is not used, because far from the ball the dual
+    values of distant queries tie to float precision.  Since the dual value
+    at lam = 0 is 0 and exceeds d(lam) for every lam > 0 exactly when x0 is
+    already feasible, x0 itself is returned whenever no query beats it.
     """
     if not (R > 0 and eps > 0):
         raise ContractViolation("R and eps must be positive")

@@ -11,7 +11,10 @@ the engine returns.  With the guaranteed inner-accuracy schedule the output
 
 The bisection engine stops as soon as a queried point passes ``certified``,
 the weak-duality test that already proves the tighter bound
-``||x_hat - x0||^2 <= ||x - x0||^2 + eps + eps_eff``.
+``||x_hat - x0||^2 <= ||x - x0||^2 + eps + eps_eff``; it is given
+``ceil(log2(R G / eps)) + ITP_N0`` rounds, so that its interpolated queries
+leave at worst plain bisection's final bracket.  Every result reports the
+test at its own answer as ``ProjectionResult.certified``.
 
 ``project_with_R_doubling`` wraps it with the restart-on-boundary policy for
 the case where the multiplier bound R is unknown.
@@ -26,6 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cutting_plane import (
+    ITP_N0,
     CutTrace,
     DualBox,
     central_cut_log_factor,
@@ -52,6 +56,8 @@ class ProjectionResult:
     inner_gradient_evals: int
     doubling_rounds_used: int
     trace: CutTrace
+    # ``certified`` at the returned triple; not part of ``to_json``.
+    certified: bool
 
     def to_json(self) -> str:
         return json.dumps(
@@ -147,7 +153,9 @@ def project(
 
     The answer is the engine's own triple at ``lambda_bar``; no inner solve
     is repeated.  Only a warm-started triple without a ``certified``
-    duality certificate is solved again, cold, at ``lambda_bar``.
+    duality certificate is solved again, cold, at ``lambda_bar``.  The
+    result's ``certified`` says whether the returned triple passes that
+    test, which proves its guarantee a posteriori.
     """
     m, R = problem.m, problem.R
     eps = config.epsilon
@@ -180,9 +188,11 @@ def project(
 
     box = DualBox(R=R, m=m)
     if config.engine == "bisection":
+        # The ITP safeguard spends up to ITP_N0 extra rounds on interpolated
+        # queries; with them the worst-case bracket is bisection's R 2^-T.
         T = min(
             config.max_outer_iterations,
-            max(1, math.ceil(math.log2(max(R * G / eps, 2.0)))),
+            max(1, math.ceil(math.log2(max(R * G / eps, 2.0)))) + ITP_N0,
         )
         stop_log_vol = None
     else:
@@ -217,6 +227,7 @@ def project(
         inner_gradient_evals=counters.get("gradient_evals", 0),
         doubling_rounds_used=0,
         trace=trace,
+        certified=certified(lam_bar, final, eps),
     )
 
 

@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fastproj.cutting_plane import (
+    ITP_N0,
     CutTrace,
     DualBox,
     EllipsoidState,
@@ -316,16 +317,40 @@ def test_never_certified_oracle_runs_all_rounds():
 
 
 def test_bisection_bracket_keeps_maximizer_with_exact_signs():
-    lam_star = 1.37
-    d = lambda lam: -((lam - lam_star) ** 2)
-    lo, hi = 0.0, 4.0
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if -2.0 * (mid - lam_star) > 0:
-            lo = mid
-        else:
-            hi = mid
-        assert lo <= lam_star <= hi
+    # Exact-sign derivatives, decreasing through lam_star.  "jump" changes
+    # slope by a factor of 1e12 across lam_star; "flat" vanishes to ninth
+    # order there, which stalls interpolation, so only the ITP clip keeps
+    # its bracket within the bound.
+    R, T = 4.0, 40
+    shapes = {
+        "concave": lambda lam, s: -math.expm1(lam - s),
+        "convex": lambda lam, s: math.expm1(s - lam),
+        "linear": lambda lam, s: s - lam,
+        "jump": lambda lam, s: 1e6 * (s - lam) if lam < s else 1e-6 * (s - lam),
+        "flat": lambda lam, s: math.copysign(abs(s - lam) ** 9, s - lam),
+    }
+    for name, g in shapes.items():
+        for lam_star in (1e-3, 1.37, R - 1e-3):
+            bracket = [0.0, R]
+            queries = []
+
+            def oracle(lam):
+                lo, hi = bracket
+                assert lo <= lam <= hi, (name, lam_star)
+                queries.append(lam)
+                slope = g(lam, lam_star)
+                bracket[int(slope <= 0.0)] = lam  # g > 0 moves lo, else hi
+                assert bracket[0] <= lam_star <= bracket[1], (name, lam_star)
+                width_bound = R * 2.0 ** (ITP_N0 - len(queries)) + 4.0 * math.ulp(R)
+                assert bracket[1] - bracket[0] <= width_bound, (name, lam_star)
+                return OracleTriple(np.array([lam]), np.array([slope]), -abs(lam - lam_star))
+
+            bisection_maximize(oracle, R, T)
+            assert len(queries) == T
+            if name != "flat" and lam_star == 1.37:
+                # bisection needs 32 rounds to come within 1e-9
+                close = [t for t, lam in enumerate(queries, 1) if abs(lam - lam_star) <= 1e-9]
+                assert close[0] <= 12, (name, close[0])
 
 
 def test_trace_csv_layout():

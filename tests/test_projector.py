@@ -290,10 +290,51 @@ def test_bisection_stops_early_on_its_certificate():
         T = math.ceil(math.log2(prob.R * G / eps))
         res = project(prob, SolverConfig(epsilon=eps, engine="bisection"))
         eps_eff = effective_eps_tilde(prob, default_inner_accuracy(eps, 1, prob.R, G))
-        assert len(res.trace) < T
+        assert len(res.trace) <= T / 2
         assert res.oracle_calls == len(res.trace)
         assert res.max_violation <= eps
         assert res.objective - res.dual_value <= eps + eps_eff
+
+
+def test_bisection_matches_dual_grid_on_dense_instances():
+    # an outside check of the interpolating m = 1 engine: the dual grid
+    # shares neither AGD nor any dual engine with project
+    from fastproj.cli import random_quadratic_instance
+
+    eps = 1e-3
+    calls, rounds = [], []  # oracle calls, and the paper's bisection rounds T
+    for seed in range(6):
+        prob = random_quadratic_instance(64, 1, seed)
+        rounds.append(math.ceil(math.log2(prob.R * prob.max_lipschitz() / eps)))
+        res = project(prob, SolverConfig(epsilon=eps, engine="bisection"))
+        _, _, d_ref = brute_force_dual_grid(prob)
+        assert res.certified
+        assert res.max_violation <= eps
+        assert abs(res.objective - d_ref) <= 6.0 * eps
+        calls.append(res.oracle_calls)
+    assert np.median(calls) <= min(rounds) / 2
+
+
+def test_certified_flags_an_uncertified_warm_answer(rng):
+    # warm-started inner solves that stop at their seed mislead the engine;
+    # the cold re-solve at lambda_bar is then still infeasible, and says so
+    n = 8
+    quads = [
+        quadratic_constraint(random_psd(rng, n), rng.standard_normal(n) * 0.2, 1.0),
+        quadratic_constraint(random_psd(rng, n), rng.standard_normal(n) * 0.2, 1.3),
+    ]
+    x0 = rng.standard_normal(n)
+    x0 *= 2.5 / np.linalg.norm(x0)
+    prob = quadratic_problem(x0, quads, R=5.0)
+    eps = 1e-4
+    warm = project(prob, SolverConfig(epsilon=eps, epsilon_tilde_override=1e-5, warm_start=True))
+    assert warm.max_violation > eps
+    assert warm.certified is False
+    ball = unit_ball_problem([2.0, 0.0])
+    for p, engine in ((prob, "ellipsoid"), (ball, "ellipsoid"), (ball, "bisection")):
+        cold = project(p, SolverConfig(epsilon=eps, engine=engine))
+        assert cold.certified is True
+        assert "certified" not in json.loads(cold.to_json())
 
 
 def test_numerical_failure_carries_partial_trace():
