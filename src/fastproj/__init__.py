@@ -22,6 +22,7 @@ from .model import (
     ContractViolation,
     NumericalFailure,
     ProjectionProblem,
+    QuadraticConstraint,
     SolverConfig,
     eval_constraints,
     factored_quadratic_constraint,
@@ -68,6 +69,7 @@ __all__ = [
     "ContractViolation",
     "NumericalFailure",
     "ProjectionProblem",
+    "QuadraticConstraint",
     "SolverConfig",
     "eval_constraints",
     "factored_quadratic_constraint",

@@ -92,7 +92,6 @@ def random_quadratic_instance(
     c_min: float = 1.0,
     c_max: float = 2.0,
     factored: bool = False,
-    reflectors: int = DEFAULT_REFLECTORS,
     ball: bool = False,
 ) -> ProjectionProblem:
     """Random projection instance with unit-spectral-norm PD quadratics.
@@ -129,7 +128,7 @@ def random_quadratic_instance(
         levels.append(level)
         sigma_mins.append(float(np.min(spectrum)))
         if factored:
-            V = rng.standard_normal((n, reflectors))
+            V = rng.standard_normal((n, DEFAULT_REFLECTORS))
             quads.append(factored_quadratic_constraint(spectrum, V, center, level))
         else:
             Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
@@ -145,9 +144,8 @@ def random_quadratic_instance(
         # First exit of the ray anchor + t u from the feasible set.
         t_exit = np.inf
         for q in quads:
-            meta = q.meta
-            if meta["type"] == "quadratic":
-                Au = meta["A"] @ u
+            if q.A is not None:
+                Au = q.A @ u
             else:
                 Au = 0.5 * q.grad(anchor + u) - 0.5 * q.grad(anchor)
             a = float(u @ Au)

@@ -28,6 +28,7 @@ from .model import (
     ContractViolation,
     ProjectionProblem,
     eval_constraints,
+    lagrangian_gradient_fn,
     lagrangian_value,
 )
 
@@ -65,42 +66,26 @@ def approx_dual_oracle(
     lam: Array,
     eps_tilde: float,
     warm_start: Array | None = None,
-    dist_sq_bound: float | None = None,
     counters: dict | None = None,
 ) -> OracleTriple:
     """Solve ``min_x L(x, lam)`` to ``eps_tilde`` and package (x_lam, g, v).
 
     ``warm_start`` seeds the inner solver (the certificate keeps the accuracy
-    guarantee independent of the seed).  ``dist_sq_bound``, when known, bounds
-    ``||x_init - x*_lam||^2``; otherwise ``||x_init - x0||^2 + 1`` is used and
-    the budget doubles until the gradient-norm certificate holds.
+    guarantee independent of the seed).  The first AGD budget takes
+    ``||x_init - x0||^2 + 1`` as the squared distance to ``x*_lam``, and the
+    budget doubles until the gradient-norm certificate holds.
     ``counters['gradient_evals']`` is incremented when a dict is supplied.
     """
+    gradient = lagrangian_gradient_fn(problem, lam)
     lam = np.asarray(lam, dtype=float)
-    if lam.shape != (problem.m,):
-        raise ContractViolation(f"lambda has shape {lam.shape}, expected ({problem.m},)")
-    if np.any(lam < 0):
-        raise ContractViolation("lambda must be elementwise nonnegative")
     if not eps_tilde > 0:
         raise ContractViolation("eps_tilde must be positive")
 
     eps_eff = effective_eps_tilde(problem, eps_tilde)
     beta = 2.0 + float(np.sum(lam)) * problem.max_smoothness()
-    # Validation is hoisted out of the gradient closure: it runs once per
-    # multiplier but the closure runs every inner iteration.
-    x0 = problem.x0
-    weighted = [(float(li), c.grad) for li, c in zip(lam, problem.constraints) if li != 0.0]
-
-    def grad_lagrangian(x):
-        g = x - x0
-        g *= 2.0
-        for li, grad in weighted:
-            g += li * grad(x)
-        return g
-
     objective = SmoothObjective(
         value=lambda x: lagrangian_value(problem, x, lam),
-        gradient=grad_lagrangian,
+        gradient=gradient,
         alpha=2.0,
         beta=beta,
     )
@@ -112,12 +97,8 @@ def approx_dual_oracle(
     grad_sq = float(grad @ grad)
 
     if grad_sq > 4.0 * eps_eff:
-        if dist_sq_bound is None:
-            d0 = problem.x0 - x
-            dist_sq = float(d0 @ d0) + 1.0
-        else:
-            dist_sq = float(dist_sq_bound)
-        budget = agd_iterations(2.0, beta, dist_sq, eps_eff)
+        d0 = problem.x0 - x
+        budget = agd_iterations(2.0, beta, float(d0 @ d0) + 1.0, eps_eff)
         for _ in range(_MAX_DOUBLING_ROUNDS):
             # grad is the gradient at x: AGD's first step reuses it.
             y = agd_minimize(objective, x, budget, grad)
@@ -140,7 +121,7 @@ def approx_dual_oracle(
     # v is lagrangian_value's arithmetic on the same g: each constraint is
     # evaluated once.
     g = eval_constraints(problem, x)
-    d = x - x0
+    d = x - problem.x0
     v = float(d @ d + lam @ g)
     return OracleTriple(x_lambda=x, g=g, v=v)
 

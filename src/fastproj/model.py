@@ -9,7 +9,7 @@ and safe to share across threads.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -45,21 +45,51 @@ class ConstraintOracle:
     grid-search reference solver relies on that.  ``lipschitz_G`` bounds
     ``|h(x) - h(y)| / ||x - y||`` on the declared working region and
     ``smoothness_L`` bounds the gradient's Lipschitz constant everywhere.
-
-    ``meta``, when present, carries the defining data of structured
-    constraints (used for serialization and closed-form reference solves);
-    it never influences ``eval``/``grad``.
     """
 
     eval: Callable[[Array], Array]
     grad: Callable[[Array], Array]
     lipschitz_G: float
     smoothness_L: float
-    meta: dict | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.lipschitz_G < 0 or self.smoothness_L < 0:
             raise ContractViolation("Lipschitz and smoothness bounds must be nonnegative")
+
+
+# eq=False keeps the base oracle's equality and hash, which never touch arrays.
+@dataclass(frozen=True, eq=False)
+class QuadraticConstraint(ConstraintOracle):
+    """``(x - center)^T A (x - center) - c <= 0`` with A symmetric PSD.
+
+    ``A`` is held either dense or as the compact WY triple ``wy = (Y, T, D2)``
+    with ``A = Q diag(D2 / 2) Q^T`` and ``Q = I - Y T Y^T``; exactly one of
+    the two is set.  ``spectral_norm`` is A's largest eigenvalue and
+    ``sigma_min`` its smallest, floored at 1e-12.  ``eval`` and ``grad`` are
+    closures that ``quadratic_constraint`` and
+    ``factored_quadratic_constraint`` build from the same data;
+    ``dataclasses.replace`` does not rebuild them.
+    """
+
+    center: Array
+    c: float
+    spectral_norm: float
+    sigma_min: float
+    A: Array | None = None
+    wy: tuple[Array, Array, Array] | None = None
+
+    def __post_init__(self):
+        super().__post_init__()
+        if (self.A is None) == (self.wy is None):
+            raise ContractViolation("a quadratic holds exactly one of A and wy")
+
+    def to_dense(self) -> Array:
+        """The matrix A, materialized from the WY triple when held factored."""
+        if self.A is not None:
+            return self.A
+        Y, T, D2 = self.wy
+        Q = np.eye(Y.shape[0]) - Y @ T @ Y.T
+        return Q @ np.diag(0.5 * D2) @ Q.T
 
 
 @dataclass(frozen=True)
@@ -112,7 +142,6 @@ class SolverConfig:
     max_outer_iterations: int = 600
     max_doubling_rounds: int = 16
     warm_start: bool = False
-    boundary_fraction: float = 0.9
 
     def __post_init__(self):
         if not self.epsilon > 0:
@@ -126,8 +155,6 @@ class SolverConfig:
             raise ContractViolation("max_outer_iterations must be positive")
         if self.max_doubling_rounds < 0:
             raise ContractViolation("max_doubling_rounds must be nonnegative")
-        if not 0.0 < self.boundary_fraction < 1.0:
-            raise ContractViolation("boundary_fraction must lie in (0, 1)")
 
 
 def eval_constraints(problem: ProjectionProblem, x: Array) -> Array:
@@ -145,17 +172,35 @@ def lagrangian_value(problem: ProjectionProblem, x: Array, lam: Array) -> float:
     return float(d @ d + lam @ eval_constraints(problem, x))
 
 
-def lagrangian_gradient(problem: ProjectionProblem, x: Array, lam: Array) -> Array:
-    """Gradient in x of the Lagrangian: ``2(x - x0) + sum_i lam_i grad h_i(x)``."""
+def lagrangian_gradient_fn(problem: ProjectionProblem, lam: Array) -> Callable[[Array], Array]:
+    """``x -> 2(x - x0) + sum_i lam_i grad h_i(x)``, the gradient in x of the
+    Lagrangian at fixed ``lam``.
+
+    ``lam`` is checked here, once; the returned function runs every inner
+    step, so it takes points of shape ``(n,)`` unchecked and skips the
+    constraints whose multiplier is zero.
+    """
     lam = _check_multipliers(problem, lam)
+    x0 = problem.x0
+    weighted = [(float(li), c.grad) for li, c in zip(lam, problem.constraints) if li != 0.0]
+
+    def gradient(x):
+        g = x - x0
+        g *= 2.0
+        for li, grad in weighted:
+            g += li * grad(x)
+        return g
+
+    return gradient
+
+
+def lagrangian_gradient(problem: ProjectionProblem, x: Array, lam: Array) -> Array:
+    """Gradient in x of the Lagrangian at one point, with ``x`` and ``lam`` checked."""
+    gradient = lagrangian_gradient_fn(problem, lam)
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.n,):
         raise ContractViolation(f"point has shape {x.shape}, expected ({problem.n},)")
-    g = 2.0 * (x - problem.x0)
-    for li, c in zip(lam, problem.constraints):
-        if li != 0.0:
-            g = g + li * c.grad(x)
-    return g
+    return gradient(x)
 
 
 def _check_multipliers(problem: ProjectionProblem, lam) -> Array:
@@ -167,18 +212,12 @@ def _check_multipliers(problem: ProjectionProblem, lam) -> Array:
     return lam
 
 
-def quadratic_constraint(
-    A: Array,
-    center: Array,
-    c: float,
-    working_radius: float | None = None,
-) -> ConstraintOracle:
+def quadratic_constraint(A: Array, center: Array, c: float) -> QuadraticConstraint:
     """Oracle for ``(x - center)^T A (x - center) - c <= 0`` with A symmetric PSD.
 
     The Lipschitz bound is region dependent for quadratics; it is attached
-    for ``working_radius`` (a bound on the norm of any point the solver may
-    visit).  When omitted, a radius covering the constraint's own sublevel
-    set is used; instance loaders pass the instance-wide radius instead.
+    for a radius covering the constraint's own sublevel set.
+    ``quadratic_problem`` replaces it with the instance-wide bound.
     """
     A = np.array(A, dtype=float)
     n = A.shape[0]
@@ -201,8 +240,6 @@ def quadratic_constraint(
         raise ContractViolation("A must be positive semidefinite")
     spectral = float(max(eigs[-1], -eigs[0]))
     sigma_min = max(float(eigs[0]), 1e-12)
-    if working_radius is None:
-        working_radius = float(np.linalg.norm(center) + np.sqrt(c / sigma_min) + 1.0)
 
     def _eval(x, A=A, center=center, c=c):
         d = np.asarray(x, dtype=float) - center
@@ -212,29 +249,12 @@ def quadratic_constraint(
     def _grad(x, A=A, center=center):
         return 2.0 * ((np.asarray(x, dtype=float) - center) @ A)
 
-    return ConstraintOracle(
-        eval=_eval,
-        grad=_grad,
-        lipschitz_G=2.0 * spectral * working_radius,
-        smoothness_L=2.0 * spectral,
-        meta={
-            "type": "quadratic",
-            "A": A,
-            "center": center,
-            "c": float(c),
-            "sigma_min": sigma_min,
-            "spectral_norm": spectral,
-        },
-    )
+    return _quadratic(_eval, _grad, center, c, spectral, sigma_min, A=A)
 
 
 def factored_quadratic_constraint(
-    eigenvalues: Array,
-    reflectors: Array,
-    center: Array,
-    c: float,
-    working_radius: float | None = None,
-) -> ConstraintOracle:
+    eigenvalues: Array, reflectors: Array, center: Array, c: float
+) -> QuadraticConstraint:
     """Quadratic constraint with ``A = Q diag(eigenvalues) Q^T`` kept factored.
 
     ``Q`` is the product of the Householder reflections ``I - 2 v v^T`` built
@@ -288,41 +308,36 @@ def factored_quadratic_constraint(
 
     spectral = float(np.max(eigenvalues))
     sigma_min = max(float(np.min(eigenvalues)), 1e-12)
-    if working_radius is None:
-        working_radius = float(np.linalg.norm(center) + np.sqrt(c / sigma_min) + 1.0)
+    return _quadratic(_eval, _grad, center, c, spectral, sigma_min, wy=(Y, T, D2))
 
-    def _materialize(Y=Y, T=T, D2=D2):
-        Q = np.eye(n) - Y @ T @ Y.T
-        return Q @ np.diag(0.5 * D2) @ Q.T
 
-    return ConstraintOracle(
-        eval=_eval,
-        grad=_grad,
-        lipschitz_G=2.0 * spectral * working_radius,
+def _quadratic(eval_, grad, center, c, spectral, sigma_min, **matrix) -> QuadraticConstraint:
+    # The Lipschitz bound holds on a radius covering the constraint's own
+    # sublevel set.
+    radius = float(np.linalg.norm(center) + np.sqrt(c / sigma_min) + 1.0)
+    return QuadraticConstraint(
+        eval=eval_,
+        grad=grad,
+        lipschitz_G=2.0 * spectral * radius,
         smoothness_L=2.0 * spectral,
-        meta={
-            "type": "quadratic-factored",
-            "materialize": _materialize,
-            "center": center,
-            "c": float(c),
-            "sigma_min": sigma_min,
-            "spectral_norm": spectral,
-        },
+        center=center,
+        c=float(c),
+        spectral_norm=spectral,
+        sigma_min=sigma_min,
+        **matrix,
     )
 
 
-def quadratic_working_radius(
-    x0: Array, quadratics: Sequence[ConstraintOracle]
-) -> float:
+def quadratic_working_radius(x0: Array, quadratics: Sequence[QuadraticConstraint]) -> float:
     """Instance-wide working radius: ``||x0|| + max ||center|| + max radius + 1``."""
     x0 = np.asarray(x0, dtype=float)
-    centers = [np.linalg.norm(q.meta["center"]) for q in quadratics]
-    radii = [np.sqrt(q.meta["c"] / q.meta["sigma_min"]) for q in quadratics]
+    centers = [np.linalg.norm(q.center) for q in quadratics]
+    radii = [np.sqrt(q.c / q.sigma_min) for q in quadratics]
     return float(np.linalg.norm(x0) + max(centers) + max(radii) + 1.0)
 
 
 def quadratic_problem(
-    x0: Array, quadratics: Sequence[ConstraintOracle], R: float
+    x0: Array, quadratics: Sequence[QuadraticConstraint], R: float
 ) -> ProjectionProblem:
     """Assemble a problem from quadratic oracles, fixing their Lipschitz bounds
     to the instance-wide working radius (which needs x0 and all constraints).
@@ -331,7 +346,7 @@ def quadratic_problem(
     return ProjectionProblem(
         x0=x0,
         constraints=tuple(
-            replace(q, lipschitz_G=2.0 * q.meta["spectral_norm"] * rho) for q in quadratics
+            replace(q, lipschitz_G=2.0 * q.spectral_norm * rho) for q in quadratics
         ),
         R=R,
     )
@@ -342,19 +357,14 @@ def problem_to_json(problem: ProjectionProblem) -> str:
     JSON document (dense row-major A)."""
     cons = []
     for c in problem.constraints:
-        meta = c.meta or {}
-        if meta.get("type") == "quadratic":
-            A = meta["A"]
-        elif meta.get("type") == "quadratic-factored":
-            A = meta["materialize"]()
-        else:
+        if not isinstance(c, QuadraticConstraint):
             raise ContractViolation("only quadratic constraints serialize to JSON")
         cons.append(
             {
                 "type": "quadratic",
-                "A": [[float(v) for v in row] for row in A],
-                "center": [float(v) for v in meta["center"]],
-                "c": float(meta["c"]),
+                "A": [[float(v) for v in row] for row in c.to_dense()],
+                "center": [float(v) for v in c.center],
+                "c": float(c.c),
             }
         )
     doc = {

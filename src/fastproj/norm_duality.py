@@ -60,7 +60,8 @@ def project_norm_ball_via_dual(
     """Project x0 onto {x : P(x) <= 1} using only the dual-ball projector.
 
     Runs the safeguarded bisection over [0, R] with the exact oracle for
-    exactly ``T = ceil(log2(R max(1, ||x0||) / eps)) + 2`` projector calls.
+    ``T = ceil(log2(R max(1, ||x0||) / eps)) + 2`` rounds, one projector call
+    each.
     The primal point of the last queried multiplier is returned: the
     oracle's derivative sign is exact, so the final bracket, at most
     ``R 2^(ITP_N0 - T)`` wide, holds the optimal multiplier, and the
@@ -69,6 +70,9 @@ def project_norm_ball_via_dual(
     values of distant queries tie to float precision.  Since the dual value
     at lam = 0 is 0 and exceeds d(lam) for every lam > 0 exactly when x0 is
     already feasible, x0 itself is returned whenever no query beats it.
+    When every query reads ``g > 0``, one more projector call checks
+    ``g(R) <= 0``; otherwise the optimal multiplier exceeds R and a
+    ``ContractViolation`` is raised.
     """
     if not (R > 0 and eps > 0):
         raise ContractViolation("R and eps must be positive")
@@ -82,6 +86,11 @@ def project_norm_ball_via_dual(
         return last
 
     _, _, trace = bisection_maximize(oracle, R, T)
+    # The trace's cut w is -g.  When every query read g > 0 the bracket is
+    # [lo, R], which holds the optimum only if g(R) <= 0.
+    if all(w[0] < 0.0 for w in trace.w):
+        if exact_dual_norm_oracle(x0, R, pi_star).g[0] > 0.0:
+            raise ContractViolation("optimal multiplier exceeds R")
     if max(trace.v) <= 0.0:
         return x0.copy()
     return last.x_lambda

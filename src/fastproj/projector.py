@@ -44,6 +44,10 @@ from .model import (
     SolverConfig,
 )
 
+# project_with_R_doubling restarts with a doubled R while any multiplier of
+# the answer reaches this fraction of R.
+_BOUNDARY_FRACTION = 0.9
+
 
 @dataclass
 class ProjectionResult:
@@ -139,17 +143,13 @@ def _ellipsoid_budget(m: int, R: float, r: float, cap: int) -> tuple[int, float]
 
 
 def project(
-    problem: ProjectionProblem,
-    config: SolverConfig,
-    H: float | None = None,
-    B: float | None = None,
+    problem: ProjectionProblem, config: SolverConfig, H: float | None = None
 ) -> ProjectionResult:
     """Compute an eps-approximate projection of ``problem.x0``.
 
-    ``H`` (a bound on ``|h_i|`` over the feasible set) and ``B`` (a bound on
-    the distance from x0 to the feasible set) are optional diagnostics: H
-    sharpens the outer iteration budget, B the inner one.  Neither affects
-    the guarantees.
+    ``H``, an optional bound on ``|h_i|`` over the feasible set, sharpens the
+    ellipsoid engine's outer iteration budget; it does not affect the
+    guarantees.
 
     The answer is the engine's own triple at ``lambda_bar``; no inner solve
     is repeated.  Only a warm-started triple without a ``certified``
@@ -165,23 +165,12 @@ def project(
     if eps_tilde is None:
         eps_tilde = default_inner_accuracy(eps, m, R, G)
 
-    dist_sq_bound = None
-    if B is not None:
-        dist_sq_bound = 2.0 * (B * B + (m * G * R) ** 2)
-
     counters: dict = {}
     warm = None  # with config.warm_start, the previous call's x_lambda
 
     def oracle(lam: Array):
         nonlocal warm
-        triple = approx_dual_oracle(
-            problem,
-            lam,
-            eps_tilde,
-            warm_start=warm,
-            dist_sq_bound=dist_sq_bound,
-            counters=counters,
-        )
+        triple = approx_dual_oracle(problem, lam, eps_tilde, warm_start=warm, counters=counters)
         if config.warm_start:
             warm = triple.x_lambda
         return triple
@@ -211,9 +200,7 @@ def project(
     if config.warm_start and not certified(lam_bar, final, eps):
         # A warm-started solve can stop at a seed that passes the inner test
         # yet lies far from x_lam; without a duality certificate, solve cold.
-        final = approx_dual_oracle(
-            problem, lam_bar, eps_tilde, dist_sq_bound=dist_sq_bound, counters=counters
-        )
+        final = approx_dual_oracle(problem, lam_bar, eps_tilde, counters=counters)
         oracle_calls += 1
 
     x_hat = final.x_lambda
@@ -232,18 +219,15 @@ def project(
 
 
 def project_with_R_doubling(
-    problem: ProjectionProblem,
-    config: SolverConfig,
-    H: float | None = None,
-    B: float | None = None,
+    problem: ProjectionProblem, config: SolverConfig, H: float | None = None
 ) -> ProjectionResult:
     """Run ``project``, doubling R whenever the dual solution converges to the
     boundary of the multiplier box, up to ``config.max_doubling_rounds``."""
     R = problem.R
     rounds = 0
     while True:
-        result = project(replace(problem, R=R), config, H=H, B=B)
-        if np.all(result.lambda_bar < config.boundary_fraction * R):
+        result = project(replace(problem, R=R), config, H=H)
+        if np.all(result.lambda_bar < _BOUNDARY_FRACTION * R):
             return replace(result, doubling_rounds_used=rounds)
         if rounds >= config.max_doubling_rounds:
             # Budget exhausted with the dual still pinned to the boundary:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dual_oracle import approx_dual_oracle
-from .model import Array, ContractViolation, ProjectionProblem
+from .model import Array, ContractViolation, ProjectionProblem, QuadraticConstraint
 
 
 def project_l2_ball(x0: Array) -> Array:
@@ -75,19 +75,10 @@ class GridSpec:
 
 
 def _quadratic_data(problem: ProjectionProblem):
-    mats, centers, levels = [], [], []
-    for c in problem.constraints:
-        meta = c.meta or {}
-        if meta.get("type") == "quadratic":
-            A = meta["A"]
-        elif meta.get("type") == "quadratic-factored":
-            A = meta["materialize"]()
-        else:
-            return None
-        mats.append(np.asarray(A, dtype=float))
-        centers.append(np.asarray(meta["center"], dtype=float))
-        levels.append(float(meta["c"]))
-    return mats, centers, levels
+    cons = problem.constraints
+    if not all(isinstance(c, QuadraticConstraint) for c in cons):
+        return None
+    return [c.to_dense() for c in cons], [c.center for c in cons], [c.c for c in cons]
 
 
 def _dual_values_quadratic(problem, quad, lams: Array) -> tuple[Array, Array]:

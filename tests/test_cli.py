@@ -191,6 +191,13 @@ def test_project_norm_cli(capsys):
     assert doc["distance"] <= 1e-6
 
 
+def test_project_norm_rejects_too_small_R(capsys):
+    # the l2 projection of (30, 40) needs multiplier 2 (50 - 1) = 98 > 8
+    args = ["project-norm", "--norm", "l2", "--x0", "30,40", "--via-dual", "--R", "8"]
+    assert main(args) == 1
+    assert "exceeds R" in capsys.readouterr().err
+
+
 def test_project_norm_direct_only(capsys):
     assert main(["project-norm", "--norm", "linf", "--x0", "2,0.5"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -217,7 +224,7 @@ def test_generator_factored_mode_consistency():
         assert prob.m == 2
         assert np.max(eval_constraints(prob, prob.x0)) > 0
         for c in prob.constraints:
-            assert c.meta["spectral_norm"] == pytest.approx(1.0)
+            assert c.spectral_norm == pytest.approx(1.0)
 
 
 def test_project_norm_vector_from_file(tmp_path, capsys):

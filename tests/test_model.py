@@ -214,12 +214,12 @@ def test_factored_matches_dense(rng):
     V = rng.standard_normal((n, J))
     center = rng.standard_normal(n) * 0.3
     fac = factored_quadratic_constraint(spectrum, V, center, 1.4)
-    dense = quadratic_constraint(fac.meta["materialize"](), center, 1.4)
+    dense = quadratic_constraint(fac.to_dense(), center, 1.4)
     X = rng.standard_normal((6, n))
     assert_allclose(fac.eval(X), dense.eval(X), rtol=1e-10, atol=1e-12)
     assert_allclose(fac.grad(X), dense.grad(X), rtol=1e-10, atol=1e-12)
-    assert fac.meta["spectral_norm"] == pytest.approx(1.0)
-    eigs = np.linalg.eigvalsh(fac.meta["materialize"]())
+    assert fac.spectral_norm == pytest.approx(1.0)
+    eigs = np.linalg.eigvalsh(fac.to_dense())
     assert_allclose(np.sort(eigs), np.sort(spectrum), rtol=1e-9, atol=1e-12)
 
 
@@ -285,8 +285,8 @@ def test_spectral_norm_matches_matrix_two_norm(rng):
     for n in (1, 3, 8):
         A = random_psd(rng, n, spectrum=rng.uniform(0.0, 5.0, n))
         quad = quadratic_constraint(A, np.zeros(n), 1.0)
-        expected = np.linalg.norm(quad.meta["A"], 2)
-        assert quad.meta["spectral_norm"] == pytest.approx(expected, rel=1e-12)
+        expected = np.linalg.norm(quad.A, 2)
+        assert quad.spectral_norm == pytest.approx(expected, rel=1e-12)
 
 
 def test_quadratic_problem_reuses_dense_oracles(rng):
@@ -299,4 +299,4 @@ def test_quadratic_problem_reuses_dense_oracles(rng):
     rho = quadratic_working_radius(x0, quads)
     for q, p in zip(quads, prob.constraints):
         assert p.eval is q.eval and p.grad is q.grad
-        assert p.lipschitz_G == 2.0 * q.meta["spectral_norm"] * rho
+        assert p.lipschitz_G == 2.0 * q.spectral_norm * rho

@@ -172,6 +172,15 @@ def test_far_query_at_large_n_lands_on_direct_projection(rng):
         assert np.linalg.norm(via - direct(x0)) <= 1e-6, name
 
 
+def test_too_small_R_is_refused():
+    # lam* = 2 (||x0|| - 1) ~ 37 > R: every query reads g > 0, and without
+    # the check the last query's point, of norm 15.5, lies 14.5 from the
+    # projection.
+    x0 = 3.0 * np.random.default_rng(0).standard_normal(50)
+    with pytest.raises(ContractViolation, match="exceeds R"):
+        project_norm_ball_via_dual(x0, L2, R=8.0, eps=1e-8)
+
+
 def test_projector_call_count_bound(rng):
     for _ in range(20):
         x0 = rng.standard_normal(6) * 3.0

@@ -255,7 +255,7 @@ def test_three_constraints_ellipsoid(rng):
     assert res.lambda_bar.shape == (3,)
     # objective must not beat any feasible point by more than 6 eps;
     # use the most-constrained center direction as a feasible witness
-    anchor = np.mean([q.meta["center"] for q in quads], axis=0)
+    anchor = np.mean([q.center for q in quads], axis=0)
     assert np.max([float(q.eval(anchor)) for q in quads]) < 0
     assert res.objective <= float(np.sum((anchor - x0) ** 2)) + 6 * eps
 
@@ -427,6 +427,6 @@ def test_concurrent_solves_share_problem(rng):
 def test_diagnostic_bounds_do_not_change_the_answer():
     prob = unit_ball_problem([2.0, 0.0])
     plain = project(prob, SolverConfig(epsilon=1e-4))
-    helped = project(prob, SolverConfig(epsilon=1e-4), H=3.0, B=1.5)
+    helped = project(prob, SolverConfig(epsilon=1e-4), H=3.0)
     assert np.linalg.norm(plain.x_hat - helped.x_hat) <= 1e-4
     assert helped.max_violation <= 1e-4

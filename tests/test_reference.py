@@ -117,7 +117,7 @@ def test_grid_monotone_under_refinement():
 
 def test_grid_generic_fallback_matches_quadratic_path():
     prob = unit_ball_problem([2.0, 0.0], R=4.0)
-    # strip the metadata so the generic per-point path runs
+    # a plain oracle, not a QuadraticConstraint, so the generic per-point path runs
     bare = ConstraintOracle(
         eval=prob.constraints[0].eval,
         grad=prob.constraints[0].grad,
