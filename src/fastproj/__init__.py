@@ -40,7 +40,6 @@ from .projector import (
     bound_R_single,
     project,
     project_with_R_doubling,
-    r_epsilon,
 )
 from .reference import (
     GridSpec,
@@ -87,7 +86,6 @@ __all__ = [
     "bound_R_single",
     "project",
     "project_with_R_doubling",
-    "r_epsilon",
     "GridSpec",
     "ball_projection_closed_form",
     "brute_force_dual_grid",

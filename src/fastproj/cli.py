@@ -11,7 +11,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -212,14 +212,8 @@ def cmd_gen(args) -> int:
 def cmd_solve(args) -> int:
     problem = _load_problem(args.instance)
     if args.R is not None:
-        from dataclasses import replace
-
         problem = replace(problem, R=args.R)
-    config = _config_from_args(args)
-    if config.max_doubling_rounds > 0:
-        result = project_with_R_doubling(problem, config)
-    else:
-        result = project(problem, config)
+    result = project_with_R_doubling(problem, _config_from_args(args))
     _write_or_print(result.to_json(), args.out)
     return 0 if result.max_violation <= args.eps else 2
 
@@ -308,13 +302,19 @@ _DUAL_PROJECTORS = {"l1": project_linf_box, "l2": project_l2_ball, "linf": proje
 
 
 def _parse_vector(text: str) -> np.ndarray:
-    if text.startswith("@"):
-        with open(text[1:]) as fh:
-            return np.asarray(json.load(fh), dtype=float)
+    """Comma-separated floats, or ``@path`` to a JSON array; a finite 1-D vector."""
     try:
-        return np.array([float(tok) for tok in text.split(",") if tok])
-    except ValueError as err:
+        if text.startswith("@"):
+            with open(text[1:]) as fh:
+                values = json.load(fh)
+        else:
+            values = [float(tok) for tok in text.split(",") if tok]
+        x = np.asarray(values, dtype=float)
+    except (OSError, TypeError, ValueError) as err:
         raise ContractViolation(f"cannot parse vector: {err}") from err
+    if x.ndim != 1 or not np.all(np.isfinite(x)):
+        raise ContractViolation("x0 must be a finite 1-D vector")
+    return x
 
 
 def cmd_project_norm(args) -> int:

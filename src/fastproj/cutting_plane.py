@@ -188,17 +188,15 @@ def cutting_plane_maximize(
     box: DualBox,
     engine: str = "ellipsoid",
     T: int = 100,
-    early_stop_log_volume: float | None = None,
     stop: Callable[[Array, OracleTriple], bool] | None = None,
 ) -> tuple[OracleTriple, Array, CutTrace]:
     """Run up to T rounds of the chosen engine; return ``(triple, lam, trace)``
     for the returned point ``lam`` and the oracle's triple there.
 
     ``oracle`` is queried once per in-box round and never outside the box.
-    ``early_stop_log_volume`` (ellipsoid only) aborts once the localizer's
-    (absolute) log volume drops below it: past that point the near-optimal
-    set can no longer fit inside the localizer, so some visited point is
-    already near optimal.  ``stop(lam, triple)`` (bisection only) ends the
+    The ellipsoid engine runs T rounds unless the approximate gradient
+    vanishes or the localizer's extent along the cut falls below the float
+    resolution of its center.  ``stop(lam, triple)`` (bisection only) ends the
     run at the first queried point where it holds and returns that point;
     otherwise the best visited point is returned.  The bisection engine's
     bracket after T rounds is at most ``R 2^(ITP_N0 - T)`` wide (see
@@ -207,7 +205,7 @@ def cutting_plane_maximize(
     if T < 1:
         raise ContractViolation("T must be positive")
     if engine == "ellipsoid":
-        return _ellipsoid_maximize(oracle, box, T, early_stop_log_volume)
+        return _ellipsoid_maximize(oracle, box, T)
     if engine == "bisection":
         if box.m != 1:
             raise ContractViolation("bisection engine requires m = 1")
@@ -219,7 +217,7 @@ def cutting_plane_maximize(
     raise ContractViolation(f"unknown engine {engine!r}")
 
 
-def _ellipsoid_maximize(oracle, box, T, early_stop_log_volume):
+def _ellipsoid_maximize(oracle, box, T):
     m = box.m
     # Smallest ball covering the box: the corners sit at distance sqrt(m) R/2.
     # Factor and log volume both come from its matrix Q0; a closed-form
@@ -262,11 +260,6 @@ def _ellipsoid_maximize(oracle, box, T, early_stop_log_volume):
                     raise NumericalFailure(
                         "localizer factor failed its audit", payload=state
                     )
-            if (
-                early_stop_log_volume is not None
-                and log_vol_initial + state.log_volume_offset < early_stop_log_volume
-            ):
-                break
     except NumericalFailure as err:
         err.trace = trace  # partial diagnostics travel with the failure
         raise

@@ -131,9 +131,18 @@ class SolverConfig:
 
     ``epsilon`` is the target accuracy.  When ``epsilon_tilde_override`` is
     absent the inner accuracy follows the guaranteed schedule
-    ``eps**4 / (256 (m R G)**6)``; the override exposes the practical regime
+    ``eps**4 / (256 (m R G)**6)``, which in practice is clamped to the float
+    floor ``1e-13 (1 + ||x0||^2)``; the override exposes the practical regime
     (e.g. ``500 * eps**2``).  ``engine`` picks the dual maximizer;
     ``"bisection"`` is valid only for a single constraint.
+    ``max_outer_iterations`` caps the ellipsoid engine's closed-form round
+    count (``projector._ellipsoid_budget``).
+
+    ``warm_start`` seeds each inner solve with the previous point.  It is
+    not safe with ``epsilon_tilde_override``: at ``500 * eps**2`` about half
+    of the answers on random m=2 instances violate a constraint by more than
+    eps and most are uncertified, even after the cold re-solve.  Check
+    ``ProjectionResult.certified``.
     """
 
     epsilon: float
@@ -220,9 +229,9 @@ def quadratic_constraint(A: Array, center: Array, c: float) -> QuadraticConstrai
     ``quadratic_problem`` replaces it with the instance-wide bound.
     """
     A = np.array(A, dtype=float)
-    n = A.shape[0]
-    if A.shape != (n, n):
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ContractViolation("A must be square")
+    n = A.shape[0]
     if not np.allclose(A, A.T, rtol=1e-10, atol=1e-12):
         raise ContractViolation("A must be symmetric")
     A = _readonly(0.5 * (A + A.T))
@@ -378,26 +387,26 @@ def problem_to_json(problem: ProjectionProblem) -> str:
 
 
 def problem_from_json(text: str) -> ProjectionProblem:
+    """Parse the document ``problem_to_json`` writes.  A missing or malformed
+    field, a constraint entry that is not a quadratic object and a non-finite
+    number each raise ``ContractViolation``."""
     doc = json.loads(text)
     try:
         x0 = np.asarray(doc["x0"], dtype=float)
         R = float(doc["R"])
-        raw = doc["constraints"]
         n = int(doc["n"])
         m = int(doc["m"])
+        raw = list(doc["constraints"])
+        if not all(isinstance(e, dict) and e.get("type") == "quadratic" for e in raw):
+            raise TypeError("every constraint must be an object of type 'quadratic'")
+        As = [np.asarray(e["A"], dtype=float) for e in raw]
+        centers = [np.asarray(e["center"], dtype=float) for e in raw]
+        cs = [float(e["c"]) for e in raw]
     except (KeyError, TypeError, ValueError) as err:
-        raise ContractViolation(f"malformed instance document: {err}") from err
+        raise ContractViolation(f"malformed instance document: {err!r}") from err
+    if not all(np.all(np.isfinite(v)) for v in (x0, R, *As, *centers, *cs)):
+        raise ContractViolation("instance numbers must be finite")
     if x0.shape != (n,) or len(raw) != m:
         raise ContractViolation("instance dimensions are inconsistent")
-    quads = []
-    for entry in raw:
-        if entry.get("type") != "quadratic":
-            raise ContractViolation(f"unsupported constraint type {entry.get('type')!r}")
-        quads.append(
-            quadratic_constraint(
-                np.asarray(entry["A"], dtype=float),
-                np.asarray(entry["center"], dtype=float),
-                float(entry["c"]),
-            )
-        )
+    quads = [quadratic_constraint(A, center, c) for A, center, c in zip(As, centers, cs)]
     return quadratic_problem(x0, quads, R)

@@ -95,20 +95,10 @@ def bound_R_quadratic(c: Array, B: float, X_star: float) -> float:
     return max(1.0, float(np.max(B * X_star / c)))
 
 
-def r_epsilon(eps: float, m: int, G: float, H: float) -> float:
-    """Radius of a multiplier box guaranteed to sit inside the eps-optimal
-    dual set: ``(2m)^{-1} min(eps/H, sqrt(eps)/G)``."""
-    if not 0 < eps <= 1:
-        raise ContractViolation("eps must lie in (0, 1]")
-    if not (G > 0 and H > 0 and m >= 1):
-        raise ContractViolation("need positive G, H and m >= 1")
-    return min(eps / H, math.sqrt(eps) / G) / (2.0 * m)
-
-
-def _inscribed_radius(eps: float, m: int, G: float, H: float | None) -> float:
-    if H is not None:
-        return r_epsilon(eps, m, G, H)
-    # Without H, fall back to the conservative G-only form.
+def _inscribed_radius(eps: float, m: int, G: float) -> float:
+    # The paper's radius is min(eps/bound, sqrt(eps)/G)/(2m), the bound being
+    # one on |h_i| over the feasible set.  Problems carry no such bound, so G
+    # stands in for it.
     return (eps / (2.0 * m * G)) * min(1.0, 1.0 / math.sqrt(eps))
 
 
@@ -129,27 +119,22 @@ def default_inner_accuracy(eps: float, m: int, R: float, G: float) -> float:
     return eps**4 / (256.0 * (m * R * G) ** 6)
 
 
-def _ellipsoid_budget(m: int, R: float, r: float, cap: int) -> tuple[int, float]:
-    """Outer round budget and the early-stop log-volume threshold."""
-    stop_log_vol = m * math.log(r)
-    rate = -central_cut_log_factor(m)
-    t_box = 2.0 * m * (m + 1.0) * math.log(max(R / r, 1.0 + 1e-12))
-    # The initial localizer is the ball circumscribing the box, so add the
-    # rounds needed to shed its extra volume.
+def _ellipsoid_budget(m: int, R: float, r: float, cap: int) -> int:
+    """Outer round budget of the ellipsoid engine, at most ``cap``.
+
+    The localizer starts as the ball circumscribing ``[0, R]^m`` and every
+    cut scales its volume by ``exp(central_cut_log_factor(m))``.  The budget
+    is the first round after which its volume is below ``r^m``: the
+    near-optimal dual set is taken to hold a cube of side r, so from then on
+    the localizer cannot contain it and some visited point is near optimal.
+    """
     log_vol_initial = log_unit_ball_volume(m) + m * math.log(math.sqrt(m) * R / 2.0)
-    t_ball = (log_vol_initial - stop_log_vol) / rate + 1.0
-    T = max(1, math.ceil(max(t_box, t_ball)))
-    return min(cap, T), stop_log_vol
+    rounds = math.floor((log_vol_initial - m * math.log(r)) / -central_cut_log_factor(m)) + 1
+    return min(cap, max(1, rounds))
 
 
-def project(
-    problem: ProjectionProblem, config: SolverConfig, H: float | None = None
-) -> ProjectionResult:
+def project(problem: ProjectionProblem, config: SolverConfig) -> ProjectionResult:
     """Compute an eps-approximate projection of ``problem.x0``.
-
-    ``H``, an optional bound on ``|h_i|`` over the feasible set, sharpens the
-    ellipsoid engine's outer iteration budget; it does not affect the
-    guarantees.
 
     The answer is the engine's own triple at ``lambda_bar``; no inner solve
     is repeated.  Only a warm-started triple without a ``certified``
@@ -183,17 +168,15 @@ def project(
             config.max_outer_iterations,
             max(1, math.ceil(math.log2(max(R * G / eps, 2.0)))) + ITP_N0,
         )
-        stop_log_vol = None
     else:
-        r = _inscribed_radius(eps, m, G, H)
-        T, stop_log_vol = _ellipsoid_budget(m, R, r, config.max_outer_iterations)
+        r = _inscribed_radius(eps, m, G)
+        T = _ellipsoid_budget(m, R, r, config.max_outer_iterations)
 
     final, lam_bar, trace = cutting_plane_maximize(
         oracle=oracle,
         box=box,
         engine=config.engine,
         T=T,
-        early_stop_log_volume=stop_log_vol,
         stop=lambda lam, triple: certified(lam, triple, eps),
     )
     oracle_calls = sum(trace.in_box)
@@ -218,15 +201,13 @@ def project(
     )
 
 
-def project_with_R_doubling(
-    problem: ProjectionProblem, config: SolverConfig, H: float | None = None
-) -> ProjectionResult:
+def project_with_R_doubling(problem: ProjectionProblem, config: SolverConfig) -> ProjectionResult:
     """Run ``project``, doubling R whenever the dual solution converges to the
     boundary of the multiplier box, up to ``config.max_doubling_rounds``."""
     R = problem.R
     rounds = 0
     while True:
-        result = project(replace(problem, R=R), config, H=H)
+        result = project(replace(problem, R=R), config)
         if np.all(result.lambda_bar < _BOUNDARY_FRACTION * R):
             return replace(result, doubling_rounds_used=rounds)
         if rounds >= config.max_doubling_rounds:

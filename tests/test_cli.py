@@ -198,6 +198,19 @@ def test_project_norm_rejects_too_small_R(capsys):
     assert "exceeds R" in capsys.readouterr().err
 
 
+def test_project_norm_rejects_bad_x0(tmp_path, capsys):
+    not_json = tmp_path / "not.json"
+    not_json.write_text("[1, 2")
+    ragged = tmp_path / "ragged.json"
+    ragged.write_text("[[1, 2], [3]]")
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text("[[1, 2], [3, 4]]")
+    bad = [f"@{tmp_path / 'missing.json'}", f"@{not_json}", f"@{ragged}", f"@{matrix}", "1,nan"]
+    for x0 in bad:
+        assert main(["project-norm", "--norm", "l1", "--x0", x0]) == 1, x0
+        assert "error:" in capsys.readouterr().err
+
+
 def test_project_norm_direct_only(capsys):
     assert main(["project-norm", "--norm", "linf", "--x0", "2,0.5"]) == 0
     doc = json.loads(capsys.readouterr().out)

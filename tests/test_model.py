@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -203,8 +205,26 @@ def test_problem_json_round_trip(rng):
 
 
 def test_problem_from_json_rejects_garbage():
-    with pytest.raises(ContractViolation):
-        problem_from_json('{"n": 2}')
+    def doc(drop=None, **changes):
+        entry = {"type": "quadratic", "A": [[1.0, 0.0], [0.0, 1.0]], "center": [0.0, 0.0], "c": 1.0}
+        entry.update(changes)
+        entry.pop(drop, None)
+        return {"n": 2, "m": 1, "x0": [2.0, 0.0], "R": 4.0, "constraints": [entry]}
+
+    problem_from_json(json.dumps(doc()))  # the unchanged document is valid
+    garbage = [
+        '{"n": 2}',
+        *(json.dumps(doc(drop=key)) for key in ("A", "center", "c")),
+        json.dumps({**doc(), "constraints": [5]}),
+        json.dumps(doc(c="one")),
+        json.dumps(doc(A=5.0)),
+        json.dumps({**doc(), "x0": [float("nan"), 0.0]}),
+        json.dumps(doc(A=[[1.0, 0.0], [0.0, float("inf")]])),
+        json.dumps({**doc(), "R": float("inf")}),
+    ]
+    for text in garbage:
+        with pytest.raises(ContractViolation):
+            problem_from_json(text)
 
 
 def test_factored_matches_dense(rng):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from fastproj.cli import random_quadratic_instance
 from fastproj.dual_oracle import approx_dual_oracle
 from fastproj.model import (
     ConstraintOracle,
@@ -20,7 +21,6 @@ from fastproj.projector import (
     certified,
     project,
     project_with_R_doubling,
-    r_epsilon,
 )
 from fastproj.reference import GridSpec, brute_force_dual_grid
 
@@ -148,6 +148,26 @@ def test_outer_budget_cap_respected():
     assert len(res.trace) <= 3
 
 
+def _closed_form_rounds(m, R, G, eps):
+    """Central cuts that take the ball around [0, R]^m below volume r^m."""
+    r = (eps / (2 * m * G)) * min(1.0, 1.0 / math.sqrt(eps))
+    log_unit_ball = 0.5 * m * math.log(math.pi) - math.lgamma(0.5 * m + 1.0)
+    log_shrink = math.log(m / (m + 1.0)) + 0.5 * (m - 1.0) * math.log(m * m / (m * m - 1.0))
+    log_excess = log_unit_ball + m * math.log(math.sqrt(m) * R / 2.0) - m * math.log(r)
+    return math.floor(log_excess / -log_shrink) + 1
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_ellipsoid_runs_its_closed_form_budget(m):
+    eps = 1e-3
+    prob = random_quadratic_instance(8, m, seed=0)
+    rounds = _closed_form_rounds(m, prob.R, prob.max_lipschitz(), eps)
+    res = project(prob, SolverConfig(epsilon=eps))
+    assert len(res.trace) == rounds
+    capped = project(prob, SolverConfig(epsilon=eps, max_outer_iterations=rounds // 2))
+    assert len(capped.trace) == rounds // 2
+
+
 def test_result_json_shape():
     prob = unit_ball_problem([2.0, 0.0])
     res = project(prob, SolverConfig(epsilon=1e-4))
@@ -178,14 +198,6 @@ def test_bound_r_quadratic_examples():
     assert bound_R_quadratic(np.array([4.0]), 1.0, 1.0) == 1.0  # clamped
     # centered ball x^T x <= 1 with x0=(2,0): exact multiplier 1, bound tight
     assert bound_R_quadratic(np.array([1.0]), 1.0, 1.0) == 1.0
-
-
-def test_r_epsilon_examples():
-    assert r_epsilon(1.0, 1, 1.0, 1.0) == 0.5
-    assert r_epsilon(0.01, 2, 1.0, 1.0) == pytest.approx(0.0025)
-    assert r_epsilon(0.04, 1, 1.0, 1.0) == 2.0 * r_epsilon(0.04, 2, 1.0, 1.0)
-    with pytest.raises(ContractViolation):
-        r_epsilon(1.5, 1, 1.0, 1.0)
 
 
 # ----------------------------------------------------------------- doubling
@@ -423,10 +435,3 @@ def test_concurrent_solves_share_problem(rng):
         assert np.array_equal(res.x_hat, sequential.x_hat)
         assert res.objective == sequential.objective
 
-
-def test_diagnostic_bounds_do_not_change_the_answer():
-    prob = unit_ball_problem([2.0, 0.0])
-    plain = project(prob, SolverConfig(epsilon=1e-4))
-    helped = project(prob, SolverConfig(epsilon=1e-4), H=3.0)
-    assert np.linalg.norm(plain.x_hat - helped.x_hat) <= 1e-4
-    assert helped.max_violation <= 1e-4
