@@ -16,7 +16,7 @@ from .cutting_plane import (
     ellipsoid_update,
     separation_oracle_box,
 )
-from .dual_oracle import OracleTriple, approx_dual_oracle, dual_value_highacc
+from .dual_oracle import OracleTriple, approx_dual_oracle
 from .model import (
     ConstraintOracle,
     ContractViolation,
@@ -63,7 +63,6 @@ __all__ = [
     "separation_oracle_box",
     "OracleTriple",
     "approx_dual_oracle",
-    "dual_value_highacc",
     "ConstraintOracle",
     "ContractViolation",
     "NumericalFailure",

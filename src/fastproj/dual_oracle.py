@@ -70,10 +70,12 @@ def approx_dual_oracle(
 ) -> OracleTriple:
     """Solve ``min_x L(x, lam)`` to ``eps_tilde`` and package (x_lam, g, v).
 
-    ``warm_start`` seeds the inner solver (the certificate keeps the accuracy
-    guarantee independent of the seed).  The first AGD budget takes
-    ``||x_init - x0||^2 + 1`` as the squared distance to ``x*_lam``, and the
-    budget doubles until the gradient-norm certificate holds.
+    ``warm_start`` seeds the inner solver.  The certificate bounds the error
+    by ``eps_tilde`` from any seed, but a seed that passes it is returned
+    unchanged where a cold start runs far past the bound, so at a loose
+    ``eps_tilde`` the answer depends on the seed.  The first AGD budget
+    takes ``||x_init - x0||^2 + 1`` as the squared distance to ``x*_lam``,
+    and the budget doubles until the certificate holds.
     ``counters['gradient_evals']`` is incremented when a dict is supplied.
     """
     gradient = lagrangian_gradient_fn(problem, lam)
@@ -124,8 +126,3 @@ def approx_dual_oracle(
     d = x - problem.x0
     v = float(d @ d + lam @ g)
     return OracleTriple(x_lambda=x, g=g, v=v)
-
-
-def dual_value_highacc(problem: ProjectionProblem, lam: Array, eps_ref: float) -> float:
-    """Reference-grade dual value: the oracle run at tiny inner accuracy."""
-    return approx_dual_oracle(problem, lam, eps_ref).v

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -137,12 +138,6 @@ class SolverConfig:
     ``"bisection"`` is valid only for a single constraint.
     ``max_outer_iterations`` caps the ellipsoid engine's closed-form round
     count (``projector._ellipsoid_budget``).
-
-    ``warm_start`` seeds each inner solve with the previous point.  It is
-    not safe with ``epsilon_tilde_override``: at ``500 * eps**2`` about half
-    of the answers on random m=2 instances violate a constraint by more than
-    eps and most are uncertified, even after the cold re-solve.  Check
-    ``ProjectionResult.certified``.
     """
 
     epsilon: float
@@ -150,7 +145,6 @@ class SolverConfig:
     engine: str = "ellipsoid"
     max_outer_iterations: int = 600
     max_doubling_rounds: int = 16
-    warm_start: bool = False
 
     def __post_init__(self):
         if not self.epsilon > 0:
@@ -386,23 +380,39 @@ def problem_to_json(problem: ProjectionProblem) -> str:
     return json.dumps(doc, indent=2)
 
 
+def _json_numbers(value, ndim: int) -> Array:
+    """Parsed JSON numbers nested ``ndim`` lists deep, as a float array.
+    ``float()`` and ``np.asarray`` alone would accept numeric strings and
+    booleans, so the parsed values' types are checked first."""
+    entries = [value]
+    for _ in range(ndim):
+        if not all(type(v) is list for v in entries):
+            raise TypeError(f"expected numbers nested {ndim} lists deep")
+        entries = list(chain.from_iterable(entries))
+    if not {int, float}.issuperset(map(type, entries)):
+        raise TypeError("expected JSON numbers")
+    return np.asarray(value, dtype=float)
+
+
 def problem_from_json(text: str) -> ProjectionProblem:
     """Parse the document ``problem_to_json`` writes.  A missing or malformed
-    field, a constraint entry that is not a quadratic object and a non-finite
-    number each raise ``ContractViolation``."""
+    field, a size that is not a JSON integer, a string or boolean where a
+    number belongs, a constraint entry that is not a quadratic object and a
+    non-finite number each raise ``ContractViolation``."""
     doc = json.loads(text)
     try:
-        x0 = np.asarray(doc["x0"], dtype=float)
-        R = float(doc["R"])
-        n = int(doc["n"])
-        m = int(doc["m"])
+        x0 = _json_numbers(doc["x0"], 1)
+        R = float(_json_numbers(doc["R"], 0))
+        n, m = doc["n"], doc["m"]
+        if type(n) is not int or type(m) is not int:  # not isinstance: bool is an int
+            raise TypeError(f"n and m must be JSON integers, got {n!r} and {m!r}")
         raw = list(doc["constraints"])
         if not all(isinstance(e, dict) and e.get("type") == "quadratic" for e in raw):
             raise TypeError("every constraint must be an object of type 'quadratic'")
-        As = [np.asarray(e["A"], dtype=float) for e in raw]
-        centers = [np.asarray(e["center"], dtype=float) for e in raw]
-        cs = [float(e["c"]) for e in raw]
-    except (KeyError, TypeError, ValueError) as err:
+        As = [_json_numbers(e["A"], 2) for e in raw]
+        centers = [_json_numbers(e["center"], 1) for e in raw]
+        cs = [float(_json_numbers(e["c"], 0)) for e in raw]
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise ContractViolation(f"malformed instance document: {err!r}") from err
     if not all(np.all(np.isfinite(v)) for v in (x0, R, *As, *centers, *cs)):
         raise ContractViolation("instance numbers must be finite")

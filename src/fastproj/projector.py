@@ -136,11 +136,11 @@ def _ellipsoid_budget(m: int, R: float, r: float, cap: int) -> int:
 def project(problem: ProjectionProblem, config: SolverConfig) -> ProjectionResult:
     """Compute an eps-approximate projection of ``problem.x0``.
 
-    The answer is the engine's own triple at ``lambda_bar``; no inner solve
-    is repeated.  Only a warm-started triple without a ``certified``
-    duality certificate is solved again, cold, at ``lambda_bar``.  The
-    result's ``certified`` says whether the returned triple passes that
-    test, which proves its guarantee a posteriori.
+    Every inner solve starts cold at ``x0``.  The answer is the engine's own
+    triple at ``lambda_bar``; no inner solve is repeated, so ``oracle_calls``
+    is the number of in-box rounds.  The result's ``certified`` says whether
+    that triple passes the ``certified`` duality test, which proves its
+    guarantee a posteriori.
     """
     m, R = problem.m, problem.R
     eps = config.epsilon
@@ -151,14 +151,9 @@ def project(problem: ProjectionProblem, config: SolverConfig) -> ProjectionResul
         eps_tilde = default_inner_accuracy(eps, m, R, G)
 
     counters: dict = {}
-    warm = None  # with config.warm_start, the previous call's x_lambda
 
-    def oracle(lam: Array):
-        nonlocal warm
-        triple = approx_dual_oracle(problem, lam, eps_tilde, warm_start=warm, counters=counters)
-        if config.warm_start:
-            warm = triple.x_lambda
-        return triple
+    def oracle(lam: Array) -> OracleTriple:
+        return approx_dual_oracle(problem, lam, eps_tilde, counters=counters)
 
     box = DualBox(R=R, m=m)
     if config.engine == "bisection":
@@ -179,12 +174,6 @@ def project(problem: ProjectionProblem, config: SolverConfig) -> ProjectionResul
         T=T,
         stop=lambda lam, triple: certified(lam, triple, eps),
     )
-    oracle_calls = sum(trace.in_box)
-    if config.warm_start and not certified(lam_bar, final, eps):
-        # A warm-started solve can stop at a seed that passes the inner test
-        # yet lies far from x_lam; without a duality certificate, solve cold.
-        final = approx_dual_oracle(problem, lam_bar, eps_tilde, counters=counters)
-        oracle_calls += 1
 
     x_hat = final.x_lambda
     return ProjectionResult(
@@ -193,7 +182,7 @@ def project(problem: ProjectionProblem, config: SolverConfig) -> ProjectionResul
         objective=float(np.sum((x_hat - problem.x0) ** 2)),
         max_violation=float(np.max(final.g)),
         dual_value=final.v,
-        oracle_calls=oracle_calls,
+        oracle_calls=sum(trace.in_box),
         inner_gradient_evals=counters.get("gradient_evals", 0),
         doubling_rounds_used=0,
         trace=trace,

@@ -21,7 +21,7 @@ from fastproj.cutting_plane import (
     ellipsoid_update,
     log_unit_ball_volume,
 )
-from fastproj.dual_oracle import OracleTriple, approx_dual_oracle, dual_value_highacc
+from fastproj.dual_oracle import OracleTriple, approx_dual_oracle
 from fastproj.model import SolverConfig
 from fastproj.norm_duality import DualBallProjector, project_norm_ball_via_dual
 from fastproj.projector import project, project_with_R_doubling
@@ -126,8 +126,8 @@ def test_criterion_4_dual_gradient_and_smoothness():
             e = np.zeros(2)
             e[i] = step
             fd[i] = (
-                dual_value_highacc(prob, lam + e, eps_ref)
-                - dual_value_highacc(prob, np.maximum(lam - e, 0.0), eps_ref)
+                approx_dual_oracle(prob, lam + e, eps_ref).v
+                - approx_dual_oracle(prob, np.maximum(lam - e, 0.0), eps_ref).v
             ) / (step + min(lam[i], step))
         rel = np.linalg.norm(triple.g - fd) / max(1.0, np.linalg.norm(fd))
         assert rel <= 1e-4, f"relative FD error {rel:.2e}"

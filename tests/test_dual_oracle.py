@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fastproj.dual_oracle import approx_dual_oracle, dual_value_highacc
+from fastproj.dual_oracle import approx_dual_oracle
 from fastproj.model import (
     ContractViolation,
     eval_constraints,
@@ -85,10 +85,10 @@ def test_each_constraint_evaluated_once_per_call(rng):
 
 def test_high_accuracy_dual_values_ball():
     prob = unit_ball_problem([2.0, 0.0])
-    assert dual_value_highacc(prob, np.zeros(1), 1e-12) == 0.0
-    assert dual_value_highacc(prob, np.array([1.0]), 1e-12) == pytest.approx(1.0, abs=1e-10)
+    assert approx_dual_oracle(prob, np.zeros(1), 1e-12).v == 0.0
+    assert approx_dual_oracle(prob, np.array([1.0]), 1e-12).v == pytest.approx(1.0, abs=1e-10)
     # closed form d(0.5) = 4/3 - 1/2 = 5/6
-    assert dual_value_highacc(prob, np.array([0.5]), 1e-12) == pytest.approx(5.0 / 6.0, abs=1e-10)
+    assert approx_dual_oracle(prob, np.array([0.5]), 1e-12).v == pytest.approx(5.0 / 6.0, abs=1e-10)
 
 
 def test_oracle_accuracy_bounds_on_ball(rng):
@@ -115,8 +115,8 @@ def test_gradient_matches_finite_differences_of_dual(rng):
             e = np.zeros(2)
             e[i] = step
             num = (
-                dual_value_highacc(prob, lam + e, 1e-12)
-                - dual_value_highacc(prob, lam - e, 1e-12)
+                approx_dual_oracle(prob, lam + e, 1e-12).v
+                - approx_dual_oracle(prob, lam - e, 1e-12).v
             ) / (2.0 * step)
             assert triple.g[i] == pytest.approx(num, abs=1e-5)
 
@@ -154,9 +154,9 @@ def test_dual_concavity_sampled(rng):
         lam2 = rng.uniform(0.0, 3.0, 2)
         theta = float(rng.uniform(0.1, 0.9))
         mid = theta * lam1 + (1.0 - theta) * lam2
-        v_mid = dual_value_highacc(prob, mid, eps_tilde)
-        v1 = dual_value_highacc(prob, lam1, eps_tilde)
-        v2 = dual_value_highacc(prob, lam2, eps_tilde)
+        v_mid = approx_dual_oracle(prob, mid, eps_tilde).v
+        v1 = approx_dual_oracle(prob, lam1, eps_tilde).v
+        v2 = approx_dual_oracle(prob, lam2, eps_tilde).v
         assert v_mid >= theta * v1 + (1.0 - theta) * v2 - 3.0 * eps_tilde
 
 

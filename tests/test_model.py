@@ -221,6 +221,12 @@ def test_problem_from_json_rejects_garbage():
         json.dumps({**doc(), "x0": [float("nan"), 0.0]}),
         json.dumps(doc(A=[[1.0, 0.0], [0.0, float("inf")]])),
         json.dumps({**doc(), "R": float("inf")}),
+        json.dumps({**doc(), "n": 2.7}),
+        json.dumps({**doc(), "m": 1.9}),
+        json.dumps({**doc(), "R": "4"}),
+        json.dumps(doc(c="1.5")),
+        json.dumps(doc(A=[[1.0, 0.0], [0.0, True]])),
+        json.dumps({**doc(), "R": 10**400}),
     ]
     for text in garbage:
         with pytest.raises(ContractViolation):

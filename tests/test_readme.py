@@ -1,11 +1,13 @@
 """The README's library quick start and CLI examples run as written."""
 
+import dataclasses
 import re
 import shlex
 from pathlib import Path
 
 from numpy.testing import assert_allclose
 
+import fastproj
 from fastproj.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -32,3 +34,11 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for argv in argvs:
         assert main(argv) == 0, argv
+
+
+def test_readme_names_every_solver_knob_and_export():
+    section = README.read_text().split("`SolverConfig` knobs:", 1)[1].split("\n## ", 1)[0]
+    knobs = re.findall(r"^\* `(\w+)`:", section, re.M)
+    assert knobs == [f.name for f in dataclasses.fields(fastproj.SolverConfig)]
+    for name in fastproj.__all__:
+        assert hasattr(fastproj, name), name
