@@ -8,6 +8,7 @@ and safe to share across threads.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass, replace
 from itertools import chain
@@ -357,7 +358,12 @@ def quadratic_problem(
 
 def problem_to_json(problem: ProjectionProblem) -> str:
     """Serialize an instance whose constraints are quadratics to the canonical
-    JSON document (dense row-major A)."""
+    JSON document (dense row-major A).
+
+    ``tolist`` yields the same Python floats as ``float()`` per entry, and
+    ``json.dump`` writes the encoder's chunks as they come instead of joining
+    a list of them, so the bytes are those of ``json.dumps(doc, indent=2)``.
+    """
     cons = []
     for c in problem.constraints:
         if not isinstance(c, QuadraticConstraint):
@@ -365,19 +371,21 @@ def problem_to_json(problem: ProjectionProblem) -> str:
         cons.append(
             {
                 "type": "quadratic",
-                "A": [[float(v) for v in row] for row in c.to_dense()],
-                "center": [float(v) for v in c.center],
+                "A": c.to_dense().tolist(),
+                "center": c.center.tolist(),
                 "c": float(c.c),
             }
         )
     doc = {
         "n": problem.n,
         "m": problem.m,
-        "x0": [float(v) for v in problem.x0],
+        "x0": problem.x0.tolist(),
         "R": float(problem.R),
         "constraints": cons,
     }
-    return json.dumps(doc, indent=2)
+    out = io.StringIO()
+    json.dump(doc, out, indent=2)
+    return out.getvalue()
 
 
 def _json_numbers(value, ndim: int) -> Array:

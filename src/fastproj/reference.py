@@ -4,7 +4,10 @@ Includes the classical analytic norm-ball projectors, the closed form for
 projecting onto a Euclidean ball, and a brute-force grid search over the
 dual box.  The grid search rests on strong duality: the primal minimizer of
 the Lagrangian at the dual maximizer is the projection, and for one or two
-constraints the dual box is small enough to sweep exhaustively.
+constraints the dual box is small enough to sweep exhaustively.  Quadratic
+grids are exact: with one constraint the dual is evaluated in A's eigenbasis
+(one ``eigh`` for a dense A, none for a WY factor, O(n) per grid point); with
+two, each grid point solves its stationarity system.
 """
 
 from __future__ import annotations
@@ -74,15 +77,43 @@ class GridSpec:
             raise ContractViolation("eps_ref must be positive")
 
 
-def _quadratic_data(problem: ProjectionProblem):
-    cons = problem.constraints
-    if not all(isinstance(c, QuadraticConstraint) for c in cons):
-        return None
-    return [c.to_dense() for c in cons], [c.center for c in cons], [c.c for c in cons]
+def _eigenbasis_dual_fn(q: QuadraticConstraint, x0: Array):
+    """Exact dual values and minimizers of the one-constraint problem, from
+    A = Q diag(s) Q^T.
+
+    With ``z = Q^T (x0 - center)`` the stationarity system
+    ``(I + lam A) x = x0 + lam A center`` is diagonal: ``x = center + Q y``
+    with ``y = z / (1 + lam s)``.  Then ``x - x0 = -lam Q (s y)``, so
+    ``d(lam) = ||lam s y||^2 + lam (s . y^2 - c)``, the secular function of
+    Moré and Sorensen.  Vectors are rows: ``u Q`` maps into the eigenbasis
+    and ``w Q^T`` back.
+    """
+    u = x0 - q.center
+    if q.A is not None:
+        s, V = np.linalg.eigh(q.A)
+        z = u @ V
+
+        def back(w):
+            return w @ V.T
+    else:
+        Y, T, D2 = q.wy
+        s = 0.5 * D2
+        z = u - u @ Y @ T @ Y.T
+
+        def back(w):
+            return w - w @ Y @ T.T @ Y.T
+
+    def evaluate(lams: Array) -> tuple[Array, Array]:
+        lam = lams[:, :1]
+        y = z / (1.0 + lam * s)
+        vals = np.sum((lam * s * y) ** 2, axis=1) + lam[:, 0] * ((y * y) @ s - q.c)
+        return vals, q.center + back(y)
+
+    return evaluate
 
 
 def _dual_values_quadratic(problem, quad, lams: Array) -> tuple[Array, Array]:
-    # For quadratics the inner minimizer solves the stationarity system
+    # For two quadratics the inner minimizer solves the stationarity system
     # (I + sum_i lam_i A_i) x = x0 + sum_i lam_i A_i c_i exactly, which is
     # both faster and independent of the iterative inner solver.
     mats, centers, levels = quad
@@ -133,19 +164,27 @@ def brute_force_dual_grid(
 
     Sweeps a full ``resolution**m`` grid over ``[0, R]^m``, then refines twice
     around the best point with grids one coarse pitch wide.  Quadratic
-    constraint systems are solved in closed form; other oracles fall back to
-    high-accuracy iterative solves.  ``pass_values``, when given, collects the
-    best dual value after each pass (nondecreasing by construction).
+    constraints are evaluated exactly: one constraint in A's eigenbasis (one
+    ``eigh`` for a dense A, none for a WY factor, O(n) per grid point), two
+    by solving each grid point's stationarity system.  Other oracles fall
+    back to high-accuracy iterative solves.  ``pass_values``, when given,
+    collects the best dual value after each pass (nondecreasing by
+    construction).
     """
     if problem.m > 2:
         raise ContractViolation("the dual grid search supports m <= 2")
-    quad = _quadratic_data(problem)
     R = problem.R
+    cons = problem.constraints
+    if not all(isinstance(c, QuadraticConstraint) for c in cons):
+        def evaluate(lams):
+            return _dual_values_generic(problem, lams, spec.eps_ref)
+    elif problem.m == 1:
+        evaluate = _eigenbasis_dual_fn(cons[0], problem.x0)
+    else:
+        quad = [c.to_dense() for c in cons], [c.center for c in cons], [c.c for c in cons]
 
-    def evaluate(lams):
-        if quad is not None:
+        def evaluate(lams):
             return _dual_values_quadratic(problem, quad, lams)
-        return _dual_values_generic(problem, lams, spec.eps_ref)
 
     lo = np.zeros(problem.m)
     hi = np.full(problem.m, R)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import fastproj.cli as cli
 from fastproj.cli import main, random_quadratic_instance
 from fastproj.model import eval_constraints, problem_from_json
 
@@ -138,6 +140,22 @@ def test_solve_determinism_byte_identical(tmp_path):
     main(["solve", str(inst), "--eps", "1e-3", "--out", str(r1)])
     main(["solve", str(inst), "--eps", "1e-3", "--out", str(r2)])
     assert r1.read_bytes() == r2.read_bytes()
+
+
+def test_solve_exits_2_on_uncertified_answer_with_same_output(tmp_path, monkeypatch, capsys):
+    inst = tmp_path / "inst.json"
+    main(["gen", "--n", "6", "--m", "2", "--seed", "9", "--out", str(inst)])
+    assert main(["solve", str(inst), "--eps", "1e-3"]) == 0
+    certified_out = capsys.readouterr().out
+    real = cli.project_with_R_doubling
+    monkeypatch.setattr(
+        cli,
+        "project_with_R_doubling",
+        lambda problem, config: dataclasses.replace(real(problem, config), certified=False),
+    )
+    assert main(["solve", str(inst), "--eps", "1e-3"]) == 2
+    assert capsys.readouterr().out == certified_out
+    assert json.loads(certified_out)["max_violation"] <= 1e-3  # feasible, yet refused
 
 
 def test_trace_csv(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import fastproj.model as model
+from fastproj.cli import random_quadratic_instance
 from fastproj.model import (
     ContractViolation,
     ProjectionProblem,
@@ -202,6 +203,30 @@ def test_problem_json_round_trip(rng):
     assert_allclose(eval_constraints(back, x), eval_constraints(prob, x), rtol=1e-12)
     assert back.max_lipschitz() == pytest.approx(prob.max_lipschitz(), rel=1e-9)
     assert problem_to_json(back) == doc
+
+
+@pytest.mark.parametrize(
+    "n, m, seed, ball", [(512, 1, 3, False), (20, 2, 7, False), (64, 3, 1, False), (6, 1, 5, True)]
+)
+def test_problem_to_json_bytes_match_per_entry_floats_and_dumps(n, m, seed, ball):
+    # The document as built before tolist() and streaming json.dump.
+    prob = random_quadratic_instance(n, m, seed, ball=ball)
+    doc = {
+        "n": prob.n,
+        "m": prob.m,
+        "x0": [float(v) for v in prob.x0],
+        "R": float(prob.R),
+        "constraints": [
+            {
+                "type": "quadratic",
+                "A": [[float(v) for v in row] for row in c.to_dense()],
+                "center": [float(v) for v in c.center],
+                "c": float(c.c),
+            }
+            for c in prob.constraints
+        ],
+    }
+    assert problem_to_json(prob) == json.dumps(doc, indent=2)
 
 
 def test_problem_from_json_rejects_garbage():

@@ -2,8 +2,19 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fastproj.model import ConstraintOracle, ContractViolation, ProjectionProblem
+import fastproj.reference as reference
+from fastproj.cli import random_quadratic_instance
+from fastproj.model import (
+    ConstraintOracle,
+    ContractViolation,
+    ProjectionProblem,
+    QuadraticConstraint,
+    SolverConfig,
+    quadratic_constraint,
+    quadratic_problem,
+)
 from fastproj.norm_duality import DualBallProjector, project_norm_ball_via_dual
+from fastproj.projector import project
 from fastproj.reference import (
     GridSpec,
     ball_projection_closed_form,
@@ -131,6 +142,50 @@ def test_grid_generic_fallback_matches_quadratic_path():
     assert_allclose(lam_a, lam_b, atol=1e-9)
     assert v_a == pytest.approx(v_b, abs=1e-8)
     assert_allclose(x_a, x_b, atol=1e-5)
+
+
+def _stationarity_dual(A, center, c, x0, lam):
+    """d(lam) from a direct solve of (I + lam A) x = x0 + lam A center."""
+    x = np.linalg.solve(np.eye(x0.size) + lam * A, x0 + lam * (A @ center))
+    d = x - center
+    return float((x - x0) @ (x - x0) + lam * (d @ A @ d - c)), x
+
+
+def test_m1_grid_is_exact_and_never_materializes_a_wy_constraint(monkeypatch):
+    wy_prob = random_quadratic_instance(256, 1, 4, factored=True)
+    q = wy_prob.constraints[0]
+    A = q.to_dense()  # before the patch below
+    dense_prob = quadratic_problem(wy_prob.x0, [quadratic_constraint(A, q.center, q.c)], wy_prob.R)
+
+    def refuse(self):
+        raise AssertionError("the m = 1 grid materialized A")
+
+    monkeypatch.setattr(QuadraticConstraint, "to_dense", refuse)
+    x_ref, lam_ref, v_ref = brute_force_dual_grid(wy_prob)
+    v_direct, x_direct = _stationarity_dual(A, q.center, q.c, wy_prob.x0, float(lam_ref[0]))
+    assert v_ref == pytest.approx(v_direct, rel=1e-10)
+    assert_allclose(x_ref, x_direct, rtol=0, atol=1e-10)
+
+    lams = np.array([[0.0], [0.25 * lam_ref[0]], [lam_ref[0]], [wy_prob.R]])
+    for prob in (wy_prob, dense_prob):
+        c = prob.constraints[0]
+        vals, xs = reference._eigenbasis_dual_fn(c, prob.x0)(lams)
+        for lam, v, x in zip(lams[:, 0], vals, xs):
+            v_direct, x_direct = _stationarity_dual(A, q.center, q.c, prob.x0, lam)
+            assert v == pytest.approx(v_direct, rel=1e-10, abs=1e-14), (c.wy is None, lam)
+            assert_allclose(x, x_direct, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_m1_bisection_meets_the_grid_gate_at_n4096(seed):
+    eps = 1e-3
+    prob = random_quadratic_instance(4096, 1, seed, factored=True)
+    result = project(prob, SolverConfig(epsilon=eps, engine="bisection"))
+    x_ref, _, _ = brute_force_dual_grid(prob)
+    grid_objective = float(np.sum((x_ref - prob.x0) ** 2))
+    assert result.certified
+    assert result.max_violation <= eps
+    assert result.objective <= grid_objective + 6.0 * eps
 
 
 def test_grid_rejects_more_than_two_constraints(rng):
