@@ -39,7 +39,6 @@ from .projector import (
     bound_R_quadratic,
     bound_R_single,
     project,
-    project_with_R_doubling,
 )
 from .reference import (
     GridSpec,
@@ -84,7 +83,6 @@ __all__ = [
     "bound_R_quadratic",
     "bound_R_single",
     "project",
-    "project_with_R_doubling",
     "GridSpec",
     "ball_projection_closed_form",
     "brute_force_dual_grid",

@@ -13,9 +13,9 @@ from .model import Array, ContractViolation, NumericalFailure
 
 @dataclass(frozen=True)
 class SmoothObjective:
-    """An alpha-strongly-convex, beta-smooth function with a gradient oracle."""
+    """An alpha-strongly-convex, beta-smooth function given by its gradient
+    oracle; ``agd_minimize`` never evaluates the function itself."""
 
-    value: Callable[[Array], float]
     gradient: Callable[[Array], Array]
     alpha: float
     beta: float

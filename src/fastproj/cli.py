@@ -19,6 +19,7 @@ from .model import (
     ContractViolation,
     ProjectionProblem,
     SolverConfig,
+    _json_numbers,
     factored_quadratic_constraint,
     problem_from_json,
     problem_to_json,
@@ -26,7 +27,7 @@ from .model import (
     quadratic_problem,
 )
 from .norm_duality import DualBallProjector, project_norm_ball_via_dual
-from .projector import bound_R_quadratic, bound_R_single, project, project_with_R_doubling
+from .projector import bound_R_quadratic, bound_R_single, project
 from .reference import (
     GridSpec,
     brute_force_dual_grid,
@@ -89,8 +90,6 @@ def random_quadratic_instance(
     n: int,
     m: int,
     seed: int,
-    c_min: float = 1.0,
-    c_max: float = 2.0,
     factored: bool = False,
     ball: bool = False,
 ) -> ProjectionProblem:
@@ -103,8 +102,8 @@ def random_quadratic_instance(
     are materialized densely (the serializable form).  ``ball=True`` forces
     the analytic unit-ball instance A=I, center=0, c=1.
     """
-    if n < 1 or m < 1 or not (0 < c_min <= c_max):
-        raise ContractViolation("need n >= 1, m >= 1 and 0 < c_min <= c_max")
+    if n < 1 or m < 1:
+        raise ContractViolation("need n >= 1 and m >= 1")
     rng = np.random.default_rng(seed)
 
     if ball:
@@ -123,7 +122,7 @@ def random_quadratic_instance(
     for _ in range(m):
         spectrum = _unit_spectrum(rng, n)
         center = _random_center(rng, n)
-        level = rng.uniform(c_min, c_max)
+        level = rng.uniform(1.0, 2.0)
         centers.append(center)
         levels.append(level)
         sigma_mins.append(float(np.min(spectrum)))
@@ -194,7 +193,7 @@ def _config_from_args(args, max_outer: int | None = None) -> SolverConfig:
         epsilon=args.eps,
         epsilon_tilde_override=getattr(args, "eps_tilde", None),
         engine=getattr(args, "engine", "ellipsoid"),
-        max_doubling_rounds=getattr(args, "max_doubles", 0) or 0,
+        max_doubling_rounds=getattr(args, "max_doubles", 0),
     )
     if max_outer is not None:
         kwargs["max_outer_iterations"] = max_outer
@@ -202,9 +201,7 @@ def _config_from_args(args, max_outer: int | None = None) -> SolverConfig:
 
 
 def cmd_gen(args) -> int:
-    problem = random_quadratic_instance(
-        args.n, args.m, args.seed, args.c_min, args.c_max, ball=args.ball
-    )
+    problem = random_quadratic_instance(args.n, args.m, args.seed, ball=args.ball)
     _write_or_print(problem_to_json(problem), args.out)
     return 0
 
@@ -213,7 +210,7 @@ def cmd_solve(args) -> int:
     problem = _load_problem(args.instance)
     if args.R is not None:
         problem = replace(problem, R=args.R)
-    result = project_with_R_doubling(problem, _config_from_args(args))
+    result = project(problem, _config_from_args(args))
     _write_or_print(result.to_json(), args.out)
     # certified implies max_violation <= eps and proves the objective bound.
     return 0 if result.certified else 2
@@ -303,17 +300,17 @@ _DUAL_PROJECTORS = {"l1": project_linf_box, "l2": project_l2_ball, "linf": proje
 
 
 def _parse_vector(text: str) -> np.ndarray:
-    """Comma-separated floats, or ``@path`` to a JSON array; a finite 1-D vector."""
+    """Comma-separated floats, or ``@path`` to a JSON array held to the
+    instance loader's rules for numbers; a finite 1-D vector."""
     try:
         if text.startswith("@"):
             with open(text[1:]) as fh:
-                values = json.load(fh)
+                x = _json_numbers(json.load(fh), 1)
         else:
-            values = [float(tok) for tok in text.split(",") if tok]
-        x = np.asarray(values, dtype=float)
+            x = np.array([float(tok) for tok in text.split(",") if tok])
     except (OSError, TypeError, ValueError) as err:
         raise ContractViolation(f"cannot parse vector: {err}") from err
-    if x.ndim != 1 or not np.all(np.isfinite(x)):
+    if not np.all(np.isfinite(x)):
         raise ContractViolation("x0 must be a finite 1-D vector")
     return x
 
@@ -352,8 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--c-min", type=float, default=1.0)
-    p.add_argument("--c-max", type=float, default=2.0)
     p.add_argument("--ball", action="store_true", help="force the analytic unit-ball instance")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gen)

@@ -78,9 +78,8 @@ class EllipsoidState:
 
 @dataclass
 class CutTrace:
-    """Per-round diagnostics of one dual maximization."""
+    """Per-round diagnostics of one dual maximization; round t is entry t - 1."""
 
-    t: list[int] = field(default_factory=list)
     in_box: list[bool] = field(default_factory=list)
     lam: list[Array] = field(default_factory=list)
     w: list[Array] = field(default_factory=list)
@@ -88,8 +87,7 @@ class CutTrace:
     log_volume: list[float] = field(default_factory=list)
     boundary_hit: bool = False
 
-    def append(self, t: int, in_box: bool, lam: Array, w: Array, v: float, log_volume: float):
-        self.t.append(t)
+    def append(self, in_box: bool, lam: Array, w: Array, v: float, log_volume: float):
         self.in_box.append(in_box)
         self.lam.append(np.array(lam))
         self.w.append(np.array(w))
@@ -97,7 +95,7 @@ class CutTrace:
         self.log_volume.append(float(log_volume))
 
     def __len__(self) -> int:
-        return len(self.t)
+        return len(self.in_box)
 
     def write_csv(self, fh) -> None:
         m = self.lam[0].size if self.lam else 0
@@ -105,9 +103,9 @@ class CutTrace:
         writer.writerow(
             ["t", "in_box"] + [f"lambda_{i}" for i in range(m)] + ["v", "grad_norm", "log_volume"]
         )
-        for i in range(len(self.t)):
+        for i in range(len(self)):
             writer.writerow(
-                [self.t[i], int(self.in_box[i])]
+                [i + 1, int(self.in_box[i])]
                 + [repr(float(x)) for x in self.lam[i]]
                 + [
                     repr(self.v[i]),
@@ -144,7 +142,7 @@ def cut_resolution(state: EllipsoidState, w: Array) -> float:
     return float(Bw @ Bw)
 
 
-def ellipsoid_update(state: EllipsoidState, w: Array, cut_point: Array) -> EllipsoidState:
+def ellipsoid_update(state: EllipsoidState, w: Array) -> EllipsoidState:
     """Central-cut update keeping ``{lam in E : w . (lam - center) <= 0}``.
 
     Equivalent to ``c' = c - Qw/((m+1) sqrt(wQw))`` and
@@ -154,8 +152,6 @@ def ellipsoid_update(state: EllipsoidState, w: Array, cut_point: Array) -> Ellip
     w = np.asarray(w, dtype=float)
     if not np.any(w):
         raise ContractViolation("cut direction must be nonzero")
-    if not np.array_equal(np.asarray(cut_point, dtype=float), state.center):
-        raise ContractViolation("cuts must pass through the current center")
     m = state.center.size
     B = state.factor
     if m == 1:
@@ -241,19 +237,19 @@ def _ellipsoid_maximize(oracle, box, T):
                 if not np.any(g):
                     # A vanishing approximate gradient certifies
                     # near-optimality and leaves no cut direction; stop here.
-                    trace.append(t, True, lam_t, np.zeros(m), v, log_vol)
+                    trace.append(True, lam_t, np.zeros(m), v, log_vol)
                     return triple, lam_t, trace
                 w = -g
-                trace.append(t, True, lam_t, w, v, log_vol)
+                trace.append(True, lam_t, w, v, log_vol)
             else:
                 w = separation_oracle_box(lam_t, box.R)
-                trace.append(t, False, lam_t, w, math.nan, log_vol)
+                trace.append(False, lam_t, w, math.nan, log_vol)
             # Once the localizer's extent along the cut is below the float
             # resolution of the query point, further cuts cannot move it.
             extent_tol = 1e-13 * (1.0 + float(np.max(np.abs(lam_t))))
             if cut_resolution(state, w) <= (extent_tol**2) * float(w @ w):
                 break
-            state = ellipsoid_update(state, w, lam_t)
+            state = ellipsoid_update(state, w)
             if t % (_PD_CHECK_EVERY * m) == 0:
                 sign, logdet = np.linalg.slogdet(state.factor)
                 if sign == 0 or not math.isfinite(logdet):
@@ -340,7 +336,7 @@ def bisection_maximize(
                 lam = min(max(x, mid - r), mid + r)
             triple = oracle(lam)
             g = float(np.asarray(triple.g).reshape(-1)[0])
-            trace.append(t, True, np.array([lam]), np.array([-g]), triple.v, _log_bracket(hi - lo))
+            trace.append(True, np.array([lam]), np.array([-g]), triple.v, _log_bracket(hi - lo))
             if stop is not None and stop(lam, triple):
                 return triple, lam, trace
             if best is None or triple.v > best[0].v:

@@ -29,7 +29,6 @@ from .model import (
     ProjectionProblem,
     eval_constraints,
     lagrangian_gradient_fn,
-    lagrangian_value,
 )
 
 # Value gaps below roughly 1e-13 times the problem scale are not resolvable
@@ -65,18 +64,14 @@ def approx_dual_oracle(
     problem: ProjectionProblem,
     lam: Array,
     eps_tilde: float,
-    warm_start: Array | None = None,
     counters: dict | None = None,
 ) -> OracleTriple:
     """Solve ``min_x L(x, lam)`` to ``eps_tilde`` and package (x_lam, g, v).
 
-    ``warm_start`` seeds the inner solver.  The certificate bounds the error
-    by ``eps_tilde`` from any seed, but a seed that passes it is returned
-    unchanged where a cold start runs far past the bound, so at a loose
-    ``eps_tilde`` the answer depends on the seed.  The first AGD budget
-    takes ``||x_init - x0||^2 + 1`` as the squared distance to ``x*_lam``,
-    and the budget doubles until the certificate holds.
-    ``counters['gradient_evals']`` is incremented when a dict is supplied.
+    The inner solve starts cold at ``x0`` with the AGD budget
+    ``agd_iterations(2, beta, 1, eps_eff)``, which doubles until the
+    certificate holds.  ``counters['gradient_evals']`` is incremented when a
+    dict is supplied.
     """
     gradient = lagrangian_gradient_fn(problem, lam)
     lam = np.asarray(lam, dtype=float)
@@ -85,22 +80,16 @@ def approx_dual_oracle(
 
     eps_eff = effective_eps_tilde(problem, eps_tilde)
     beta = 2.0 + float(np.sum(lam)) * problem.max_smoothness()
-    objective = SmoothObjective(
-        value=lambda x: lagrangian_value(problem, x, lam),
-        gradient=gradient,
-        alpha=2.0,
-        beta=beta,
-    )
+    objective = SmoothObjective(gradient=gradient, alpha=2.0, beta=beta)
 
     evals = 0
-    x = np.array(warm_start, dtype=float) if warm_start is not None else np.array(problem.x0)
+    x = np.array(problem.x0)
     grad = objective.gradient(x)
     evals += 1
     grad_sq = float(grad @ grad)
 
     if grad_sq > 4.0 * eps_eff:
-        d0 = problem.x0 - x
-        budget = agd_iterations(2.0, beta, float(d0 @ d0) + 1.0, eps_eff)
+        budget = agd_iterations(2.0, beta, 1.0, eps_eff)
         for _ in range(_MAX_DOUBLING_ROUNDS):
             # grad is the gradient at x: AGD's first step reuses it.
             y = agd_minimize(objective, x, budget, grad)
@@ -120,8 +109,8 @@ def approx_dual_oracle(
     if counters is not None:
         counters["gradient_evals"] = counters.get("gradient_evals", 0) + evals
 
-    # v is lagrangian_value's arithmetic on the same g: each constraint is
-    # evaluated once.
+    # v is model.lagrangian_value's arithmetic on the same g: each constraint
+    # is evaluated once.
     g = eval_constraints(problem, x)
     d = x - problem.x0
     v = float(d @ d + lam @ g)

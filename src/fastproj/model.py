@@ -138,18 +138,20 @@ class SolverConfig:
     (e.g. ``500 * eps**2``).  ``engine`` picks the dual maximizer;
     ``"bisection"`` is valid only for a single constraint.
     ``max_outer_iterations`` caps the ellipsoid engine's closed-form round
-    count (``projector._ellipsoid_budget``).
+    count (``projector._ellipsoid_budget``).  ``max_doubling_rounds`` is how
+    many times ``project`` may double R while the answer sits on the box
+    boundary; 0 means one solve.
     """
 
     epsilon: float
     epsilon_tilde_override: float | None = None
     engine: str = "ellipsoid"
     max_outer_iterations: int = 600
-    max_doubling_rounds: int = 16
+    max_doubling_rounds: int = 0
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ContractViolation("epsilon must be positive")
+        if not 0 < self.epsilon < np.inf:
+            raise ContractViolation("epsilon must be positive and finite")
         if self.epsilon_tilde_override is not None:
             if not 0 < self.epsilon_tilde_override <= self.epsilon:
                 raise ContractViolation("epsilon_tilde_override must lie in (0, epsilon]")
@@ -345,7 +347,11 @@ def quadratic_problem(
 ) -> ProjectionProblem:
     """Assemble a problem from quadratic oracles, fixing their Lipschitz bounds
     to the instance-wide working radius (which needs x0 and all constraints).
-    The oracles' ``eval``/``grad`` are reused as they are."""
+    The oracles' ``eval``/``grad`` are reused as they are.  A quadratic whose
+    center does not have x0's shape raises ``ContractViolation``."""
+    x0 = np.asarray(x0, dtype=float)
+    if any(q.center.shape != x0.shape for q in quadratics):
+        raise ContractViolation("every quadratic's center must have the shape of x0")
     rho = quadratic_working_radius(x0, quadratics)
     return ProjectionProblem(
         x0=x0,

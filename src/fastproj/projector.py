@@ -16,8 +16,9 @@ the weak-duality test that already proves the tighter bound
 leave at worst plain bisection's final bracket.  Every result reports the
 test at its own answer as ``ProjectionResult.certified``.
 
-``project_with_R_doubling`` wraps it with the restart-on-boundary policy for
-the case where the multiplier bound R is unknown.
+When the multiplier bound R is unknown, ``SolverConfig.max_doubling_rounds``
+lets ``project`` restart with a doubled R while the answer's multipliers sit
+on the boundary of the box.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ from .model import (
     SolverConfig,
 )
 
-# project_with_R_doubling restarts with a doubled R while any multiplier of
-# the answer reaches this fraction of R.
+# project doubles R while any multiplier of the answer reaches this fraction
+# of R.
 _BOUNDARY_FRACTION = 0.9
 
 
@@ -141,7 +142,29 @@ def project(problem: ProjectionProblem, config: SolverConfig) -> ProjectionResul
     is the number of in-box rounds.  The result's ``certified`` says whether
     that triple passes the ``certified`` duality test, which proves its
     guarantee a posteriori.
+
+    While a multiplier of the answer is at or above 0.9 R, the solve is
+    repeated on a copy of ``problem`` with R doubled, at most
+    ``config.max_doubling_rounds`` times (0, the default, means one solve);
+    ``doubling_rounds_used`` counts the repeats.  An answer still at the
+    boundary when the budget runs out is returned with
+    ``trace.boundary_hit`` set.
     """
+    rounds = 0
+    while True:
+        result = _solve(problem, config)
+        if np.all(result.lambda_bar < _BOUNDARY_FRACTION * problem.R):
+            break
+        if rounds >= config.max_doubling_rounds:
+            result.trace.boundary_hit = True
+            break
+        problem = replace(problem, R=2.0 * problem.R)
+        rounds += 1
+    result.doubling_rounds_used = rounds
+    return result
+
+
+def _solve(problem: ProjectionProblem, config: SolverConfig) -> ProjectionResult:
     m, R = problem.m, problem.R
     eps = config.epsilon
     G = problem.max_lipschitz()
@@ -188,21 +211,3 @@ def project(problem: ProjectionProblem, config: SolverConfig) -> ProjectionResul
         trace=trace,
         certified=certified(lam_bar, final, eps),
     )
-
-
-def project_with_R_doubling(problem: ProjectionProblem, config: SolverConfig) -> ProjectionResult:
-    """Run ``project``, doubling R whenever the dual solution converges to the
-    boundary of the multiplier box, up to ``config.max_doubling_rounds``."""
-    R = problem.R
-    rounds = 0
-    while True:
-        result = project(replace(problem, R=R), config)
-        if np.all(result.lambda_bar < _BOUNDARY_FRACTION * R):
-            return replace(result, doubling_rounds_used=rounds)
-        if rounds >= config.max_doubling_rounds:
-            # Budget exhausted with the dual still pinned to the boundary:
-            # return best effort and let the caller decide.
-            result.trace.boundary_hit = True
-            return replace(result, doubling_rounds_used=rounds)
-        R *= 2.0
-        rounds += 1

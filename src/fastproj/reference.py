@@ -146,10 +146,8 @@ def _dual_values_quadratic(problem, quad, lams: Array) -> tuple[Array, Array]:
 def _dual_values_generic(problem, lams: Array, eps_ref: float) -> tuple[Array, Array]:
     vals = np.empty(lams.shape[0])
     xs = np.empty((lams.shape[0], problem.n))
-    warm = None  # neighboring grid points have neighboring minimizers
     for i, lam in enumerate(lams):
-        triple = approx_dual_oracle(problem, lam, eps_ref, warm_start=warm)
-        warm = triple.x_lambda
+        triple = approx_dual_oracle(problem, lam, eps_ref)
         vals[i] = triple.v
         xs[i] = triple.x_lambda
     return vals, xs

@@ -10,11 +10,15 @@ from fastproj.model import ContractViolation, NumericalFailure
 from conftest import random_psd
 
 
+def quadratic_value(M, z, x):
+    """F(x) = (x - z)^T M (x - z), whose minimum is 0."""
+    return float((x - z) @ (M @ (x - z)))
+
+
 def quadratic_objective(M, z):
-    """F(x) = (x - z)^T M (x - z): alpha = 2 min eig, beta = 2 max eig."""
+    """F above: alpha = 2 min eig, beta = 2 max eig."""
     eigs = np.linalg.eigvalsh(M)
     return SmoothObjective(
-        value=lambda x: float((x - z) @ (M @ (x - z))),
         gradient=lambda x: 2.0 * (M @ (x - z)),
         alpha=2.0 * float(eigs[0]),
         beta=2.0 * float(eigs[-1]),
@@ -22,16 +26,13 @@ def quadratic_objective(M, z):
 
 
 def test_zero_is_fixed_point():
-    obj = SmoothObjective(
-        value=lambda x: float(x @ x), gradient=lambda x: 2.0 * x, alpha=2.0, beta=2.0
-    )
+    obj = SmoothObjective(gradient=lambda x: 2.0 * x, alpha=2.0, beta=2.0)
     assert_allclose(agd_minimize(obj, np.zeros(3), 17), np.zeros(3))
 
 
 def test_isotropic_quadratic_one_exact_step():
     target = np.array([3.0, 4.0])
     obj = SmoothObjective(
-        value=lambda x: float((x - target) @ (x - target)),
         gradient=lambda x: 2.0 * (x - target),
         alpha=2.0,
         beta=2.0,
@@ -46,7 +47,7 @@ def test_anisotropic_quadratic_reaches_value_gap():
     eps = 1e-8
     T = agd_iterations(obj.alpha, obj.beta, float(x_init @ x_init), eps)
     y = agd_minimize(obj, x_init, T)
-    assert obj.value(y) <= eps  # closed-form minimum is 0
+    assert quadratic_value(M, np.zeros(2), y) <= eps  # closed-form minimum is 0
 
 
 def test_iteration_count_clamps_to_one():
@@ -76,7 +77,7 @@ def test_value_gap_contract_on_random_quadratics(rng):
             dist_sq = float((x_init - z) @ (x_init - z))
             T = agd_iterations(obj.alpha, obj.beta, dist_sq, eps)
             y = agd_minimize(obj, x_init, T)
-            assert obj.value(y) <= eps
+            assert quadratic_value(M, z, y) <= eps
 
 
 def test_geometric_value_decay(rng):
@@ -87,7 +88,7 @@ def test_geometric_value_decay(rng):
     kappa = obj.beta / obj.alpha
     x_init = z + rng.standard_normal(n)
     ts = np.arange(5, 60, 5)
-    gaps = np.array([obj.value(agd_minimize(obj, x_init, int(t))) for t in ts])
+    gaps = np.array([quadratic_value(M, z, agd_minimize(obj, x_init, int(t))) for t in ts])
     slope = np.polyfit(ts, np.log(gaps), 1)[0]
     assert slope <= -0.9 / math.sqrt(kappa)
 
@@ -103,7 +104,6 @@ def test_deterministic_iterates(rng):
 
 def test_non_finite_gradient_raises_with_iterate():
     obj = SmoothObjective(
-        value=lambda x: float(x @ x),
         gradient=lambda x: np.array([math.nan]),
         alpha=2.0,
         beta=2.0,
@@ -123,7 +123,7 @@ def test_inf_mid_vector_raises_with_the_offending_iterate():
             g[2] = math.inf
         return g
 
-    obj = SmoothObjective(value=lambda x: float(x @ x), gradient=gradient, alpha=1.0, beta=4.0)
+    obj = SmoothObjective(gradient=gradient, alpha=1.0, beta=4.0)
     with pytest.raises(NumericalFailure) as exc:
         agd_minimize(obj, np.arange(1.0, 6.0), 10)
     assert len(seen) == 3
@@ -131,20 +131,18 @@ def test_inf_mid_vector_raises_with_the_offending_iterate():
 
 
 def test_finite_gradient_whose_square_overflows_is_accepted():
-    obj = SmoothObjective(
-        value=lambda x: float(x @ x), gradient=lambda x: np.full(4, 1e200), alpha=2.0, beta=2.0
-    )
+    obj = SmoothObjective(gradient=lambda x: np.full(4, 1e200), alpha=2.0, beta=2.0)
     with np.errstate(over="ignore"):  # g.g overflows; every entry of g is finite
         y = agd_minimize(obj, np.zeros(4), 2)
     assert np.all(np.isfinite(y))
 
 
 def test_input_validation():
-    obj = SmoothObjective(lambda x: 0.0, lambda x: x, alpha=2.0, beta=2.0)
+    obj = SmoothObjective(lambda x: x, alpha=2.0, beta=2.0)
     with pytest.raises(ContractViolation):
         agd_minimize(obj, np.zeros(1), 0)
     with pytest.raises(ContractViolation):
-        SmoothObjective(lambda x: 0.0, lambda x: x, alpha=3.0, beta=2.0)
+        SmoothObjective(lambda x: x, alpha=3.0, beta=2.0)
     with pytest.raises(ContractViolation):
         agd_iterations(2.0, 1.0, 1.0, 1e-6)
 
@@ -158,7 +156,7 @@ def test_start_gradient_replaces_the_first_call():
         calls[0] += 1
         return base.gradient(x)
 
-    obj = SmoothObjective(value=base.value, gradient=counted, alpha=base.alpha, beta=base.beta)
+    obj = SmoothObjective(gradient=counted, alpha=base.alpha, beta=base.beta)
     x_init = np.array([1.0, 1.0, -1.0])
     plain = agd_minimize(obj, x_init, 12)
     assert calls[0] == 12

@@ -97,6 +97,16 @@ def test_solve_malformed_json_is_input_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_solve_refuses_a_quadratic_whose_dimension_differs_from_x0(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    main(["gen", "--n", "3", "--m", "1", "--ball", "--seed", "0", "--out", str(inst)])
+    doc = json.loads(inst.read_text())
+    doc.update(n=2, x0=doc["x0"][:2])
+    inst.write_text(json.dumps(doc))
+    assert main(["solve", str(inst)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_solve_missing_file_is_input_error(tmp_path):
     assert main(["solve", str(tmp_path / "nope.json"), "--eps", "1e-3"]) == 1
 
@@ -147,10 +157,10 @@ def test_solve_exits_2_on_uncertified_answer_with_same_output(tmp_path, monkeypa
     main(["gen", "--n", "6", "--m", "2", "--seed", "9", "--out", str(inst)])
     assert main(["solve", str(inst), "--eps", "1e-3"]) == 0
     certified_out = capsys.readouterr().out
-    real = cli.project_with_R_doubling
+    real = cli.project
     monkeypatch.setattr(
         cli,
-        "project_with_R_doubling",
+        "project",
         lambda problem, config: dataclasses.replace(real(problem, config), certified=False),
     )
     assert main(["solve", str(inst), "--eps", "1e-3"]) == 2
@@ -223,7 +233,19 @@ def test_project_norm_rejects_bad_x0(tmp_path, capsys):
     ragged.write_text("[[1, 2], [3]]")
     matrix = tmp_path / "matrix.json"
     matrix.write_text("[[1, 2], [3, 4]]")
-    bad = [f"@{tmp_path / 'missing.json'}", f"@{not_json}", f"@{ragged}", f"@{matrix}", "1,nan"]
+    mixed = tmp_path / "mixed.json"
+    mixed.write_text('["1.5", true]')
+    strings = tmp_path / "strings.json"
+    strings.write_text('["1", "2"]')
+    bad = [
+        f"@{tmp_path / 'missing.json'}",
+        f"@{not_json}",
+        f"@{ragged}",
+        f"@{matrix}",
+        f"@{mixed}",
+        f"@{strings}",
+        "1,nan",
+    ]
     for x0 in bad:
         assert main(["project-norm", "--norm", "l1", "--x0", x0]) == 1, x0
         assert "error:" in capsys.readouterr().err

@@ -180,18 +180,3 @@ def test_gradient_counter_matches_real_calls(rng):
         approx_dual_oracle(prob, np.array([0.7]), eps_tilde, counters=counters)
         assert counters["gradient_evals"] == len(points) > 1
         assert points[0] == prob.x0.tobytes() != points[1]
-
-
-def test_warm_start_certificate_skip(rng):
-    prob = two_quadratics_problem(rng)
-    lam = np.array([0.5, 0.5])
-    counters = {}
-    cold = approx_dual_oracle(prob, lam, 1e-10, counters=counters)
-    assert counters["gradient_evals"] > 1
-    # an already-optimal warm start certifies with a single gradient check
-    counters2 = {}
-    warm = approx_dual_oracle(
-        prob, lam, 1e-8, warm_start=cold.x_lambda, counters=counters2
-    )
-    assert counters2["gradient_evals"] == 1
-    assert_allclose(warm.x_lambda, cold.x_lambda)

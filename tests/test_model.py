@@ -252,6 +252,7 @@ def test_problem_from_json_rejects_garbage():
         json.dumps(doc(c="1.5")),
         json.dumps(doc(A=[[1.0, 0.0], [0.0, True]])),
         json.dumps({**doc(), "R": 10**400}),
+        json.dumps(doc(A=np.eye(3).tolist(), center=[0.0, 0.0, 0.0])),  # n = 2
     ]
     for text in garbage:
         with pytest.raises(ContractViolation):
@@ -283,6 +284,19 @@ def test_problem_validation():
         SolverConfig(epsilon=1e-3, epsilon_tilde_override=1e-2)
     with pytest.raises(ContractViolation):
         SolverConfig(epsilon=1e-3, engine="newton")
+    for eps in (0.0, np.inf, np.nan):
+        with pytest.raises(ContractViolation):
+            SolverConfig(epsilon=eps)
+
+
+def test_quadratic_whose_dimension_differs_from_x0_is_refused():
+    x0 = np.array([2.0, 0.0])
+    ball2 = quadratic_constraint(np.eye(2), np.zeros(2), 1.0)
+    ball3 = quadratic_constraint(np.eye(3), np.zeros(3), 1.0)
+    quadratic_problem(x0, [ball2], R=4.0)  # matching dimensions load
+    for quads in ([ball3], [ball2, ball3]):
+        with pytest.raises(ContractViolation):
+            quadratic_problem(x0, quads, R=4.0)
 
 
 class _LinalgSpy:

@@ -16,11 +16,11 @@ from fastproj.model import (
     quadratic_constraint,
     quadratic_problem,
 )
+from fastproj import projector
 from fastproj.projector import (
     bound_R_quadratic,
     bound_R_single,
     project,
-    project_with_R_doubling,
 )
 from fastproj.reference import GridSpec, brute_force_dual_grid
 
@@ -206,7 +206,7 @@ def test_bound_r_quadratic_examples():
 def test_doubling_from_underestimated_radius():
     # true multiplier 3: R grows 1 -> 2 -> 4 and the solve then stays interior
     prob = unit_ball_problem([4.0, 0.0], R=1.0)
-    res = project_with_R_doubling(prob, SolverConfig(epsilon=1e-4, max_doubling_rounds=8))
+    res = project(prob, SolverConfig(epsilon=1e-4, max_doubling_rounds=8))
     assert res.doubling_rounds_used == 2
     assert res.lambda_bar[0] == pytest.approx(3.0, abs=1e-2)
     assert_allclose(res.x_hat, [1.0, 0.0], atol=1e-3)
@@ -215,22 +215,39 @@ def test_doubling_from_underestimated_radius():
 
 def test_doubling_interior_point_unchanged():
     prob = unit_ball_problem([0.2, 0.1], R=1.0)
-    res = project_with_R_doubling(prob, SolverConfig(epsilon=1e-4, max_doubling_rounds=8))
+    res = project(prob, SolverConfig(epsilon=1e-4, max_doubling_rounds=8))
     assert res.doubling_rounds_used == 0
 
 
 def test_doubling_not_triggered_for_interior_multiplier():
     prob = unit_ball_problem([1.5, 0.0], R=1.0)  # multiplier 0.5 < 0.9
-    res = project_with_R_doubling(prob, SolverConfig(epsilon=1e-4, max_doubling_rounds=8))
+    res = project(prob, SolverConfig(epsilon=1e-4, max_doubling_rounds=8))
     assert res.doubling_rounds_used == 0
     assert res.lambda_bar[0] == pytest.approx(0.5, abs=1e-2)
 
 
 def test_doubling_budget_exhaustion_flags_trace():
     prob = unit_ball_problem([9.0, 0.0], R=1.0)  # multiplier 8 needs 3 doublings
-    res = project_with_R_doubling(prob, SolverConfig(epsilon=1e-4, max_doubling_rounds=1))
+    res = project(prob, SolverConfig(epsilon=1e-4, max_doubling_rounds=1))
     assert res.doubling_rounds_used == 1
     assert res.trace.boundary_hit
+
+
+def test_default_config_solves_a_boundary_multiplier_once(monkeypatch):
+    prob = unit_ball_problem([4.0, 0.0], R=1.0)  # multiplier 3, pinned at R
+    config = SolverConfig(epsilon=1e-4)
+    single = projector._solve(prob, config)
+    solved = []
+    real = projector._solve
+    monkeypatch.setattr(
+        projector, "_solve", lambda problem, config: solved.append(problem) or real(problem, config)
+    )
+    res = project(prob, config)
+    assert len(solved) == 1 and solved[0] is prob
+    assert res.lambda_bar[0] >= 0.9 * prob.R
+    assert res.doubling_rounds_used == 0
+    assert res.trace.boundary_hit
+    assert np.array_equal(res.x_hat, single.x_hat)
 
 
 def test_theoretical_schedule_contract_small_sweep(rng):
