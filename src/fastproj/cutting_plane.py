@@ -218,7 +218,10 @@ def _ellipsoid_maximize(oracle, box, T):
     # Smallest ball covering the box: the corners sit at distance sqrt(m) R/2.
     # Factor and log volume both come from its matrix Q0; a closed-form
     # sqrt(m) R/2 factor can differ from cholesky(Q0) in the last bit.
-    Q0 = (m * (box.R / 2.0) ** 2) * np.eye(m)
+    radius_sq = m * ((box.R / 2.0) * (box.R / 2.0))
+    if radius_sq == math.inf:
+        raise ContractViolation("R is too large for the ellipsoid: m (R/2)^2 overflows")
+    Q0 = radius_sq * np.eye(m)
     state = EllipsoidState(center=box.center(), factor=np.linalg.cholesky(Q0))
     log_vol_initial = log_unit_ball_volume(m) + 0.5 * float(np.linalg.slogdet(Q0)[1])
     trace = CutTrace()

@@ -70,13 +70,13 @@ def approx_dual_oracle(
 
     The inner solve starts cold at ``x0`` with the AGD budget
     ``agd_iterations(2, beta, 1, eps_eff)``, which doubles until the
-    certificate holds.  ``counters['gradient_evals']`` is incremented when a
-    dict is supplied.
+    certificate holds; ``eps_eff`` is ``eps_tilde`` (0 allowed) clamped to
+    the float floor.  ``counters['gradient_evals']`` counts when supplied.
     """
     gradient = lagrangian_gradient_fn(problem, lam)
     lam = np.asarray(lam, dtype=float)
-    if not eps_tilde > 0:
-        raise ContractViolation("eps_tilde must be positive")
+    if not eps_tilde >= 0:
+        raise ContractViolation("eps_tilde must be nonnegative")
 
     eps_eff = effective_eps_tilde(problem, eps_tilde)
     beta = 2.0 + float(np.sum(lam)) * problem.max_smoothness()

@@ -55,8 +55,8 @@ class ConstraintOracle:
     smoothness_L: float
 
     def __post_init__(self):
-        if self.lipschitz_G < 0 or self.smoothness_L < 0:
-            raise ContractViolation("Lipschitz and smoothness bounds must be nonnegative")
+        if not (0 <= self.lipschitz_G < np.inf and 0 <= self.smoothness_L < np.inf):
+            raise ContractViolation("Lipschitz and smoothness bounds must be finite and nonnegative")
 
 
 # eq=False keeps the base oracle's equality and hash, which never touch arrays.
@@ -96,7 +96,7 @@ class QuadraticConstraint(ConstraintOracle):
 
 @dataclass(frozen=True)
 class ProjectionProblem:
-    """Query point, constraint system and the dual multiplier box radius R."""
+    """Finite query point, constraint system and finite multiplier box radius R >= 1."""
 
     x0: Array
     constraints: tuple[ConstraintOracle, ...]
@@ -105,12 +105,12 @@ class ProjectionProblem:
     def __post_init__(self):
         object.__setattr__(self, "x0", _readonly(self.x0))
         object.__setattr__(self, "constraints", tuple(self.constraints))
-        if self.x0.ndim != 1 or self.x0.size < 1:
-            raise ContractViolation("x0 must be a nonempty 1-D vector")
+        if self.x0.ndim != 1 or self.x0.size < 1 or not np.all(np.isfinite(self.x0)):
+            raise ContractViolation("x0 must be a nonempty finite 1-D vector")
         if len(self.constraints) < 1:
             raise ContractViolation("at least one constraint is required")
-        if not self.R >= 1.0:
-            raise ContractViolation("R must satisfy R >= 1")
+        if not 1.0 <= self.R < np.inf:
+            raise ContractViolation("R must be finite and satisfy R >= 1")
 
     @property
     def n(self) -> int:
@@ -223,20 +223,19 @@ def quadratic_constraint(A: Array, center: Array, c: float) -> QuadraticConstrai
 
     The Lipschitz bound is region dependent for quadratics; it is attached
     for a radius covering the constraint's own sublevel set.
-    ``quadratic_problem`` replaces it with the instance-wide bound.
+    ``quadratic_problem`` replaces it with the instance-wide bound.  A, the
+    center and the level must be finite.
     """
     A = np.array(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ContractViolation("A must be square")
     n = A.shape[0]
-    if not np.allclose(A, A.T, rtol=1e-10, atol=1e-12):
-        raise ContractViolation("A must be symmetric")
+    if not (np.all(np.isfinite(A)) and np.allclose(A, A.T, rtol=1e-10, atol=1e-12)):
+        raise ContractViolation("A must be finite and symmetric")
     A = _readonly(0.5 * (A + A.T))
     center = _readonly(center)
     if center.shape != (n,):
         raise ContractViolation("center must have the same dimension as A")
-    if not c > 0:
-        raise ContractViolation("level c must be positive")
     # One eigendecomposition gives the PSD test, the spectral norm and
     # sigma_min.  The jitter admits PSD matrices whose zero eigenvalues
     # round slightly negative; a NaN spectrum fails the test.
@@ -263,36 +262,30 @@ def factored_quadratic_constraint(
 ) -> QuadraticConstraint:
     """Quadratic constraint with ``A = Q diag(eigenvalues) Q^T`` kept factored.
 
-    ``Q`` is the product of the Householder reflections ``I - 2 v v^T`` built
-    from the (normalized) columns of ``reflectors``, stored in compact WY form
-    ``Q = I - Y T Y^T`` so that evaluating the constraint costs O(n * J)
-    instead of O(n^2).  Mathematically identical to ``quadratic_constraint``
-    on the materialized matrix.
+    ``Q = H_1 ... H_J`` with ``H_j = I - 2 y_j y_j^T``, ``y_j`` the normalized
+    columns of ``reflectors``, is kept in compact WY form ``Q = I - Y T Y^T``,
+    so evaluating the constraint costs O(n * J) instead of O(n^2).  One Gram
+    product ``G = V^T V`` of the reflectors, O(n J^2) in one BLAS-3 call,
+    builds it: the column norms are ``sqrt(diag(G))`` and T is the J x J
+    triangular inverse ``(I/2 + strict_upper(Y^T Y))^-1`` (the UT transform
+    of Puglisi 1992 and Joffrain et al. 2006).  Every input must be finite.
     """
     eigenvalues = np.asarray(eigenvalues, dtype=float)
     center = _readonly(center)
     n = center.size
-    if eigenvalues.shape != (n,) or np.any(eigenvalues < 0):
-        raise ContractViolation("eigenvalues must be a nonnegative vector of length n")
-    if not c > 0:
-        raise ContractViolation("level c must be positive")
+    if eigenvalues.shape != (n,) or not np.all((eigenvalues >= 0) & (eigenvalues < np.inf)):
+        raise ContractViolation("eigenvalues must be a finite nonnegative vector of length n")
     V = np.asarray(reflectors, dtype=float)
     if V.ndim != 2 or V.shape[0] != n:
         raise ContractViolation("reflectors must have shape (n, J)")
-    norms = np.linalg.norm(V, axis=0)
+    G = V.T @ V
+    norms = np.sqrt(np.diag(G))
     if np.any(norms == 0.0) or not np.all(np.isfinite(norms)):
         raise ContractViolation("reflector columns must be nonzero and finite")
-    V = V / norms
-    J = V.shape[1]
-
-    # Compact WY accumulation of H_1 ... H_J, H_j = I - 2 v_j v_j^T.
-    T = np.zeros((J, J))
-    for k in range(J):
-        T[k, k] = 2.0
-        if k:
-            T[:k, k] = -2.0 * (T[:k, :k] @ (V[:, :k].T @ V[:, k]))
-    Y = _readonly(V)
-    T = _readonly(T)
+    Y = V / norms
+    Y.setflags(write=False)
+    T = np.linalg.inv(0.5 * np.eye(V.shape[1]) + np.triu(G, 1) / np.outer(norms, norms))
+    T.setflags(write=False)
     # Only 2 D is kept: the gradient scales by it, and halving is exact.
     D2 = _readonly(2.0 * eigenvalues)
 
@@ -318,6 +311,8 @@ def factored_quadratic_constraint(
 
 
 def _quadratic(eval_, grad, center, c, spectral, sigma_min, **matrix) -> QuadraticConstraint:
+    if not (np.all(np.isfinite(center)) and 0 < c < np.inf):
+        raise ContractViolation("the center must be finite and the level c positive and finite")
     # The Lipschitz bound holds on a radius covering the constraint's own
     # sublevel set.
     radius = float(np.linalg.norm(center) + np.sqrt(c / sigma_min) + 1.0)
@@ -428,8 +423,6 @@ def problem_from_json(text: str) -> ProjectionProblem:
         cs = [float(_json_numbers(e["c"], 0)) for e in raw]
     except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise ContractViolation(f"malformed instance document: {err!r}") from err
-    if not all(np.all(np.isfinite(v)) for v in (x0, R, *As, *centers, *cs)):
-        raise ContractViolation("instance numbers must be finite")
     if x0.shape != (n,) or len(raw) != m:
         raise ContractViolation("instance dimensions are inconsistent")
     quads = [quadratic_constraint(A, center, c) for A, center, c in zip(As, centers, cs)]

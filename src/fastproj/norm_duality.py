@@ -74,10 +74,12 @@ def project_norm_ball_via_dual(
     ``g(R) <= 0``; otherwise the optimal multiplier exceeds R and a
     ``ContractViolation`` is raised.
     """
-    if not (R > 0 and eps > 0):
-        raise ContractViolation("R and eps must be positive")
+    if not (0 < R < math.inf and 0 < eps < math.inf):
+        raise ContractViolation("R and eps must be positive and finite")
     x0 = np.asarray(x0, dtype=float)
-    T = max(1, math.ceil(math.log2(R * max(1.0, float(np.linalg.norm(x0))) / eps)) + 2)
+    # log2(R max(1, ||x0||) / eps) as a sum, since the product may overflow.
+    log2_ratio = math.log2(R) + math.log2(max(1.0, float(np.linalg.norm(x0)))) - math.log2(eps)
+    T = max(1, math.ceil(log2_ratio) + 2)
     last = None
 
     def oracle(lam):

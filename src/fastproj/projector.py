@@ -96,11 +96,11 @@ def bound_R_quadratic(c: Array, B: float, X_star: float) -> float:
     return max(1.0, float(np.max(B * X_star / c)))
 
 
-def _inscribed_radius(eps: float, m: int, G: float) -> float:
+def _log_inscribed_radius(eps: float, m: int, G: float) -> float:
     # The paper's radius is min(eps/bound, sqrt(eps)/G)/(2m), the bound being
     # one on |h_i| over the feasible set.  Problems carry no such bound, so G
-    # stands in for it.
-    return (eps / (2.0 * m * G)) * min(1.0, 1.0 / math.sqrt(eps))
+    # stands in for it.  Its logarithm cannot underflow.
+    return math.log(min(eps, math.sqrt(eps)) / (2.0 * m)) - math.log(G)
 
 
 def certified(lam: Array, triple: OracleTriple, eps: float) -> bool:
@@ -116,21 +116,23 @@ def certified(lam: Array, triple: OracleTriple, eps: float) -> bool:
 
 
 def default_inner_accuracy(eps: float, m: int, R: float, G: float) -> float:
-    """The guaranteed inner-accuracy schedule ``eps^4 / (256 (m R G)^6)``."""
-    return eps**4 / (256.0 * (m * R * G) ** 6)
+    """The guaranteed inner-accuracy schedule ``eps^4 / (256 (m R G)^6)``, at most
+    eps, taken in logarithms: it cannot overflow, and on underflow reads 0."""
+    log_schedule = 4.0 * math.log(eps) - math.log(256.0) - 6.0 * math.log(m * R * G)
+    return math.exp(min(log_schedule, math.log(eps)))
 
 
-def _ellipsoid_budget(m: int, R: float, r: float, cap: int) -> int:
+def _ellipsoid_budget(m: int, R: float, log_r: float, cap: int) -> int:
     """Outer round budget of the ellipsoid engine, at most ``cap``.
 
     The localizer starts as the ball circumscribing ``[0, R]^m`` and every
     cut scales its volume by ``exp(central_cut_log_factor(m))``.  The budget
-    is the first round after which its volume is below ``r^m``: the
-    near-optimal dual set is taken to hold a cube of side r, so from then on
-    the localizer cannot contain it and some visited point is near optimal.
+    is the first round after which its volume is below ``r^m = exp(m log_r)``:
+    the near-optimal dual set is taken to hold a cube of side r, so from then
+    on the localizer cannot contain it and some visited point is near optimal.
     """
     log_vol_initial = log_unit_ball_volume(m) + m * math.log(math.sqrt(m) * R / 2.0)
-    rounds = math.floor((log_vol_initial - m * math.log(r)) / -central_cut_log_factor(m)) + 1
+    rounds = math.floor((log_vol_initial - m * log_r) / -central_cut_log_factor(m)) + 1
     return min(cap, max(1, rounds))
 
 
@@ -182,13 +184,12 @@ def _solve(problem: ProjectionProblem, config: SolverConfig) -> ProjectionResult
     if config.engine == "bisection":
         # The ITP safeguard spends up to ITP_N0 extra rounds on interpolated
         # queries; with them the worst-case bracket is bisection's R 2^-T.
-        T = min(
-            config.max_outer_iterations,
-            max(1, math.ceil(math.log2(max(R * G / eps, 2.0)))) + ITP_N0,
-        )
+        # log2(R G / eps) as a sum, since the product may overflow.
+        log2_ratio = math.log2(R) + math.log2(G) - math.log2(eps)
+        T = min(config.max_outer_iterations, math.ceil(max(log2_ratio, 1.0)) + ITP_N0)
     else:
-        r = _inscribed_radius(eps, m, G)
-        T = _ellipsoid_budget(m, R, r, config.max_outer_iterations)
+        log_r = _log_inscribed_radius(eps, m, G)
+        T = _ellipsoid_budget(m, R, log_r, config.max_outer_iterations)
 
     final, lam_bar, trace = cutting_plane_maximize(
         oracle=oracle,

@@ -226,6 +226,19 @@ def test_project_norm_rejects_too_small_R(capsys):
     assert "exceeds R" in capsys.readouterr().err
 
 
+def test_non_finite_R_is_an_input_error_and_a_huge_R_never_a_traceback(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    main(["gen", "--n", "6", "--m", "2", "--seed", "9", "--out", str(inst)])
+    norm = ["project-norm", "--norm", "l1", "--x0", "3,1,-2", "--via-dual", "--R"]
+    # the ellipsoid refuses an R whose squared radius m (R/2)^2 overflows
+    refused = [["solve", str(inst), "--R", R] for R in ("inf", "1e300", "1e200")]
+    for args in refused + [norm + ["inf"]]:
+        capsys.readouterr()
+        assert main(args) == 1, args
+        assert capsys.readouterr().err.startswith("error:"), args
+    assert main(norm + ["1e300"]) == 0
+
+
 def test_project_norm_rejects_bad_x0(tmp_path, capsys):
     not_json = tmp_path / "not.json"
     not_json.write_text("[1, 2")

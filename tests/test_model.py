@@ -275,11 +275,68 @@ def test_factored_matches_dense(rng):
     assert_allclose(np.sort(eigs), np.sort(spectrum), rtol=1e-9, atol=1e-12)
 
 
+def _nearly_parallel(rng, n):
+    v = rng.standard_normal(n)
+    return np.column_stack([v, v + 1e-9 * rng.standard_normal(n)])
+
+
+@pytest.mark.parametrize("J", [0, 1, 5, 12, 20, "nearly-parallel"])
+def test_wy_factor_is_the_reflector_product(rng, J):
+    n = 12
+    V = _nearly_parallel(rng, n) if J == "nearly-parallel" else rng.standard_normal((n, J))
+    V_before = V.copy()
+    fac = factored_quadratic_constraint(rng.uniform(0.1, 1.0, n), V, np.zeros(n), 1.0)
+    Y, T, _ = fac.wy
+    product = np.eye(n)
+    for v in V.T:
+        v = v / np.linalg.norm(v)
+        product = product @ (np.eye(n) - 2.0 * np.outer(v, v))
+    Q = np.eye(n) - Y @ T @ Y.T
+    assert_allclose(Q, product, rtol=0, atol=1e-12)
+    assert_allclose(Q.T @ Q, np.eye(n), rtol=0, atol=1e-12)
+    assert np.array_equal(T, np.triu(T))
+    assert not Y.flags.writeable and not T.flags.writeable
+    assert np.array_equal(V, V_before)
+
+
+def test_constructors_refuse_non_finite_data():
+    n, nan, inf = 3, float("nan"), float("inf")
+    spectrum, V, center = np.ones(n), np.eye(n)[:, :2], np.zeros(n)
+    factored_quadratic_constraint(spectrum, V, center, 1.0)  # finite data builds
+    quadratic_constraint(np.eye(n), center, 1.0)
+    factored = [
+        ([1.0, nan, 1.0], V, center, 1.0),
+        ([1.0, inf, 1.0], V, center, 1.0),
+        (spectrum, V, [0.0, nan, 0.0], 1.0),
+        (spectrum, V, [0.0, inf, 0.0], 1.0),
+        (spectrum, V, center, inf),
+        (spectrum, V, center, nan),
+        (spectrum, np.array([[1.0, 0.0], [nan, 0.0], [0.0, 1.0]]), center, 1.0),
+    ]
+    for args in factored:
+        with pytest.raises(ContractViolation):
+            factored_quadratic_constraint(*args)
+    dense = [
+        (np.diag([1.0, inf, 1.0]), center, 1.0),
+        (np.diag([1.0, nan, 1.0]), center, 1.0),
+        (np.eye(n), [0.0, nan, 0.0], 1.0),
+        (np.eye(n), [inf, 0.0, 0.0], 1.0),
+        (np.eye(n), center, inf),
+    ]
+    for args in dense:
+        with pytest.raises(ContractViolation):
+            quadratic_constraint(*args)
+    for G, L in ((inf, 1.0), (nan, 1.0), (1.0, inf)):
+        with pytest.raises(ContractViolation):
+            model.ConstraintOracle(eval=np.sum, grad=np.sign, lipschitz_G=G, smoothness_L=L)
+
+
 def test_problem_validation():
     with pytest.raises(ContractViolation):
         ProjectionProblem(x0=np.array([1.0]), constraints=(), R=1.0)
-    with pytest.raises(ContractViolation):
-        unit_ball_problem([2.0, 0.0], R=0.5)
+    for R in (0.5, np.inf, np.nan):
+        with pytest.raises(ContractViolation):
+            unit_ball_problem([2.0, 0.0], R=R)
     with pytest.raises(ContractViolation):
         SolverConfig(epsilon=1e-3, epsilon_tilde_override=1e-2)
     with pytest.raises(ContractViolation):

@@ -181,6 +181,17 @@ def test_too_small_R_is_refused():
         project_norm_ball_via_dual(x0, L2, R=8.0, eps=1e-8)
 
 
+def test_non_finite_R_or_eps_is_refused_and_a_huge_R_solves():
+    x0 = np.array([3.0, 1.0, -2.0])
+    for R, eps in ((np.inf, 1e-8), (np.nan, 1e-8), (10.0, np.inf)):
+        with pytest.raises(ContractViolation):
+            project_norm_ball_via_dual(x0, LINF_CLIP, R=R, eps=eps)
+    # R max(1, ||x0||) / eps overflows at both; the round count does not.
+    for R in (1e300, np.finfo(float).max):
+        via = project_norm_ball_via_dual(x0, LINF_CLIP, R=R, eps=1e-8)
+        assert np.linalg.norm(via - project_l1_ball(x0)) <= 1e-6
+
+
 def test_projector_call_count_bound(rng):
     for _ in range(20):
         x0 = rng.standard_normal(6) * 3.0

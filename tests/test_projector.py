@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -166,6 +167,32 @@ def test_ellipsoid_runs_its_closed_form_budget(m):
     assert len(res.trace) == rounds
     capped = project(prob, SolverConfig(epsilon=eps, max_outer_iterations=rounds // 2))
     assert len(capped.trace) == rounds // 2
+
+
+def test_huge_R_or_eps_overflows_neither_schedule_nor_budget():
+    # (m R G)^6, eps^4 and R G / eps overflow a float here; in logarithms the
+    # schedule underflows to 0 or stops at eps, and the budgets hit the cap.
+    for R in (1e50, 1e200, 1e300):
+        assert projector.default_inner_accuracy(1e-3, 2, R, 10.0) < 1e-300
+        log_r = projector._log_inscribed_radius(1e-3, 2, 10.0)
+        assert projector._ellipsoid_budget(2, R, log_r, 600) == 600
+    assert projector.default_inner_accuracy(1e100, 1, 1.0, 1.0) == pytest.approx(1e100)
+    prob = random_quadratic_instance(6, 2, seed=9)
+    for R in (1e200, 1e300):
+        with pytest.raises(ContractViolation, match="too large"):
+            project(dataclasses.replace(prob, R=R), SolverConfig(epsilon=1e-3))
+
+
+def test_a_schedule_that_underflows_solves_at_the_float_floor(monkeypatch):
+    # The guaranteed schedule sits below the float floor already, so reading
+    # 0 instead must give the same answer.
+    prob = random_quadratic_instance(6, 2, seed=9)
+    config = SolverConfig(epsilon=1e-3)
+    expected = project(prob, config)
+    monkeypatch.setattr(projector, "default_inner_accuracy", lambda *args: 0.0)
+    res = project(prob, config)
+    assert np.array_equal(res.x_hat, expected.x_hat)
+    assert res.oracle_calls == expected.oracle_calls
 
 
 def test_result_json_shape():
