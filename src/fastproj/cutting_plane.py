@@ -15,10 +15,16 @@ best value estimate (ties broken by earliest visit), returned with its
 triple.
 
 A one-dimensional bracketing engine is provided for the single-constraint
-case; it brackets the maximizer by the sign of the approximate derivative,
-queries interpolated roots of that derivative under the ITP safeguard (the
-bracket after round t is at most ``R 2^(ITP_N0 - t)``), and can stop early
-on a caller's predicate, such as a duality certificate.
+case.  It brackets the maximizer by the sign of the approximate derivative
+and queries the root of a one-pole secular model of that derivative fitted
+to two queries, the bracket ends once the sign has changed (Moré &
+Sorensen, SIAM J. Sci. Stat. Comput. 1983), falling back to inverse
+interpolation and then to the midpoint, all under the ITP safeguard (the
+bracket after bracketing round t is at most ``R 2^(ITP_N0 - t)``).
+``cutting_plane_maximize`` first queries lam = 0, where the inner problem
+is solved by the query point itself, so the lower bracket end holds data
+from the start.  The engine can stop early on a caller's predicate, such
+as a duality certificate.
 """
 
 from __future__ import annotations
@@ -194,9 +200,14 @@ def cutting_plane_maximize(
     vanishes or the localizer's extent along the cut falls below the float
     resolution of its center.  ``stop(lam, triple)`` (bisection only) ends the
     run at the first queried point where it holds and returns that point;
-    otherwise the best visited point is returned.  The bisection engine's
-    bracket after T rounds is at most ``R 2^(ITP_N0 - T)`` wide (see
-    ``bisection_maximize``).
+    otherwise the best visited point is returned.
+
+    The bisection engine first queries ``lam = 0``, whose inner problem the
+    query point itself solves, so the query costs no inner steps; it is
+    round 1 of the trace, ``stop`` is tested there, and it is passed to
+    ``bisection_maximize`` as its ``origin``.  Up to T bracketing rounds
+    follow, so a run takes up to T + 1 rounds, and the bracket after them is
+    at most ``R 2^(ITP_N0 - T)`` wide.
     """
     if T < 1:
         raise ContractViolation("T must be positive")
@@ -206,8 +217,9 @@ def cutting_plane_maximize(
         if box.m != 1:
             raise ContractViolation("bisection engine requires m = 1")
         scalar_stop = None if stop is None else lambda mid, t: stop(np.array([mid]), t)
+        scalar_oracle = lambda mid: oracle(np.array([mid]))
         triple, lam, trace = bisection_maximize(
-            lambda mid: oracle(np.array([mid])), box.R, T, scalar_stop
+            scalar_oracle, box.R, T, scalar_stop, origin=scalar_oracle(0.0)
         )
         return triple, np.array([lam]), trace
     raise ContractViolation(f"unknown engine {engine!r}")
@@ -296,29 +308,80 @@ def _interpolated_root(queries: list[tuple[float, float]]) -> float | None:
     return None
 
 
+def _secular_root(
+    lo: tuple[float, float, float], hi: tuple[float, float, float]
+) -> float | None:
+    """Root of the one-pole secular model ``g(lam) ~ K/(1 + beta (lam - a))^2
+    - gamma`` (Moré & Sorensen, 1983) fitted to g at two queries
+    ``lo = (a, v_a, g_a)`` and ``hi = (b, v_b, g_b)``, ``a < b``,
+    ``g_a > max(g_b, 0)``, and to ``v_b - v_a``, the integral of g.  With
+    ``h = b - a`` the fit is ``1 + beta h = rho / (1 - rho)`` for
+    ``rho = (g_a h - (v_b - v_a)) / ((g_a - g_b) h)``, then
+    ``K = (g_a - g_b) / (1 - (1 + beta h)^-2)`` and ``gamma = K - g_a``, and
+    the root ``a + (sqrt(K/gamma) - 1)/beta`` is evaluated as
+    ``a + g_a h / (gamma beta h (sqrt(K/gamma) + 1))``, which does not cancel
+    and reads the secant root at rho = 1/2, where g is linear.  The root lies
+    in ``(a, b]`` when ``g_b <= 0`` and beyond b when ``g_b > 0``.  A ball's
+    dual derivative is exactly this model.  None unless 0 < rho < 1 and the
+    model has a root."""
+    a, v_a, g_a = lo
+    b, v_b, g_b = hi
+    if not g_a > g_b:
+        return None
+    h = b - a
+    rho = (g_a * h - (v_b - v_a)) / ((g_a - g_b) * h)
+    if not 0.0 < rho < 1.0:
+        return None
+    beta_h = (2.0 * rho - 1.0) / (1.0 - rho)
+    K_beta_h = (g_a - g_b) * rho * rho / (1.0 - rho)
+    gamma_beta_h = K_beta_h - g_a * beta_h
+    if not gamma_beta_h > 0.0:  # g stays above gamma's level: no root
+        return None
+    return a + g_a * h / (gamma_beta_h * (math.sqrt(K_beta_h / gamma_beta_h) + 1.0))
+
+
 def bisection_maximize(
     oracle: Callable[[float], OracleTriple],
     R: float,
     T: int,
     stop: Callable[[float, OracleTriple], bool] | None = None,
+    origin: OracleTriple | None = None,
 ) -> tuple[OracleTriple, float, CutTrace]:
     """Safeguarded root search for the derivative sign change over [0, R],
     driven by a triple oracle.
 
     The bracket ``[lo, hi]`` moves ``lo`` to queries with ``g > 0`` and
-    ``hi`` to queries with ``g <= 0``.  Each round queries the root of g
-    interpolated through the last queries when their g values take both
-    signs and the root lies strictly inside the bracket, else the midpoint;
-    so until g has changed sign the rounds bisect.  The ITP projection
-    (Oliveira & Takahashi, ACM TOMS 2021) clips an interpolated query to
-    within ``R 2^(ITP_N0 - t) - (hi - lo)/2`` of the midpoint, so after round
-    t the bracket is at most ``R 2^(ITP_N0 - t)`` wide: ``T + ITP_N0`` rounds
-    give plain bisection's ``R 2^-T``, while a smooth monotone g is found
-    superlinearly.
+    ``hi`` to queries with ``g <= 0``, and keeps ``(lam, v, g)`` at each end
+    once a query sits there.  Each round queries, in this order of
+    preference, a root strictly inside the bracket of:
+
+    1. the secular model ``_secular_root``, while the model is trusted,
+       fitted to both ends once both hold data, and before that to the
+       current lower end and the one before it, so that a maximizer beyond
+       the first midpoints is reached by extrapolation;
+    2. the inverse interpolation of g through the last queries, when their g
+       values take both signs;
+    3. otherwise the midpoint.
+
+    The model stays trusted until its first query whose ``|g|`` exceeds half
+    the smaller ``|g|`` at the two points it was fitted to, and then for the
+    rest of the run.  The ITP projection (Oliveira & Takahashi, ACM TOMS
+    2021) clips a model or interpolated query to within
+    ``R 2^(ITP_N0 - t) - (hi - lo)/2`` of the midpoint, so after bracketing
+    round t the bracket is at most ``R 2^(ITP_N0 - t)`` wide: ``T + ITP_N0``
+    rounds give plain bisection's ``R 2^-T``, while a smooth monotone g is
+    found superlinearly.
+
+    ``origin``, when given, is the oracle's triple at ``lam = 0``.  It is
+    round 1 of the trace: ``stop`` is tested there, and its g seeds the
+    lower bracket end for the model (not the interpolation, whose secant
+    through it lands near the midpoint); a g <= 0 there leaves the bracket
+    ``[0, 0]``, and the run returns it.  T bracketing rounds follow, so a
+    run takes up to T + 1 rounds.
 
     Returns ``(triple_tau, lam_tau, trace)``.  When ``stop(lam, triple)``
     holds at a queried point, the run ends there and tau is that round;
-    otherwise all T rounds run and tau indexes the queried point with the
+    otherwise all rounds run and tau indexes the queried point with the
     best value estimate.  A ``NumericalFailure`` raised by the oracle carries
     the rounds completed so far as its ``trace``.
     """
@@ -326,14 +389,28 @@ def bisection_maximize(
         raise ContractViolation("T must be positive")
     R = float(R)
     lo, hi = 0.0, R
+    ends: list[tuple[float, float, float] | None] = [None, None]
+    below = None  # the lower end before the current one
     queries: list[tuple[float, float]] = []
     trace = CutTrace()
     best = None
+    trusted = True
     try:
+        if origin is not None:
+            g = float(np.asarray(origin.g).reshape(-1)[0])
+            trace.append(True, np.array([0.0]), np.array([-g]), origin.v, _log_bracket(R))
+            if g <= 0.0 or (stop is not None and stop(0.0, origin)):
+                return origin, 0.0, trace
+            best = (origin, 0.0)
+            ends[0] = (0.0, origin.v, g)
         for t in range(1, T + 1):
             mid = 0.5 * (lo + hi)
             lam = mid
-            x = _interpolated_root(queries)
+            fit = (ends[0], ends[1]) if ends[1] is not None else (below, ends[0])
+            x = _secular_root(*fit) if trusted and None not in fit else None
+            modeled = x is not None and lo < x < hi
+            if not modeled:
+                x = _interpolated_root(queries)
             if x is not None and lo < x < hi:
                 r = max(0.0, R * 2.0 ** (ITP_N0 - t) - 0.5 * (hi - lo))
                 lam = min(max(x, mid - r), mid + r)
@@ -344,11 +421,15 @@ def bisection_maximize(
                 return triple, lam, trace
             if best is None or triple.v > best[0].v:
                 best = (triple, lam)
+            if modeled and abs(g) > 0.5 * min(abs(fit[0][2]), abs(fit[1][2])):
+                trusted = False
             queries.append((lam, g))
             if g > 0:
                 lo = lam
+                below, ends[0] = ends[0], (lam, triple.v, g)
             else:
                 hi = lam
+                ends[1] = (lam, triple.v, g)
     except NumericalFailure as err:
         err.trace = trace  # partial diagnostics travel with the failure
         raise

@@ -65,7 +65,8 @@ def project_norm_ball_via_dual(
     The primal point of the last queried multiplier is returned: the
     oracle's derivative sign is exact, so the final bracket, at most
     ``R 2^(ITP_N0 - T)`` wide, holds the optimal multiplier, and the
-    interpolated queries usually pin it to float precision much sooner.
+    model and interpolated queries usually pin it to float precision much
+    sooner.
     The best-value query is not used, because far from the ball the dual
     values of distant queries tie to float precision.  Since the dual value
     at lam = 0 is 0 and exceeds d(lam) for every lam > 0 exactly when x0 is
@@ -87,6 +88,7 @@ def project_norm_ball_via_dual(
         last = exact_dual_norm_oracle(x0, lam, pi_star)
         return last
 
+    # No origin triple: the exact oracle is undefined at lam = 0.
     _, _, trace = bisection_maximize(oracle, R, T)
     # The trace's cut w is -g.  When every query read g > 0 the bracket is
     # [lo, R], which holds the optimum only if g(R) <= 0.

@@ -11,10 +11,18 @@ the engine returns.  With the guaranteed inner-accuracy schedule the output
 
 The bisection engine stops as soon as a queried point passes ``certified``,
 the weak-duality test that already proves the tighter bound
-``||x_hat - x0||^2 <= ||x - x0||^2 + eps + eps_eff``; it is given
-``ceil(log2(R G / eps)) + ITP_N0`` rounds, so that its interpolated queries
-leave at worst plain bisection's final bracket.  Every result reports the
-test at its own answer as ``ProjectionResult.certified``.
+``||x_hat - x0||^2 <= ||x - x0||^2 + eps + eps_eff``.  Its first query is
+lam = 0, where x0 itself solves the inner problem, so an interior x0 is
+returned unchanged after one constraint evaluation; then it steps on a
+secular model of the dual derivative.  It is given
+``ceil(log2(R G / eps)) + ITP_N0`` bracketing rounds after that query, so
+that its model and interpolated queries leave at worst plain bisection's
+final bracket.  Every result reports the test at its own answer as
+``ProjectionResult.certified``.
+
+Where ``G = 0`` (a quadratic with A = 0, which always holds) the logarithms
+of G take their limit: the inscribed radius is infinite, so the ellipsoid
+runs 1 round, and the bisection is given ``1 + ITP_N0`` rounds.
 
 When the multiplier bound R is unknown, ``SolverConfig.max_doubling_rounds``
 lets ``project`` restart with a doubled R while the answer's multipliers sit
@@ -99,7 +107,10 @@ def bound_R_quadratic(c: Array, B: float, X_star: float) -> float:
 def _log_inscribed_radius(eps: float, m: int, G: float) -> float:
     # The paper's radius is min(eps/bound, sqrt(eps)/G)/(2m), the bound being
     # one on |h_i| over the feasible set.  Problems carry no such bound, so G
-    # stands in for it.  Its logarithm cannot underflow.
+    # stands in for it.  Its logarithm cannot underflow, and at G = 0 the
+    # radius is infinite.
+    if G == 0.0:
+        return math.inf
     return math.log(min(eps, math.sqrt(eps)) / (2.0 * m)) - math.log(G)
 
 
@@ -117,8 +128,10 @@ def certified(lam: Array, triple: OracleTriple, eps: float) -> bool:
 
 def default_inner_accuracy(eps: float, m: int, R: float, G: float) -> float:
     """The guaranteed inner-accuracy schedule ``eps^4 / (256 (m R G)^6)``, at most
-    eps, taken in logarithms: it cannot overflow, and on underflow reads 0."""
-    log_schedule = 4.0 * math.log(eps) - math.log(256.0) - 6.0 * math.log(m * R * G)
+    eps, taken in logarithms: it cannot overflow, on underflow reads 0, and at
+    G = 0 reads eps."""
+    log_mRG = math.log(m * R * G) if G > 0.0 else -math.inf
+    log_schedule = 4.0 * math.log(eps) - math.log(256.0) - 6.0 * log_mRG
     return math.exp(min(log_schedule, math.log(eps)))
 
 
@@ -130,7 +143,10 @@ def _ellipsoid_budget(m: int, R: float, log_r: float, cap: int) -> int:
     is the first round after which its volume is below ``r^m = exp(m log_r)``:
     the near-optimal dual set is taken to hold a cube of side r, so from then
     on the localizer cannot contain it and some visited point is near optimal.
+    An infinite r makes every point near optimal: one round.
     """
+    if log_r == math.inf:
+        return 1
     log_vol_initial = log_unit_ball_volume(m) + m * math.log(math.sqrt(m) * R / 2.0)
     rounds = math.floor((log_vol_initial - m * log_r) / -central_cut_log_factor(m)) + 1
     return min(cap, max(1, rounds))
@@ -184,8 +200,10 @@ def _solve(problem: ProjectionProblem, config: SolverConfig) -> ProjectionResult
     if config.engine == "bisection":
         # The ITP safeguard spends up to ITP_N0 extra rounds on interpolated
         # queries; with them the worst-case bracket is bisection's R 2^-T.
-        # log2(R G / eps) as a sum, since the product may overflow.
-        log2_ratio = math.log2(R) + math.log2(G) - math.log2(eps)
+        # log2(R G / eps) as a sum, since the product may overflow; at G = 0
+        # it is -inf and T is 1 + ITP_N0.
+        log2_G = math.log2(G) if G > 0.0 else -math.inf
+        log2_ratio = math.log2(R) + log2_G - math.log2(eps)
         T = min(config.max_outer_iterations, math.ceil(max(log2_ratio, 1.0)) + ITP_N0)
     else:
         log_r = _log_inscribed_radius(eps, m, G)

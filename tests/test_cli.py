@@ -239,6 +239,21 @@ def test_non_finite_R_is_an_input_error_and_a_huge_R_never_a_traceback(tmp_path,
     assert main(norm + ["1e300"]) == 0
 
 
+def test_solve_a_constraint_with_zero_gradient(tmp_path, capsys):
+    # A = 0 makes the Lipschitz bound G = 0, whose logarithm the budgets take
+    # as its limit instead of raising
+    from fastproj.model import problem_to_json, quadratic_constraint, quadratic_problem
+
+    q = quadratic_constraint(np.zeros((3, 3)), np.zeros(3), 1.0)
+    inst = tmp_path / "zero.json"
+    inst.write_text(problem_to_json(quadratic_problem(np.array([2.0, 0.0, 0.0]), [q], R=4.0)))
+    capsys.readouterr()
+    assert main(["solve", str(inst), "--engine", "bisection"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out)["x_hat"] == [2.0, 0.0, 0.0]
+
+
 def test_project_norm_rejects_bad_x0(tmp_path, capsys):
     not_json = tmp_path / "not.json"
     not_json.write_text("[1, 2")

@@ -10,6 +10,7 @@ from fastproj.cutting_plane import (
     CutTrace,
     DualBox,
     EllipsoidState,
+    _secular_root,
     bisection_maximize,
     central_cut_log_factor,
     cutting_plane_maximize,
@@ -309,7 +310,8 @@ def test_never_certified_oracle_runs_all_rounds():
     stopped = cutting_plane_maximize(
         oracle, box, "bisection", T, stop=lambda lam, t: certified(lam, t, 1e-3)
     )
-    assert len(plain[2]) == len(stopped[2]) == T
+    # the lam = 0 round comes first, then the T bracketing rounds
+    assert len(plain[2]) == len(stopped[2]) == T + 1
     assert np.array_equal(plain[1], stopped[1])
     assert stopped[1][0] == 4.0 * (1.0 - 2.0**-T)
 
@@ -327,7 +329,13 @@ def test_bisection_bracket_keeps_maximizer_with_exact_signs():
         "jump": lambda lam, s: 1e6 * (s - lam) if lam < s else 1e-6 * (s - lam),
         "flat": lambda lam, s: math.copysign(abs(s - lam) ** 9, s - lam),
     }
-    for name, g in shapes.items():
+    cases = [(name, g, lambda lam, s: -abs(lam - s)) for name, g in shapes.items()]
+    # "jump" again with v the integral of g, which the secular model fits:
+    # its first model query lands far from lam_star, and only the trust rule
+    # keeps the next ones from crawling
+    integral = lambda lam, s: -0.5e6 * (s - lam) ** 2 if lam < s else -0.5e-6 * (lam - s) ** 2
+    cases.append(("jump, integral v", shapes["jump"], integral))
+    for name, g, value in cases:
         for lam_star in (1e-3, 1.37, R - 1e-3):
             bracket = [0.0, R]
             queries = []
@@ -341,7 +349,7 @@ def test_bisection_bracket_keeps_maximizer_with_exact_signs():
                 assert bracket[0] <= lam_star <= bracket[1], (name, lam_star)
                 width_bound = R * 2.0 ** (ITP_N0 - len(queries)) + 4.0 * math.ulp(R)
                 assert bracket[1] - bracket[0] <= width_bound, (name, lam_star)
-                return OracleTriple(np.array([lam]), np.array([slope]), -abs(lam - lam_star))
+                return OracleTriple(np.array([lam]), np.array([slope]), value(lam, lam_star))
 
             bisection_maximize(oracle, R, T)
             assert len(queries) == T
@@ -349,6 +357,68 @@ def test_bisection_bracket_keeps_maximizer_with_exact_signs():
                 # bisection needs 32 rounds to come within 1e-9
                 close = [t for t, lam in enumerate(queries, 1) if abs(lam - lam_star) <= 1e-9]
                 assert close[0] <= 12, (name, close[0])
+
+
+def _ball_ends(a, b, s=2.0, z_sq=9.0, c=1.0):
+    # the exact dual of one ball constraint, A = s I:
+    # d(lam) = z_sq lam s/(1 + lam s) - lam c, d'(lam) = s z_sq/(1 + lam s)^2 - c
+    d = lambda lam: z_sq * lam * s / (1.0 + lam * s) - lam * c
+    g = lambda lam: s * z_sq / (1.0 + lam * s) ** 2 - c
+    lam_star = (math.sqrt(s * z_sq / c) - 1.0) / s
+    return (a, d(a), g(a)), (b, d(b), g(b)), lam_star
+
+
+def test_secular_root_is_one_step_on_a_ball_dual():
+    for a, b in ((0.0, 4.0), (0.0, 100.0), (1.0, 1.7), (1e-3, 2.5)):
+        lo, hi, lam_star = _ball_ends(a, b)
+        assert lo[2] > 0.0 > hi[2]
+        assert _secular_root(lo, hi) == pytest.approx(lam_star, rel=1e-12, abs=0.0)
+
+
+def test_secular_root_extrapolates_from_two_points_below_the_root():
+    # both g > 0: the ball's model still holds, and its root lies beyond b
+    lo, hi, lam_star = _ball_ends(0.0, 0.8)
+    assert lo[2] > hi[2] > 0.0
+    assert _secular_root(lo, hi) == pytest.approx(lam_star, rel=1e-12, abs=0.0)
+    # a g that does not decrease has no model
+    assert _secular_root((0.0, 0.0, 1.0), (1.0, 1.0, 1.0)) is None
+
+
+def test_secular_root_of_a_linear_g_is_the_secant_root():
+    # g = 1.5 - lam with v its integral: rho = 1/2
+    for a, b in ((0.5, 3.0), (0.0, 1.6), (1.2, 40.0)):
+        lo = (a, 1.5 * a - 0.5 * a * a, 1.5 - a)
+        hi = (b, 1.5 * b - 0.5 * b * b, 1.5 - b)
+        secant = a + lo[2] * (b - a) / (lo[2] - hi[2])
+        assert _secular_root(lo, hi) == pytest.approx(secant, rel=1e-12, abs=0.0)
+
+
+def test_secular_root_refuses_values_the_model_cannot_fit():
+    # rho = (g_a h - (v_b - v_a)) / ((g_a - g_b) h) with h = 1, g_a - g_b = 2
+    for v_b, rho in ((5.0, -2.0), (1.0, 0.0), (-1.0, 1.0), (-5.0, 3.0)):
+        assert _secular_root((0.0, 0.0, 1.0), (1.0, v_b, -1.0)) is None, rho
+
+
+def test_bisection_origin_is_the_first_round_and_seeds_the_model():
+    # on a ball's exact dual the origin fills the lower end and the first
+    # bracketing round bisects; the model then lands on lam_star from the
+    # two ends (R = 8) or by extrapolation from 0 and R/2 (R = 3)
+    origin_end, _, lam_star = _ball_ends(0.0, 1.0)
+
+    def oracle(lam):
+        _, (_, v, g), _ = _ball_ends(0.0, lam)
+        return OracleTriple(np.array([lam]), np.array([g]), v)
+
+    origin = OracleTriple(np.array([0.0]), np.array([origin_end[2]]), origin_end[1])
+    stop = lambda lam, t: abs(lam - lam_star) <= 1e-12 * lam_star
+    for R in (8.0, 3.0):
+        _, lam, trace = bisection_maximize(oracle, R, 30, stop, origin=origin)
+        assert [l[0] for l in trace.lam][:2] == [0.0, R / 2]
+        assert len(trace) == 3 and lam == trace.lam[-1][0]
+    # an origin with g <= 0 leaves the bracket [0, 0]: the run returns it
+    flat = OracleTriple(np.array([0.0]), np.array([-1.0]), 0.0)
+    triple, lam, trace = bisection_maximize(oracle, 8.0, 30, origin=flat)
+    assert triple is flat and lam == 0.0 and len(trace) == 1
 
 
 def test_trace_csv_layout():

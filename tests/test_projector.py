@@ -50,6 +50,31 @@ def test_interior_point_projects_to_itself():
     assert res.lambda_bar[0] <= 1e-2
 
 
+def test_bisection_returns_an_interior_x0_from_its_lam_zero_round():
+    # x0 solves the inner problem at lam = 0 exactly, and is feasible
+    for prob in (unit_ball_problem([0.4, -0.2], R=1.0), unit_ball_problem([0.0, 0.999])):
+        res = project(prob, SolverConfig(epsilon=1e-4, engine="bisection"))
+        assert np.array_equal(res.x_hat, prob.x0)
+        assert res.lambda_bar[0] == 0.0 and res.certified
+        assert res.oracle_calls == 1 == sum(res.trace.in_box) == len(res.trace)
+
+
+def test_a_constraint_with_zero_gradient_takes_the_limit_of_its_logarithms():
+    # A = 0 gives the constraint -c <= 0, which always holds, and G = 0
+    q = quadratic_constraint(np.zeros((3, 3)), np.zeros(3), 1.0)
+    prob = quadratic_problem(np.array([2.0, 0.0, 0.0]), [q], R=4.0)
+    assert prob.max_lipschitz() == 0.0
+    assert projector.default_inner_accuracy(1e-3, 1, prob.R, 0.0) == pytest.approx(1e-3)
+    for engine in ("ellipsoid", "bisection"):
+        res = project(prob, SolverConfig(epsilon=1e-3, engine=engine))
+        assert np.array_equal(res.x_hat, prob.x0)
+        assert res.max_violation == -1.0
+        # an infinite inscribed radius leaves the ellipsoid one round; the
+        # bisection certifies at its lam = 0 round
+        assert len(res.trace) == 1
+    assert res.certified and res.lambda_bar[0] == 0.0
+
+
 def test_bisection_engine_requires_single_constraint(rng):
     quads = [
         quadratic_constraint(np.eye(2), np.zeros(2), 1.0),
