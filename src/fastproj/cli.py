@@ -192,7 +192,6 @@ def _config_from_args(args, max_outer: int | None = None) -> SolverConfig:
     kwargs = dict(
         epsilon=args.eps,
         epsilon_tilde_override=getattr(args, "eps_tilde", None),
-        engine=getattr(args, "engine", "ellipsoid"),
         max_doubling_rounds=getattr(args, "max_doubles", 0),
     )
     if max_outer is not None:
@@ -357,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--eps", type=float, default=1e-4)
     p.add_argument("--eps-tilde", type=float, default=None)
-    p.add_argument("--engine", choices=["ellipsoid", "bisection"], default="ellipsoid")
     p.add_argument("--R", type=float, default=None, help="override the instance's multiplier bound")
     p.add_argument("--max-doubles", type=int, default=0)
     p.add_argument("--out", default=None)
@@ -367,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--eps", type=float, default=1e-3)
     p.add_argument("--eps-tilde", type=float, default=None)
-    p.add_argument("--engine", choices=["ellipsoid", "bisection"], default="ellipsoid")
     p.add_argument("--grid-resolution", type=int, default=200)
     p.add_argument("--max-outer", type=int, default=None)
     p.set_defaults(func=cmd_verify)
@@ -386,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--eps", type=float, default=1e-4)
     p.add_argument("--eps-tilde", type=float, default=None)
-    p.add_argument("--engine", choices=["ellipsoid", "bisection"], default="ellipsoid")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_trace)
 

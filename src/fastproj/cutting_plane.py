@@ -2,29 +2,30 @@
 
 Both engines query one oracle, ``lam -> OracleTriple``, exactly once per
 in-box round; the triple's ``g`` and ``v`` are the approximate dual gradient
-and value.  Out-of-box points are never queried.
+and value.  Out-of-box points are never queried.  ``cutting_plane_maximize``
+first queries lam = 0, where the inner problem is solved by the query point
+itself, and then runs the engine the number of multipliers m selects.
 
-The localizer starts as an ellipsoid covering the dual box ``[0, R]^m`` and
-is cut through its center every round: with the negated approximate gradient
-when the center lies in the box, with a box separation vector otherwise.
-Either way the kept half is guaranteed to contain every near-optimal dual
-point that has not already been certified by a visited iterate, and the
-localizer volume shrinks by a fixed factor per cut, so logarithmically many
-rounds suffice.  The returned point is the visited in-box point with the
-best value estimate (ties broken by earliest visit), returned with its
-triple.
+For m >= 2 the localizer starts as an ellipsoid covering the dual box
+``[0, R]^m`` and is cut through its center every round: with the negated
+approximate gradient when the center lies in the box, with a box separation
+vector otherwise.  Either way the kept half is guaranteed to contain every
+near-optimal dual point that has not already been certified by a visited
+iterate, and the localizer volume shrinks by a fixed factor per cut, so
+logarithmically many rounds suffice.  The returned point is the visited
+in-box point with the best value estimate (ties broken by earliest visit),
+returned with its triple.
 
-A one-dimensional bracketing engine is provided for the single-constraint
-case.  It brackets the maximizer by the sign of the approximate derivative
-and queries the root of a one-pole secular model of that derivative fitted
-to two queries, the bracket ends once the sign has changed (Moré &
-Sorensen, SIAM J. Sci. Stat. Comput. 1983), falling back to inverse
-interpolation and then to the midpoint, all under the ITP safeguard (the
-bracket after bracketing round t is at most ``R 2^(ITP_N0 - t)``).
-``cutting_plane_maximize`` first queries lam = 0, where the inner problem
-is solved by the query point itself, so the lower bracket end holds data
-from the start.  The engine can stop early on a caller's predicate, such
-as a duality certificate.
+For m = 1, where a central cut is interval halving, a bracketing engine
+takes its place.  It brackets the maximizer by the sign of the approximate
+derivative and queries the root of a one-pole secular model of that
+derivative fitted to two queries, the bracket ends once the sign has
+changed (Moré & Sorensen, SIAM J. Sci. Stat. Comput. 1983), falling back to
+inverse interpolation and then to the midpoint, all under the ITP safeguard
+(the bracket after bracketing round t is at most ``R 2^(ITP_N0 - t)``).
+The lam = 0 query holds its lower bracket end from the start, and the
+engine can stop early on a caller's predicate, such as a duality
+certificate.
 """
 
 from __future__ import annotations
@@ -127,8 +128,8 @@ def log_unit_ball_volume(m: int) -> float:
 
 def central_cut_log_factor(m: int) -> float:
     """Analytic log of the volume ratio of one central ellipsoid cut (< 0)."""
-    if m == 1:
-        return -math.log(2.0)
+    if m < 2:
+        raise ContractViolation("the ellipsoid needs m >= 2")
     return math.log(m / (m + 1.0)) + 0.5 * (m - 1.0) * math.log(m * m / (m * m - 1.0))
 
 
@@ -153,79 +154,63 @@ def ellipsoid_update(state: EllipsoidState, w: Array) -> EllipsoidState:
 
     Equivalent to ``c' = c - Qw/((m+1) sqrt(wQw))`` and
     ``Q' = m^2/(m^2-1) (Q - 2/(m+1) (Qw)(Qw)^T / wQw)``, performed on the
-    factor; for m = 1 the interval is halved.
+    factor.
     """
+    m = state.center.size
+    if m < 2:
+        raise ContractViolation("the ellipsoid needs m >= 2")
     w = np.asarray(w, dtype=float)
     if not np.any(w):
         raise ContractViolation("cut direction must be nonzero")
-    m = state.center.size
     B = state.factor
-    if m == 1:
-        half = abs(float(B[0, 0]))
-        sign = 1.0 if w[0] > 0 else -1.0
-        center = state.center - sign * (half / 2.0)
-        B_new = np.array([[half / 2.0]])
-    else:
-        Bw = B.T @ w
-        wQw = float(Bw @ Bw)
-        if wQw <= 0.0 or not math.isfinite(wQw):
-            raise NumericalFailure(
-                "localizer degenerate along the cut direction", payload=state
-            )
-        p = Bw / math.sqrt(wQw)
-        Bp = B @ p
-        center = state.center - Bp / (m + 1.0)
-        scale = math.sqrt(m * m / (m * m - 1.0))
-        gamma = 1.0 - math.sqrt((m - 1.0) / (m + 1.0))
-        B_new = scale * (B - gamma * np.outer(Bp, p))
+    Bw = B.T @ w
+    wQw = float(Bw @ Bw)
+    if wQw <= 0.0 or not math.isfinite(wQw):
+        raise NumericalFailure("localizer degenerate along the cut direction", payload=state)
+    p = Bw / math.sqrt(wQw)
+    Bp = B @ p
+    center = state.center - Bp / (m + 1.0)
+    scale = math.sqrt(m * m / (m * m - 1.0))
+    gamma = 1.0 - math.sqrt((m - 1.0) / (m + 1.0))
     return EllipsoidState(
         center=center,
         log_volume_offset=state.log_volume_offset + central_cut_log_factor(m),
-        factor=B_new,
+        factor=scale * (B - gamma * np.outer(Bp, p)),
     )
 
 
 def cutting_plane_maximize(
     oracle: Callable[[Array], OracleTriple],
     box: DualBox,
-    engine: str = "ellipsoid",
-    T: int = 100,
+    T: int,
     stop: Callable[[Array, OracleTriple], bool] | None = None,
 ) -> tuple[OracleTriple, Array, CutTrace]:
-    """Run up to T rounds of the chosen engine; return ``(triple, lam, trace)``
+    """Query ``lam = 0``, then run up to T rounds of ``bisection_maximize``
+    for m = 1 or of the ellipsoid for m >= 2; return ``(triple, lam, trace)``
     for the returned point ``lam`` and the oracle's triple there.
 
     ``oracle`` is queried once per in-box round and never outside the box.
-    The ellipsoid engine runs T rounds unless the approximate gradient
-    vanishes or the localizer's extent along the cut falls below the float
-    resolution of its center.  ``stop(lam, triple)`` (bisection only) ends the
-    run at the first queried point where it holds and returns that point;
-    otherwise the best visited point is returned.
-
-    The bisection engine first queries ``lam = 0``, whose inner problem the
-    query point itself solves, so the query costs no inner steps; it is
-    round 1 of the trace, ``stop`` is tested there, and it is passed to
-    ``bisection_maximize`` as its ``origin``.  Up to T bracketing rounds
-    follow, so a run takes up to T + 1 rounds, and the bracket after them is
-    at most ``R 2^(ITP_N0 - T)`` wide.
+    The ``lam = 0`` query costs no inner steps; it is round 1 of the trace,
+    ``stop`` is tested there, and it seeds both engines.  ``stop(lam,
+    triple)`` ends the run at the first queried point where it holds (the
+    ellipsoid tests it only at ``lam = 0``) and returns that point;
+    otherwise the best visited point is returned.  The bisection bracket
+    after T rounds is at most ``R 2^(ITP_N0 - T)`` wide.  The ellipsoid runs
+    T rounds unless the approximate gradient vanishes or the localizer's
+    extent along the cut falls below the float resolution of its center.
     """
-    if T < 1:
-        raise ContractViolation("T must be positive")
-    if engine == "ellipsoid":
-        return _ellipsoid_maximize(oracle, box, T)
-    if engine == "bisection":
-        if box.m != 1:
-            raise ContractViolation("bisection engine requires m = 1")
-        scalar_stop = None if stop is None else lambda mid, t: stop(np.array([mid]), t)
-        scalar_oracle = lambda mid: oracle(np.array([mid]))
-        triple, lam, trace = bisection_maximize(
-            scalar_oracle, box.R, T, scalar_stop, origin=scalar_oracle(0.0)
-        )
-        return triple, np.array([lam]), trace
-    raise ContractViolation(f"unknown engine {engine!r}")
+    if T < 0:
+        raise ContractViolation("T must be nonnegative")
+    origin = oracle(np.zeros(box.m))
+    if box.m > 1:
+        return _ellipsoid_maximize(oracle, box, T, stop, origin)
+    scalar_stop = None if stop is None else lambda mid, t: stop(np.array([mid]), t)
+    scalar_oracle = lambda mid: oracle(np.array([mid]))
+    triple, lam, trace = bisection_maximize(scalar_oracle, box.R, T, scalar_stop, origin)
+    return triple, np.array([lam]), trace
 
 
-def _ellipsoid_maximize(oracle, box, T):
+def _ellipsoid_maximize(oracle, box, T, stop, origin):
     m = box.m
     # Smallest ball covering the box: the corners sit at distance sqrt(m) R/2.
     # Factor and log volume both come from its matrix Q0; a closed-form
@@ -237,8 +222,11 @@ def _ellipsoid_maximize(oracle, box, T):
     state = EllipsoidState(center=box.center(), factor=np.linalg.cholesky(Q0))
     log_vol_initial = log_unit_ball_volume(m) + 0.5 * float(np.linalg.slogdet(Q0)[1])
     trace = CutTrace()
-    best_v = -math.inf
-    best = None  # (lam, triple) of the best value so far
+    lam_0 = np.zeros(m)
+    trace.append(True, lam_0, -np.asarray(origin.g, dtype=float), origin.v, log_vol_initial)
+    if stop is not None and stop(lam_0, origin):
+        return origin, lam_0, trace
+    best_v, best = float(origin.v), (lam_0, origin)  # (lam, triple) of the best value
     try:
         for t in range(1, T + 1):
             lam_t = state.center.copy()
@@ -274,8 +262,6 @@ def _ellipsoid_maximize(oracle, box, T):
     except NumericalFailure as err:
         err.trace = trace  # partial diagnostics travel with the failure
         raise
-
-    assert best is not None  # the first center is the box center
     return best[1], best[0], trace
 
 
@@ -377,7 +363,7 @@ def bisection_maximize(
     lower bracket end for the model (not the interpolation, whose secant
     through it lands near the midpoint); a g <= 0 there leaves the bracket
     ``[0, 0]``, and the run returns it.  T bracketing rounds follow, so a
-    run takes up to T + 1 rounds.
+    run takes up to T + 1 rounds; T may be 0 only with an origin.
 
     Returns ``(triple_tau, lam_tau, trace)``.  When ``stop(lam, triple)``
     holds at a queried point, the run ends there and tau is that round;
@@ -385,8 +371,8 @@ def bisection_maximize(
     best value estimate.  A ``NumericalFailure`` raised by the oracle carries
     the rounds completed so far as its ``trace``.
     """
-    if T < 1:
-        raise ContractViolation("T must be positive")
+    if T < (1 if origin is None else 0):
+        raise ContractViolation("T must be positive, or nonnegative with an origin")
     R = float(R)
     lo, hi = 0.0, R
     ends: list[tuple[float, float, float] | None] = [None, None]

@@ -42,11 +42,9 @@ class ConstraintOracle:
     """One smooth convex constraint ``h(x) <= 0``.
 
     ``eval`` maps a point of shape ``(n,)`` to the constraint value and
-    ``grad`` to its gradient.  Both must also broadcast over a leading batch
-    axis (``(K, n) -> (K,)`` values, ``(K, n) -> (K, n)`` gradients); the
-    grid-search reference solver relies on that.  ``lipschitz_G`` bounds
-    ``|h(x) - h(y)| / ||x - y||`` on the declared working region and
-    ``smoothness_L`` bounds the gradient's Lipschitz constant everywhere.
+    ``grad`` to its gradient.  ``lipschitz_G`` bounds ``|h(x) - h(y)| /
+    ||x - y||`` on the declared working region and ``smoothness_L`` bounds
+    the gradient's Lipschitz constant everywhere.
     """
 
     eval: Callable[[Array], Array]
@@ -135,10 +133,12 @@ class SolverConfig:
     absent the inner accuracy follows the guaranteed schedule
     ``eps**4 / (256 (m R G)**6)``, which in practice is clamped to the float
     floor ``1e-13 (1 + ||x0||^2)``; the override exposes the practical regime
-    (e.g. ``500 * eps**2``).  ``engine`` picks the dual maximizer;
-    ``"bisection"`` is valid only for a single constraint.
-    ``max_outer_iterations`` caps the ellipsoid engine's closed-form round
-    count (``projector._ellipsoid_budget``).  ``max_doubling_rounds`` is how
+    (e.g. ``500 * eps**2``).  ``engine`` selects nothing: the number of
+    constraints picks the dual engine, so ``"ellipsoid"`` and
+    ``"bisection"`` both run the 1-D search at m = 1, and ``"bisection"``
+    is refused at m >= 2.  The field goes once the benchmark stops passing
+    it.  ``max_outer_iterations`` caps the rounds of the dual engine, the
+    lam = 0 query included.  ``max_doubling_rounds`` is how
     many times ``project`` may double R while the answer sits on the box
     boundary; 0 means one solve.
     """

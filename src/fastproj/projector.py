@@ -4,25 +4,26 @@
 cutting-plane engine whose oracle, one approximate minimization of the
 Lagrangian in the primal, yields the primal point, dual gradient and dual
 value together; the primal solution is the oracle's point at the dual point
-the engine returns.  With the guaranteed inner-accuracy schedule the output
-``x_hat`` satisfies, against every feasible x,
+the engine returns.  m picks the engine: the ellipsoid for m >= 2, a
+bracketing search for m = 1.  With the guaranteed inner-accuracy schedule
+the output ``x_hat`` satisfies, against every feasible x,
 
     ||x_hat - x0||^2 <= ||x - x0||^2 + 6 eps      and      h_i(x_hat) <= eps.
 
-The bisection engine stops as soon as a queried point passes ``certified``,
+Both engines first query lam = 0, where x0 itself solves the inner problem,
+so an interior x0 is returned unchanged after one constraint evaluation.
+The m = 1 search stops as soon as a queried point passes ``certified``,
 the weak-duality test that already proves the tighter bound
-``||x_hat - x0||^2 <= ||x - x0||^2 + eps + eps_eff``.  Its first query is
-lam = 0, where x0 itself solves the inner problem, so an interior x0 is
-returned unchanged after one constraint evaluation; then it steps on a
+``||x_hat - x0||^2 <= ||x - x0||^2 + eps + eps_eff``, and steps on a
 secular model of the dual derivative.  It is given
-``ceil(log2(R G / eps)) + ITP_N0`` bracketing rounds after that query, so
-that its model and interpolated queries leave at worst plain bisection's
-final bracket.  Every result reports the test at its own answer as
-``ProjectionResult.certified``.
+``ceil(log2(R G / eps)) + ITP_N0`` bracketing rounds after the lam = 0
+query, so that its model and interpolated queries leave at worst plain
+bisection's final bracket.  Every result reports the test at its own
+answer as ``ProjectionResult.certified``.
 
 Where ``G = 0`` (a quadratic with A = 0, which always holds) the logarithms
 of G take their limit: the inscribed radius is infinite, so the ellipsoid
-runs 1 round, and the bisection is given ``1 + ITP_N0`` rounds.
+runs only its lam = 0 round, and the bisection ``1 + ITP_N0`` more.
 
 When the multiplier bound R is unknown, ``SolverConfig.max_doubling_rounds``
 lets ``project`` restart with a doubled R while the answer's multipliers sit
@@ -143,10 +144,10 @@ def _ellipsoid_budget(m: int, R: float, log_r: float, cap: int) -> int:
     is the first round after which its volume is below ``r^m = exp(m log_r)``:
     the near-optimal dual set is taken to hold a cube of side r, so from then
     on the localizer cannot contain it and some visited point is near optimal.
-    An infinite r makes every point near optimal: one round.
+    An infinite r makes every point near optimal: the lam = 0 round suffices.
     """
     if log_r == math.inf:
-        return 1
+        return 0
     log_vol_initial = log_unit_ball_volume(m) + m * math.log(math.sqrt(m) * R / 2.0)
     rounds = math.floor((log_vol_initial - m * log_r) / -central_cut_log_factor(m)) + 1
     return min(cap, max(1, rounds))
@@ -184,6 +185,8 @@ def project(problem: ProjectionProblem, config: SolverConfig) -> ProjectionResul
 
 def _solve(problem: ProjectionProblem, config: SolverConfig) -> ProjectionResult:
     m, R = problem.m, problem.R
+    if config.engine == "bisection" and m > 1:
+        raise ContractViolation("bisection engine requires m = 1")
     eps = config.epsilon
     G = problem.max_lipschitz()
 
@@ -196,23 +199,22 @@ def _solve(problem: ProjectionProblem, config: SolverConfig) -> ProjectionResult
     def oracle(lam: Array) -> OracleTriple:
         return approx_dual_oracle(problem, lam, eps_tilde, counters=counters)
 
-    box = DualBox(R=R, m=m)
-    if config.engine == "bisection":
+    # The lam = 0 query is one of the capped rounds.
+    cap = config.max_outer_iterations - 1
+    if m == 1:
         # The ITP safeguard spends up to ITP_N0 extra rounds on interpolated
         # queries; with them the worst-case bracket is bisection's R 2^-T.
         # log2(R G / eps) as a sum, since the product may overflow; at G = 0
         # it is -inf and T is 1 + ITP_N0.
         log2_G = math.log2(G) if G > 0.0 else -math.inf
         log2_ratio = math.log2(R) + log2_G - math.log2(eps)
-        T = min(config.max_outer_iterations, math.ceil(max(log2_ratio, 1.0)) + ITP_N0)
+        T = min(cap, math.ceil(max(log2_ratio, 1.0)) + ITP_N0)
     else:
-        log_r = _log_inscribed_radius(eps, m, G)
-        T = _ellipsoid_budget(m, R, log_r, config.max_outer_iterations)
+        T = _ellipsoid_budget(m, R, _log_inscribed_radius(eps, m, G), cap)
 
     final, lam_bar, trace = cutting_plane_maximize(
         oracle=oracle,
-        box=box,
-        engine=config.engine,
+        box=DualBox(R=R, m=m),
         T=T,
         stop=lambda lam, triple: certified(lam, triple, eps),
     )

@@ -63,18 +63,20 @@ def ball_projection_closed_form(
     return x_star, (dist - radius) / radius
 
 
+# Inner accuracy of each grid point's iterative solve, for constraints that
+# are not quadratic.
+EPS_REF = 1e-10
+
+
 @dataclass(frozen=True)
 class GridSpec:
-    """Dual-grid density and the inner accuracy of each grid solve."""
+    """Dual-grid density: grid points per axis and pass."""
 
     resolution: int = 200
-    eps_ref: float = 1e-10
 
     def __post_init__(self):
         if self.resolution < 2:
             raise ContractViolation("resolution must be at least 2")
-        if not self.eps_ref > 0:
-            raise ContractViolation("eps_ref must be positive")
 
 
 def _eigenbasis_dual_fn(q: QuadraticConstraint, x0: Array):
@@ -143,11 +145,11 @@ def _dual_values_quadratic(problem, quad, lams: Array) -> tuple[Array, Array]:
     return vals, xs
 
 
-def _dual_values_generic(problem, lams: Array, eps_ref: float) -> tuple[Array, Array]:
+def _dual_values_generic(problem, lams: Array) -> tuple[Array, Array]:
     vals = np.empty(lams.shape[0])
     xs = np.empty((lams.shape[0], problem.n))
     for i, lam in enumerate(lams):
-        triple = approx_dual_oracle(problem, lam, eps_ref)
+        triple = approx_dual_oracle(problem, lam, EPS_REF)
         vals[i] = triple.v
         xs[i] = triple.x_lambda
     return vals, xs
@@ -175,7 +177,7 @@ def brute_force_dual_grid(
     cons = problem.constraints
     if not all(isinstance(c, QuadraticConstraint) for c in cons):
         def evaluate(lams):
-            return _dual_values_generic(problem, lams, spec.eps_ref)
+            return _dual_values_generic(problem, lams)
     elif problem.m == 1:
         evaluate = _eigenbasis_dual_fn(cons[0], problem.x0)
     else:

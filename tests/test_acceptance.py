@@ -191,7 +191,6 @@ def test_criterion_6_noisy_oracles_value_gap():
         _, lam_bar, _ = cutting_plane_maximize(
             lambda lam: OracleTriple(lam, noisy_grad(lam), noisy_value(lam)),
             box,
-            "ellipsoid",
             T,
         )
         gap = -d_true(lam_bar)

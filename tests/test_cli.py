@@ -177,7 +177,9 @@ def test_trace_csv(tmp_path):
     assert lines[0] == "t,in_box,lambda_0,lambda_1,v,grad_norm,log_volume"
     assert len(lines) >= 3
     rows = [line.split(",") for line in lines[1:]]
-    log_vol = [float(r[-1]) for r in rows]
+    # round 1 queries lam = 0 and makes no cut; every later round cuts
+    assert float(rows[0][2]) == float(rows[0][3]) == 0.0
+    log_vol = [float(r[-1]) for r in rows[1:]]
     assert all(b < a for a, b in zip(log_vol, log_vol[1:]))
     best = -np.inf
     for r in rows:
@@ -245,13 +247,17 @@ def test_solve_a_constraint_with_zero_gradient(tmp_path, capsys):
     from fastproj.model import problem_to_json, quadratic_constraint, quadratic_problem
 
     q = quadratic_constraint(np.zeros((3, 3)), np.zeros(3), 1.0)
-    inst = tmp_path / "zero.json"
-    inst.write_text(problem_to_json(quadratic_problem(np.array([2.0, 0.0, 0.0]), [q], R=4.0)))
-    capsys.readouterr()
-    assert main(["solve", str(inst), "--engine", "bisection"]) == 0
-    out, err = capsys.readouterr()
-    assert err == ""
-    assert json.loads(out)["x_hat"] == [2.0, 0.0, 0.0]
+    for m in (1, 2):
+        inst = tmp_path / f"zero{m}.json"
+        problem = quadratic_problem(np.array([2.0, 0.0, 0.0]), [q] * m, R=4.0)
+        inst.write_text(problem_to_json(problem))
+        capsys.readouterr()
+        assert main(["solve", str(inst)]) == 0, m
+        out, err = capsys.readouterr()
+        assert err == ""
+        doc = json.loads(out)
+        assert doc["x_hat"] == [2.0, 0.0, 0.0]
+        assert doc["lambda_bar"] == [0.0] * m and doc["oracle_calls"] == 1
 
 
 def test_project_norm_rejects_bad_x0(tmp_path, capsys):

@@ -65,13 +65,14 @@ def test_central_cut_matches_hand_computation():
     assert_allclose(shape(new), np.diag([4.0 / 9.0, 4.0 / 3.0]), rtol=1e-12)
 
 
-def test_interval_halving():
-    # interval [0, 4]: center 2, half-length 2
-    state = EllipsoidState(center=np.array([2.0]), factor=np.linalg.cholesky(np.array([[4.0]])))
-    new = ellipsoid_update(state, np.array([1.0]))
-    assert_allclose(new.center, [1.0])  # interval [0, 2]
-    assert_allclose(shape(new), [[1.0]])
-    assert new.log_volume_offset == pytest.approx(-math.log(2.0))
+def test_ellipsoid_refuses_one_multiplier():
+    # at m = 1 a central cut is interval halving, which bisection_maximize
+    # does; the general formula would divide by m^2 - 1 = 0
+    state = EllipsoidState(center=np.array([2.0]), factor=np.array([[2.0]]))
+    with pytest.raises(ContractViolation):
+        ellipsoid_update(state, np.array([1.0]))
+    with pytest.raises(ContractViolation):
+        central_cut_log_factor(1)
 
 
 def test_volume_ratio_two_dimensions():
@@ -115,11 +116,10 @@ def test_update_rejects_zero_direction():
 # ------------------------------------------------------------------- maximize
 
 
-def run_engine(d, grad, box, engine, T, noise=None):
+def run_engine(d, grad, box, T):
     _, lam_bar, trace = cutting_plane_maximize(
         oracle=lambda lam: OracleTriple(lam, np.atleast_1d(grad(lam)), d(lam)),
         box=box,
-        engine=engine,
         T=T,
     )
     return lam_bar, trace
@@ -129,18 +129,41 @@ def test_one_dim_quadratic_exact_oracles():
     box = DualBox(R=4.0, m=1)
     d = lambda lam: -((float(lam[0]) - 1.0) ** 2)
     grad = lambda lam: -2.0 * (float(lam[0]) - 1.0)
-    for engine in ("ellipsoid", "bisection"):
-        lam_bar, _ = run_engine(d, grad, box, engine, 40)
-        assert abs(lam_bar[0] - 1.0) <= 1e-6
+    lam_bar, _ = run_engine(d, grad, box, 40)
+    assert abs(lam_bar[0] - 1.0) <= 1e-6
 
 
 def test_zero_gradient_short_circuit():
-    box = DualBox(R=4.0, m=1)
-    d = lambda lam: -((float(lam[0]) - 2.0) ** 2)
-    grad = lambda lam: -2.0 * (float(lam[0]) - 2.0)
-    lam_bar, trace = run_engine(d, grad, box, "ellipsoid", 40)
-    assert len(trace) == 1  # the box center is already stationary
-    assert lam_bar[0] == pytest.approx(2.0)
+    box = DualBox(R=4.0, m=2)
+    target = np.array([2.0, 2.0])
+    d = lambda lam: -float((lam - target) @ (lam - target))
+    grad = lambda lam: -2.0 * (lam - target)
+    lam_bar, trace = run_engine(d, grad, box, 40)
+    # the lam = 0 round, then the box center, which is already stationary
+    assert len(trace) == 2
+    assert_allclose(lam_bar, target)
+
+
+def test_ellipsoid_opens_at_lam_zero():
+    # the dual falls away from lam = 0, so no later center beats the first
+    # round's value, which seeds the best value
+    box = DualBox(R=4.0, m=2)
+    target = np.array([-1.0, -0.5])
+    calls = []
+
+    def oracle(lam):
+        calls.append(np.array(lam))
+        return OracleTriple(lam, -2.0 * (lam - target), -float((lam - target) @ (lam - target)))
+
+    triple, lam_bar, trace = cutting_plane_maximize(oracle, box, 30)
+    assert len(trace) == 31 and len(calls) == sum(trace.in_box)
+    assert not np.any(trace.lam[0]) and not np.any(lam_bar)
+    assert triple.v == oracle(np.zeros(2)).v
+    # stop is tested at lam = 0, and T = 0 leaves only that round
+    for T, stop in ((30, lambda lam, t: True), (0, None)):
+        calls.clear()
+        _, lam_bar, trace = cutting_plane_maximize(oracle, box, T, stop)
+        assert len(trace) == len(calls) == 1 and not np.any(lam_bar)
 
 
 def test_linear_objective_drives_to_corner():
@@ -155,7 +178,7 @@ def test_linear_objective_drives_to_corner():
     side = eps / float(np.linalg.norm(a, 1))
     log_vol_initial = log_unit_ball_volume(m) + m * math.log(math.sqrt(m) * R / 2.0)
     T = math.ceil((log_vol_initial - m * math.log(side)) / -central_cut_log_factor(m)) + 1
-    lam_bar, _ = run_engine(d, grad, box, "ellipsoid", T)
+    lam_bar, _ = run_engine(d, grad, box, T)
     assert d_star - d(lam_bar) <= 4.0 * eps
 
 
@@ -193,30 +216,33 @@ def test_volume_decay_rate():
     target = np.array([2.7, 1.1])
     d = lambda lam: -float((lam - target) @ (lam - target))
     grad = lambda lam: -2.0 * (lam - target)
-    _, trace = run_engine(d, grad, box, "ellipsoid", 60)
-    drops = np.diff(np.array(trace.log_volume))
-    assert np.all(drops < 0)
-    total = trace.log_volume[0] - trace.log_volume[-1]
-    assert total >= (len(trace) - 1) / (2.0 * (box.m + 1.0)) - 1e-9
+    _, trace = run_engine(d, grad, box, 60)
+    # the lam = 0 round makes no cut; every round after it cuts
+    log_volume = np.array(trace.log_volume[1:])
+    assert np.all(np.diff(log_volume) < 0)
+    total = log_volume[0] - log_volume[-1]
+    assert total >= (log_volume.size - 1) / (2.0 * (box.m + 1.0)) - 1e-9
 
 
 def test_triple_oracle_called_once_per_in_box_round():
-    # the m = 2 target sits near a corner, so some centers leave the box
-    for engine, target in (("ellipsoid", [3.9, 0.2]), ("bisection", [3.9])):
+    # the m = 2 target sits near a corner, so some ellipsoid centers leave
+    # the box; m = 1 runs the bisection engine
+    for target in ([3.9, 0.2], [3.9]):
         target = np.array(target)
         box = DualBox(R=4.0, m=target.size)
         queried = []
 
         def oracle(lam):
-            assert box.contains(lam), f"{engine} queried the oracle outside the box"
+            assert box.contains(lam), f"m = {box.m} queried the oracle outside the box"
             queried.append(np.array(lam))
             return OracleTriple(lam, -2.0 * (lam - target), -float((lam - target) @ (lam - target)))
 
-        _, _, trace = cutting_plane_maximize(oracle, box, engine, 40)
+        _, _, trace = cutting_plane_maximize(oracle, box, 40)
         in_box = [lam for lam, inside in zip(trace.lam, trace.in_box) if inside]
         assert len(queried) == len(in_box)
         assert all(np.array_equal(q, lam) for q, lam in zip(queried, in_box))
-        if engine == "ellipsoid":
+        assert not np.any(queried[0])  # both engines open at lam = 0
+        if box.m == 2:
             assert not all(trace.in_box)
 
 
@@ -242,7 +268,6 @@ def test_noisy_oracle_value_gap(rng):
         _, lam_bar, _ = cutting_plane_maximize(
             lambda lam: OracleTriple(lam, noisy_grad(lam), noisy_value(lam)),
             box,
-            "ellipsoid",
             T,
         )
         if -d_true(lam_bar) > 4.0 * eps:
@@ -306,9 +331,9 @@ def test_never_certified_oracle_runs_all_rounds():
     # its T rounds and its best-value answer
     oracle = lambda lam: OracleTriple(lam, np.array([1.0]), float(lam[0]))
     box, T = DualBox(R=4.0, m=1), 17
-    plain = cutting_plane_maximize(oracle, box, "bisection", T)
+    plain = cutting_plane_maximize(oracle, box, T)
     stopped = cutting_plane_maximize(
-        oracle, box, "bisection", T, stop=lambda lam, t: certified(lam, t, 1e-3)
+        oracle, box, T, stop=lambda lam, t: certified(lam, t, 1e-3)
     )
     # the lam = 0 round comes first, then the T bracketing rounds
     assert len(plain[2]) == len(stopped[2]) == T + 1
@@ -451,6 +476,6 @@ def test_noisy_bisection_value_gap(rng):
         T = max(1, math.ceil(math.log2(R / side))) + 1
         _, lam_bar, _ = cutting_plane_maximize(
             lambda lam: OracleTriple(lam, grad(lam), value(lam)),
-            DualBox(R=R, m=1), "bisection", T,
+            DualBox(R=R, m=1), T,
         )
         assert -d(lam_bar) <= 4.0 * eps

@@ -33,14 +33,23 @@ from conftest import (
 )
 
 
+def ball_pair_problem(x0):
+    """The unit ball and the inactive ``||x||^2 <= 4``: m = 2, so the
+    ellipsoid runs, with the unit ball's projection."""
+    ball = unit_ball_problem(x0)
+    wide = quadratic_constraint(np.eye(2), np.zeros(2), 4.0)
+    return quadratic_problem(ball.x0, [ball.constraints[0], wide], R=ball.R)
+
+
 def test_ball_projection_both_engines():
-    prob = unit_ball_problem([2.0, 0.0])
-    for engine in ("ellipsoid", "bisection"):
-        res = project(prob, SolverConfig(epsilon=1e-4, engine=engine))
+    # m picks the engine: the unit ball alone runs the 1-D search
+    for p in (unit_ball_problem([2.0, 0.0]), ball_pair_problem([2.0, 0.0])):
+        res = project(p, SolverConfig(epsilon=1e-4))
         assert_allclose(res.x_hat, [1.0, 0.0], atol=1e-3)
         assert res.objective == pytest.approx(1.0, abs=6e-4)
         assert res.lambda_bar[0] == pytest.approx(1.0, abs=1e-2)
         assert res.max_violation <= 1e-4
+    assert res.lambda_bar[1] == pytest.approx(0.0, abs=1e-2)
 
 
 def test_interior_point_projects_to_itself():
@@ -53,7 +62,7 @@ def test_interior_point_projects_to_itself():
 def test_bisection_returns_an_interior_x0_from_its_lam_zero_round():
     # x0 solves the inner problem at lam = 0 exactly, and is feasible
     for prob in (unit_ball_problem([0.4, -0.2], R=1.0), unit_ball_problem([0.0, 0.999])):
-        res = project(prob, SolverConfig(epsilon=1e-4, engine="bisection"))
+        res = project(prob, SolverConfig(epsilon=1e-4))
         assert np.array_equal(res.x_hat, prob.x0)
         assert res.lambda_bar[0] == 0.0 and res.certified
         assert res.oracle_calls == 1 == sum(res.trace.in_box) == len(res.trace)
@@ -62,26 +71,32 @@ def test_bisection_returns_an_interior_x0_from_its_lam_zero_round():
 def test_a_constraint_with_zero_gradient_takes_the_limit_of_its_logarithms():
     # A = 0 gives the constraint -c <= 0, which always holds, and G = 0
     q = quadratic_constraint(np.zeros((3, 3)), np.zeros(3), 1.0)
-    prob = quadratic_problem(np.array([2.0, 0.0, 0.0]), [q], R=4.0)
-    assert prob.max_lipschitz() == 0.0
-    assert projector.default_inner_accuracy(1e-3, 1, prob.R, 0.0) == pytest.approx(1e-3)
-    for engine in ("ellipsoid", "bisection"):
-        res = project(prob, SolverConfig(epsilon=1e-3, engine=engine))
+    x0 = np.array([2.0, 0.0, 0.0])
+    assert projector.default_inner_accuracy(1e-3, 1, 4.0, 0.0) == pytest.approx(1e-3)
+    assert projector._ellipsoid_budget(2, 4.0, projector._log_inscribed_radius(1e-3, 2, 0.0), 600) == 0
+    for m in (1, 2):
+        prob = quadratic_problem(x0, [q] * m, R=4.0)
+        assert prob.max_lipschitz() == 0.0
+        res = project(prob, SolverConfig(epsilon=1e-3))
         assert np.array_equal(res.x_hat, prob.x0)
         assert res.max_violation == -1.0
-        # an infinite inscribed radius leaves the ellipsoid one round; the
-        # bisection certifies at its lam = 0 round
+        # both engines certify at their lam = 0 round
         assert len(res.trace) == 1
-    assert res.certified and res.lambda_bar[0] == 0.0
+        assert res.certified and not np.any(res.lambda_bar)
 
 
-def test_bisection_engine_requires_single_constraint(rng):
+def test_bisection_engine_requires_single_constraint(monkeypatch):
     quads = [
         quadratic_constraint(np.eye(2), np.zeros(2), 1.0),
         quadratic_constraint(np.eye(2), np.ones(2) * 0.1, 1.0),
     ]
     prob = quadratic_problem(np.array([3.0, 0.0]), quads, R=4.0)
-    with pytest.raises(ContractViolation):
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle ran before the engine check")
+
+    monkeypatch.setattr(projector, "approx_dual_oracle", refuse)
+    with pytest.raises(ContractViolation, match="m = 1"):
         project(prob, SolverConfig(epsilon=1e-3, engine="bisection"))
 
 
@@ -158,7 +173,8 @@ def test_scaling_invariance():
 
 
 def test_monotone_best_value_in_trace():
-    prob = unit_ball_problem([3.0, 1.0])
+    # m = 2: the ellipsoid returns its best-value round
+    prob = ball_pair_problem([3.0, 1.0])
     res = project(prob, SolverConfig(epsilon=1e-5))
     best = -np.inf
     for in_box, v in zip(res.trace.in_box, res.trace.v):
@@ -169,9 +185,11 @@ def test_monotone_best_value_in_trace():
 
 
 def test_outer_budget_cap_respected():
-    prob = unit_ball_problem([2.0, 0.0])
-    res = project(prob, SolverConfig(epsilon=1e-6, max_outer_iterations=3))
-    assert len(res.trace) <= 3
+    # the cap counts every round, the lam = 0 query included
+    for prob in (unit_ball_problem([2.0, 0.0]), ball_pair_problem([2.0, 0.0])):
+        for cap in (1, 2, 3):
+            res = project(prob, SolverConfig(epsilon=1e-6, max_outer_iterations=cap))
+            assert len(res.trace) <= cap, (prob.m, cap)
 
 
 def _closed_form_rounds(m, R, G, eps):
@@ -189,7 +207,7 @@ def test_ellipsoid_runs_its_closed_form_budget(m):
     prob = random_quadratic_instance(8, m, seed=0)
     rounds = _closed_form_rounds(m, prob.R, prob.max_lipschitz(), eps)
     res = project(prob, SolverConfig(epsilon=eps))
-    assert len(res.trace) == rounds
+    assert len(res.trace) == rounds + 1  # the lam = 0 round, then the budget
     capped = project(prob, SolverConfig(epsilon=eps, max_outer_iterations=rounds // 2))
     assert len(capped.trace) == rounds // 2
 
@@ -352,7 +370,7 @@ def test_bisection_stops_early_on_its_certificate():
     for prob in cases:
         G = prob.max_lipschitz()
         T = math.ceil(math.log2(prob.R * G / eps))
-        res = project(prob, SolverConfig(epsilon=eps, engine="bisection"))
+        res = project(prob, SolverConfig(epsilon=eps))
         eps_eff = effective_eps_tilde(prob, default_inner_accuracy(eps, 1, prob.R, G))
         assert len(res.trace) <= T / 2
         assert res.oracle_calls == len(res.trace)
@@ -370,7 +388,7 @@ def test_bisection_matches_dual_grid_on_dense_instances():
     for seed in range(6):
         prob = random_quadratic_instance(64, 1, seed)
         rounds.append(math.ceil(math.log2(prob.R * prob.max_lipschitz() / eps)))
-        res = project(prob, SolverConfig(epsilon=eps, engine="bisection"))
+        res = project(prob, SolverConfig(epsilon=eps))
         _, _, d_ref = brute_force_dual_grid(prob)
         assert res.certified
         assert res.max_violation <= eps
@@ -399,8 +417,8 @@ def test_certified_flags_an_uncertified_answer(rng):
     x0 *= 2.5 / np.linalg.norm(x0)
     prob = quadratic_problem(x0, quads, R=5.0)
     ball = unit_ball_problem([2.0, 0.0])
-    for p, engine in ((prob, "ellipsoid"), (ball, "ellipsoid"), (ball, "bisection")):
-        cold = project(p, SolverConfig(epsilon=eps, engine=engine))
+    for p in (prob, ball):
+        cold = project(p, SolverConfig(epsilon=eps))
         assert cold.certified is True
         assert "certified" not in json.loads(cold.to_json())
 
@@ -422,12 +440,14 @@ def test_numerical_failure_carries_partial_trace():
         lipschitz_G=8.0,
         smoothness_L=2.0,
     )
-    prob = ProjectionProblem(x0=np.array([2.0, 0.0]), constraints=(bad,), R=4.0)
-    for engine in ("ellipsoid", "bisection"):
+    # m = 1 runs the bisection engine and m = 2 the ellipsoid
+    for m in (1, 2):
+        prob = ProjectionProblem(x0=np.array([2.0, 0.0]), constraints=(bad,) * m, R=4.0)
         calls[0] = 0
         with pytest.raises(NumericalFailure) as exc:
-            project(prob, SolverConfig(epsilon=1e-6, engine=engine))
-        assert hasattr(exc.value, "trace")
+            project(prob, SolverConfig(epsilon=1e-6))
+        # the lam = 0 round completed before the failure
+        assert len(exc.value.trace) >= 1, m
 
 
 def test_oracle_calls_count_every_inner_solve(monkeypatch, rng):
@@ -439,10 +459,9 @@ def test_oracle_calls_count_every_inner_solve(monkeypatch, rng):
     x0 = rng.standard_normal(n)
     x0 *= 2.5 / np.linalg.norm(x0)
     cases = [
-        (unit_ball_problem([2.0, 0.0]), "bisection", None),
-        (unit_ball_problem([2.0, 0.0]), "ellipsoid", None),
-        (quadratic_problem(x0, quads, R=5.0), "ellipsoid", None),
-        (quadratic_problem(x0, quads, R=5.0), "ellipsoid", 1e-5),
+        (unit_ball_problem([2.0, 0.0]), None),
+        (quadratic_problem(x0, quads, R=5.0), None),
+        (quadratic_problem(x0, quads, R=5.0), 1e-5),
     ]
     solves = []  # lam of every inner solve, in order
 
@@ -452,9 +471,9 @@ def test_oracle_calls_count_every_inner_solve(monkeypatch, rng):
 
     monkeypatch.setattr("fastproj.projector.approx_dual_oracle", counted)
     eps = 1e-4
-    for prob, engine, eps_tilde in cases:
+    for prob, eps_tilde in cases:
         solves.clear()
-        cfg = SolverConfig(epsilon=eps, epsilon_tilde_override=eps_tilde, engine=engine)
+        cfg = SolverConfig(epsilon=eps, epsilon_tilde_override=eps_tilde)
         res = project(prob, cfg)
         assert res.oracle_calls == len(solves) == sum(res.trace.in_box)
         # the engine's triple at lambda_bar is the answer, never solved again

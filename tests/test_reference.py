@@ -136,7 +136,7 @@ def test_grid_generic_fallback_matches_quadratic_path():
         smoothness_L=prob.constraints[0].smoothness_L,
     )
     generic = ProjectionProblem(x0=prob.x0, constraints=(bare,), R=prob.R)
-    spec = GridSpec(resolution=30, eps_ref=1e-12)
+    spec = GridSpec(resolution=30)
     x_a, lam_a, v_a = brute_force_dual_grid(prob, spec)
     x_b, lam_b, v_b = brute_force_dual_grid(generic, spec)
     assert_allclose(lam_a, lam_b, atol=1e-9)
@@ -180,7 +180,7 @@ def test_m1_grid_is_exact_and_never_materializes_a_wy_constraint(monkeypatch):
 def test_m1_bisection_meets_the_grid_gate_at_n4096(seed):
     eps = 1e-3
     prob = random_quadratic_instance(4096, 1, seed, factored=True)
-    result = project(prob, SolverConfig(epsilon=eps, engine="bisection"))
+    result = project(prob, SolverConfig(epsilon=eps))
     x_ref, _, _ = brute_force_dual_grid(prob)
     grid_objective = float(np.sum((x_ref - prob.x0) ** 2))
     assert result.certified
