@@ -23,7 +23,10 @@ derivative fitted to two queries, the bracket ends once the sign has
 changed (Moré & Sorensen, SIAM J. Sci. Stat. Comput. 1983), falling back to
 inverse interpolation and then to the midpoint, all under the ITP safeguard
 (the bracket after bracketing round t is at most ``R 2^(ITP_N0 - t)``).
-The lam = 0 query holds its lower bracket end from the start, and the
+The lam = 0 query holds its lower bracket end from the start.  Given the
+dual's curvature there, the first bracketing query is the Newton root from
+lam = 0 when it lies inside (0, R): it depends only on the dual's slope and
+curvature at 0, not on R, so a loose box costs no deep queries.  The
 engine can stop early on a caller's predicate, such as a duality
 certificate.
 """
@@ -184,6 +187,7 @@ def cutting_plane_maximize(
     box: DualBox,
     T: int,
     stop: Callable[[Array, OracleTriple], bool] | None = None,
+    curvature: Callable[[], float] | None = None,
 ) -> tuple[OracleTriple, Array, CutTrace]:
     """Query ``lam = 0``, then run up to T rounds of ``bisection_maximize``
     for m = 1 or of the ellipsoid for m >= 2; return ``(triple, lam, trace)``
@@ -191,7 +195,10 @@ def cutting_plane_maximize(
 
     ``oracle`` is queried once per in-box round and never outside the box.
     The ``lam = 0`` query costs no inner steps; it is round 1 of the trace,
-    ``stop`` is tested there, and it seeds both engines.  ``stop(lam,
+    ``stop`` is tested there, and it seeds both engines.  For m = 1 its
+    triple is the bisection's ``origin``, and ``curvature``, when given, is
+    passed on with it for the Newton first query; the ellipsoid takes no
+    curvature.  ``stop(lam,
     triple)`` ends the run at the first queried point where it holds (the
     ellipsoid tests it only at ``lam = 0``) and returns that point;
     otherwise the best visited point is returned.  The bisection bracket
@@ -206,7 +213,9 @@ def cutting_plane_maximize(
         return _ellipsoid_maximize(oracle, box, T, stop, origin)
     scalar_stop = None if stop is None else lambda mid, t: stop(np.array([mid]), t)
     scalar_oracle = lambda mid: oracle(np.array([mid]))
-    triple, lam, trace = bisection_maximize(scalar_oracle, box.R, T, scalar_stop, origin)
+    triple, lam, trace = bisection_maximize(
+        scalar_oracle, box.R, T, scalar_stop, origin, curvature
+    )
     return triple, np.array([lam]), trace
 
 
@@ -332,6 +341,7 @@ def bisection_maximize(
     T: int,
     stop: Callable[[float, OracleTriple], bool] | None = None,
     origin: OracleTriple | None = None,
+    curvature: Callable[[], float] | None = None,
 ) -> tuple[OracleTriple, float, CutTrace]:
     """Safeguarded root search for the derivative sign change over [0, R],
     driven by a triple oracle.
@@ -365,6 +375,16 @@ def bisection_maximize(
     ``[0, 0]``, and the run returns it.  T bracketing rounds follow, so a
     run takes up to T + 1 rounds; T may be 0 only with an origin.
 
+    ``curvature``, given with an origin, returns ``-d''(0) > 0``, the dual's
+    curvature at ``lam = 0``.  It is called once, and only when the run goes
+    on past the origin.  The first bracketing round, which has neither a
+    model nor queries to interpolate, then queries the Newton root
+    ``g(0) / curvature`` in place of the midpoint when it lies in
+    ``(0, R)``, and the midpoint otherwise.  That query does not depend on
+    R, so a loose R costs no deep queries; it is not a model query for the
+    trust rule, and the ITP clip and the bracket bound above still hold.
+    Without a curvature the queries are those described above.
+
     Returns ``(triple_tau, lam_tau, trace)``.  When ``stop(lam, triple)``
     holds at a queried point, the run ends there and tau is that round;
     otherwise all rounds run and tau indexes the queried point with the
@@ -381,6 +401,7 @@ def bisection_maximize(
     trace = CutTrace()
     best = None
     trusted = True
+    newton = None  # the dual Newton root from lam = 0
     try:
         if origin is not None:
             g = float(np.asarray(origin.g).reshape(-1)[0])
@@ -389,6 +410,9 @@ def bisection_maximize(
                 return origin, 0.0, trace
             best = (origin, 0.0)
             ends[0] = (0.0, origin.v, g)
+            if curvature is not None:
+                c = float(curvature())
+                newton = g / c if c > 0.0 else None
         for t in range(1, T + 1):
             mid = 0.5 * (lo + hi)
             lam = mid
@@ -396,7 +420,8 @@ def bisection_maximize(
             x = _secular_root(*fit) if trusted and None not in fit else None
             modeled = x is not None and lo < x < hi
             if not modeled:
-                x = _interpolated_root(queries)
+                # The first round has no queries to interpolate.
+                x = _interpolated_root(queries) if queries else newton
             if x is not None and lo < x < hi:
                 r = max(0.0, R * 2.0 ** (ITP_N0 - t) - 0.5 * (hi - lo))
                 lam = min(max(x, mid - r), mid + r)

@@ -15,7 +15,13 @@ so an interior x0 is returned unchanged after one constraint evaluation.
 The m = 1 search stops as soon as a queried point passes ``certified``,
 the weak-duality test that already proves the tighter bound
 ``||x_hat - x0||^2 <= ||x - x0||^2 + eps + eps_eff``, and steps on a
-secular model of the dual derivative.  It is given
+secular model of the dual derivative.  Its first query after lam = 0 is
+the dual Newton step ``h(x0) / (||grad h(x0)||^2 / 2)`` when that lies in
+``(0, R)``: at lam = 0 the inner solution is x0 and the Lagrangian's
+Hessian is 2I, so ``d''(0) = -||grad h(x0)||^2 / 2`` exactly.  The step
+costs one constraint gradient, taken only when ``h(x0) > 0`` and counted
+in ``inner_gradient_evals``, and does not depend on R, so a loose R costs
+the m = 1 search no deep queries and no larger AGD budgets.  It is given
 ``ceil(log2(R G / eps)) + ITP_N0`` bracketing rounds after the lam = 0
 query, so that its model and interpolated queries leave at worst plain
 bisection's final bracket.  Every result reports the test at its own
@@ -27,7 +33,7 @@ runs only its lam = 0 round, and the bisection ``1 + ITP_N0`` more.
 
 When the multiplier bound R is unknown, ``SolverConfig.max_doubling_rounds``
 lets ``project`` restart with a doubled R while the answer's multipliers sit
-on the boundary of the box.
+on the boundary of the box.  The result's counts then total every round.
 """
 
 from __future__ import annotations
@@ -157,21 +163,24 @@ def project(problem: ProjectionProblem, config: SolverConfig) -> ProjectionResul
     """Compute an eps-approximate projection of ``problem.x0``.
 
     Every inner solve starts cold at ``x0``.  The answer is the engine's own
-    triple at ``lambda_bar``; no inner solve is repeated, so ``oracle_calls``
-    is the number of in-box rounds.  The result's ``certified`` says whether
-    that triple passes the ``certified`` duality test, which proves its
-    guarantee a posteriori.
+    triple at ``lambda_bar``; no inner solve is repeated, so without
+    doubling ``oracle_calls`` is the number of in-box rounds.  The result's
+    ``certified`` says whether that triple passes the ``certified`` duality
+    test, which proves its guarantee a posteriori.
 
     While a multiplier of the answer is at or above 0.9 R, the solve is
     repeated on a copy of ``problem`` with R doubled, at most
     ``config.max_doubling_rounds`` times (0, the default, means one solve);
-    ``doubling_rounds_used`` counts the repeats.  An answer still at the
-    boundary when the budget runs out is returned with
-    ``trace.boundary_hit`` set.
+    ``doubling_rounds_used`` counts the repeats.  ``oracle_calls`` and
+    ``inner_gradient_evals`` total the work of every round, while ``trace``
+    holds only the final round.  An answer still at the boundary when the
+    budget runs out is returned with ``trace.boundary_hit`` set.
     """
-    rounds = 0
+    rounds = calls = evals = 0
     while True:
         result = _solve(problem, config)
+        calls += result.oracle_calls
+        evals += result.inner_gradient_evals
         if np.all(result.lambda_bar < _BOUNDARY_FRACTION * problem.R):
             break
         if rounds >= config.max_doubling_rounds:
@@ -180,6 +189,7 @@ def project(problem: ProjectionProblem, config: SolverConfig) -> ProjectionResul
         problem = replace(problem, R=2.0 * problem.R)
         rounds += 1
     result.doubling_rounds_used = rounds
+    result.oracle_calls, result.inner_gradient_evals = calls, evals
     return result
 
 
@@ -212,11 +222,19 @@ def _solve(problem: ProjectionProblem, config: SolverConfig) -> ProjectionResult
     else:
         T = _ellipsoid_budget(m, R, _log_inscribed_radius(eps, m, G), cap)
 
+    def curvature() -> float:
+        # -d''(0), exact: x0 solves the inner problem at lam = 0 and the
+        # Lagrangian's Hessian there is 2I.
+        counters["gradient_evals"] += 1
+        grad = problem.constraints[0].grad(problem.x0)
+        return 0.5 * float(grad @ grad)
+
     final, lam_bar, trace = cutting_plane_maximize(
         oracle=oracle,
         box=DualBox(R=R, m=m),
         T=T,
         stop=lambda lam, triple: certified(lam, triple, eps),
+        curvature=curvature if m == 1 else None,
     )
 
     x_hat = final.x_lambda

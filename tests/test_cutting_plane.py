@@ -446,6 +446,38 @@ def test_bisection_origin_is_the_first_round_and_seeds_the_model():
     assert triple is flat and lam == 0.0 and len(trace) == 1
 
 
+def test_bisection_opens_with_the_newton_step_of_its_curvature():
+    # the ball's d'(lam) = s z_sq/(1 + lam s)^2 - c has -d''(0) = 2 s^2 z_sq
+    # = 72; round 2 sits at the Newton root g(0)/72, which undershoots the
+    # convex d', and the model extrapolates from 0 and it onto lam_star
+    origin_end, _, lam_star = _ball_ends(0.0, 1.0)
+
+    def oracle(lam):
+        _, (_, v, g), _ = _ball_ends(0.0, lam)
+        return OracleTriple(np.array([lam]), np.array([g]), v)
+
+    origin = OracleTriple(np.array([0.0]), np.array([origin_end[2]]), origin_end[1])
+    stop = lambda lam, t: abs(lam - lam_star) <= 1e-12 * lam_star
+    asked = []
+    curvature = lambda: asked.append(72.0) or 72.0
+    _, lam, trace = bisection_maximize(oracle, 8.0, 30, stop, origin, curvature)
+    assert trace.lam[1][0] == origin_end[2] / 72.0 < lam_star
+    assert len(trace) == 3 and lam == trace.lam[-1][0] and len(asked) == 1
+    # a Newton root at R (17/2), beyond it (17/1) or none (curvature 0)
+    # leaves the queries of a run without a curvature
+    R = 8.5
+    plain = [l[0] for l in bisection_maximize(oracle, R, 30, stop, origin)[2].lam]
+    for c in (2.0, 1.0, 0.0):
+        _, _, trace = bisection_maximize(oracle, R, 30, stop, origin, lambda: c)
+        assert [l[0] for l in trace.lam] == plain, c
+    # the curvature is not asked for when the run ends at lam = 0
+    flat = OracleTriple(np.array([0.0]), np.array([-1.0]), 0.0)
+    for start, stop_at in ((flat, None), (origin, lambda lam, t: True)):
+        asked.clear()
+        _, lam, trace = bisection_maximize(oracle, R, 30, stop_at, start, curvature)
+        assert lam == 0.0 and len(trace) == 1 and not asked
+
+
 def test_trace_csv_layout():
     trace = CutTrace()
     trace.append(True, np.array([0.5, 1.0]), np.array([1.0, 0.0]), -2.0, 1.5)

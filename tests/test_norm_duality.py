@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from fastproj import norm_duality
 from fastproj.model import ContractViolation
 from fastproj.norm_duality import (
     DualBallProjector,
@@ -142,6 +143,23 @@ def test_projection_examples():
         [1.0, 0.5],
         atol=1e-7,
     )
+
+
+def test_query_sequence_without_a_curvature_is_pinned(monkeypatch):
+    # bisection_maximize is given no curvature here, so its first bracketing
+    # query stays the midpoint.  The l1 dual's derivative has a kink at
+    # lam = 2: two midpoints, the secant root just below it, then halving up
+    # to it from below.
+    asked = []
+    real = norm_duality.exact_dual_norm_oracle
+    monkeypatch.setattr(
+        norm_duality,
+        "exact_dual_norm_oracle",
+        lambda x0, lam, pi_star: asked.append(lam) or real(x0, lam, pi_star),
+    )
+    x = project_norm_ball_via_dual(np.array([2.0, 0.5]), LINF_CLIP, R=6.0, eps=1e-9)
+    assert asked == [3.0, 1.5, 1.9999999999999998] + [2.0 - 2.0**-k for k in range(2, 35)]
+    assert_allclose(x, [1.0, 0.0], atol=1e-9)
 
 
 def test_feasible_point_returned_unchanged():

@@ -66,6 +66,27 @@ def test_bisection_returns_an_interior_x0_from_its_lam_zero_round():
         assert np.array_equal(res.x_hat, prob.x0)
         assert res.lambda_bar[0] == 0.0 and res.certified
         assert res.oracle_calls == 1 == sum(res.trace.in_box) == len(res.trace)
+        # one Lagrangian gradient, 2 (x0 - x0), and no constraint gradient
+        assert res.inner_gradient_evals == 1
+
+
+def test_m1_opens_with_the_dual_newton_step():
+    # unit ball, x0 = (2, 0): h(x0) = 3 and ||grad h(x0)||^2 / 2 = 8
+    res = project(unit_ball_problem([2.0, 0.0], R=4.0), SolverConfig(epsilon=1e-4))
+    assert res.trace.lam[1][0] == 3.0 / 8.0
+    assert res.certified
+
+
+def test_a_loose_R_costs_nothing_at_m1():
+    # the Newton query does not depend on R, so a box a million wide
+    # takes the inner steps of the instance's own
+    config = SolverConfig(epsilon=1e-3)
+    for seed in range(4):
+        prob = random_quadratic_instance(128, 1, seed)
+        tight = project(prob, config)
+        loose = project(dataclasses.replace(prob, R=1e6), config)
+        assert tight.certified and loose.certified, seed
+        assert loose.inner_gradient_evals <= 1.2 * tight.inner_gradient_evals, seed
 
 
 def test_a_constraint_with_zero_gradient_takes_the_limit_of_its_logarithms():
@@ -301,6 +322,29 @@ def test_doubling_budget_exhaustion_flags_trace():
     res = project(prob, SolverConfig(epsilon=1e-4, max_doubling_rounds=1))
     assert res.doubling_rounds_used == 1
     assert res.trace.boundary_hit
+
+
+def test_doubling_reports_the_work_of_every_round():
+    # the CI ball instance: its multiplier lies between 0.9 and 1.8, so at
+    # R = 1 project solves twice.  Counting wrappers on the constraint see
+    # the work of both rounds.
+    prob = random_quadratic_instance(64, 1, 5, ball=True)
+    counts = {"eval": 0, "grad": 0}
+
+    def counting(name, fn):
+        return lambda x: counts.__setitem__(name, counts[name] + 1) or fn(x)
+
+    quad = prob.constraints[0]
+    quad = dataclasses.replace(
+        quad, eval=counting("eval", quad.eval), grad=counting("grad", quad.grad)
+    )
+    prob = dataclasses.replace(prob, constraints=(quad,), R=1.0)
+    res = project(prob, SolverConfig(epsilon=1e-3, max_doubling_rounds=8))
+    assert res.doubling_rounds_used == 1
+    assert res.oracle_calls == counts["eval"] > len(res.trace)
+    # each solve's lam = 0 query evaluates one Lagrangian gradient,
+    # 2 (x0 - x0), that calls no constraint gradient
+    assert res.inner_gradient_evals == counts["grad"] + res.doubling_rounds_used + 1
 
 
 def test_default_config_solves_a_boundary_multiplier_once(monkeypatch):
