@@ -5,6 +5,8 @@ in-box round; the triple's ``g`` and ``v`` are the approximate dual gradient
 and value.  Out-of-box points are never queried.  ``cutting_plane_maximize``
 first queries lam = 0, where the inner problem is solved by the query point
 itself, and then runs the engine the number of multipliers m selects.
+``round_budget`` gives each engine's round budget for a target accuracy, so
+everything that depends on m lives in this module.
 
 For m >= 2 the localizer starts as an ellipsoid covering the dual box
 ``[0, R]^m`` and is cut through its center every round: with the negated
@@ -73,17 +75,14 @@ class DualBox:
 class EllipsoidState:
     """Localizer ellipsoid ``{center + B u : ||u|| <= 1}`` with ``B = factor``.
 
-    ``log_volume_offset`` accumulates the analytic per-cut log-volume change
-    relative to the initial ellipsoid.  The ellipsoid is held only as its
-    factor: rank-one updates on B keep ``Q = B B^T`` positive semidefinite by
-    construction, where direct updates on Q drift indefinite once the
-    localizer becomes needle shaped (as it must whenever a multiplier's
-    optimum sits on the box boundary).
+    The ellipsoid is held only as its factor: rank-one updates on B keep
+    ``Q = B B^T`` positive semidefinite by construction, where direct updates
+    on Q drift indefinite once the localizer becomes needle shaped (as it
+    must whenever a multiplier's optimum sits on the box boundary).
     """
 
     center: Array
     factor: Array
-    log_volume_offset: float = 0.0
 
 
 @dataclass
@@ -136,6 +135,47 @@ def central_cut_log_factor(m: int) -> float:
     return math.log(m / (m + 1.0)) + 0.5 * (m - 1.0) * math.log(m * m / (m * m - 1.0))
 
 
+def _log_initial_volume(m: int, R: float) -> float:
+    # The ellipsoid starts as the ball circumscribing [0, R]^m, of radius
+    # sqrt(m) R/2; halving R first keeps the product finite for every finite R.
+    return log_unit_ball_volume(m) + m * math.log(math.sqrt(m) * (R / 2.0))
+
+
+def round_budget(m: int, R: float, eps: float, G: float, cap: int) -> int:
+    """Rounds after the ``lam = 0`` query that ``cutting_plane_maximize``
+    runs on ``[0, R]^m`` for accuracy eps when every constraint gradient is
+    at most G in norm, at most ``cap``.
+
+    For m = 1 it is ``ceil(log2(R G / eps)) + ITP_N0`` bracketing rounds (at
+    least ``1 + ITP_N0``): the ITP safeguard may spend ITP_N0 rounds on
+    interpolated queries, and with them the worst-case bracket is still
+    plain bisection's ``R 2^-ceil(log2(R G / eps))``.
+
+    For m >= 2 it is the first round after which the ellipsoid's volume,
+    starting from the ball circumscribing the box and scaled by
+    ``exp(central_cut_log_factor(m))`` per cut, is below ``r^m``, at least 1.
+    The near-optimal dual set is taken to hold a cube of side r, so from
+    then on the localizer cannot contain it and some visited point is near
+    optimal.  The paper's radius is ``min(eps/bound, sqrt(eps)/G) / (2m)``,
+    the bound being one on ``|h_i|`` over the feasible set; problems carry
+    no such bound, so G stands in for it: ``r = min(eps, sqrt(eps)) / (2 m G)``.
+
+    Both are taken in logarithms, summed so that ``R G / eps`` cannot
+    overflow.  At ``G = 0`` they take their limit: the radius is infinite,
+    so the ellipsoid needs no round after ``lam = 0``, and the bracketing
+    search ``1 + ITP_N0``.
+    """
+    if m == 1:
+        log2_G = math.log2(G) if G > 0.0 else -math.inf
+        log2_ratio = math.log2(R) + log2_G - math.log2(eps)
+        return min(cap, math.ceil(max(log2_ratio, 1.0)) + ITP_N0)
+    if G == 0.0:
+        return 0
+    log_r = math.log(min(eps, math.sqrt(eps)) / (2.0 * m)) - math.log(G)
+    rounds = math.floor((_log_initial_volume(m, R) - m * log_r) / -central_cut_log_factor(m)) + 1
+    return min(cap, max(1, rounds))
+
+
 def separation_oracle_box(lam: Array, R: float) -> Array:
     """Outward normal separating an out-of-box ``lam`` from ``[0, R]^m``:
     +1 where the component overshoots R, -1 where it is negative, else 0."""
@@ -144,12 +184,6 @@ def separation_oracle_box(lam: Array, R: float) -> Array:
     if not np.any(w):
         raise ContractViolation("separation oracle called with a point inside the box")
     return w
-
-
-def cut_resolution(state: EllipsoidState, w: Array) -> float:
-    """``w^T Q w``, the squared extent of the localizer along the cut."""
-    Bw = state.factor.T @ np.asarray(w, dtype=float)
-    return float(Bw @ Bw)
 
 
 def ellipsoid_update(state: EllipsoidState, w: Array) -> EllipsoidState:
@@ -175,11 +209,7 @@ def ellipsoid_update(state: EllipsoidState, w: Array) -> EllipsoidState:
     center = state.center - Bp / (m + 1.0)
     scale = math.sqrt(m * m / (m * m - 1.0))
     gamma = 1.0 - math.sqrt((m - 1.0) / (m + 1.0))
-    return EllipsoidState(
-        center=center,
-        log_volume_offset=state.log_volume_offset + central_cut_log_factor(m),
-        factor=scale * (B - gamma * np.outer(Bp, p)),
-    )
+    return EllipsoidState(center=center, factor=scale * (B - gamma * np.outer(Bp, p)))
 
 
 def cutting_plane_maximize(
@@ -197,14 +227,15 @@ def cutting_plane_maximize(
     The ``lam = 0`` query costs no inner steps; it is round 1 of the trace,
     ``stop`` is tested there, and it seeds both engines.  For m = 1 its
     triple is the bisection's ``origin``, and ``curvature``, when given, is
-    passed on with it for the Newton first query; the ellipsoid takes no
-    curvature.  ``stop(lam,
-    triple)`` ends the run at the first queried point where it holds (the
-    ellipsoid tests it only at ``lam = 0``) and returns that point;
-    otherwise the best visited point is returned.  The bisection bracket
-    after T rounds is at most ``R 2^(ITP_N0 - T)`` wide.  The ellipsoid runs
-    T rounds unless the approximate gradient vanishes or the localizer's
-    extent along the cut falls below the float resolution of its center.
+    passed on with it for the Newton first query; the ellipsoid never calls
+    ``curvature``.  ``stop(lam, triple)`` ends the run at the first queried
+    point where it holds (the ellipsoid tests it only at ``lam = 0``) and
+    returns that point; otherwise the best visited point is returned.
+    ``round_budget`` gives the T that the target accuracy needs.  The
+    bisection bracket after T rounds is at most ``R 2^(ITP_N0 - T)`` wide.
+    The ellipsoid runs T rounds unless the approximate gradient vanishes or
+    the localizer's extent along the cut falls below the float resolution
+    of its center.
     """
     if T < 0:
         raise ContractViolation("T must be nonnegative")
@@ -222,14 +253,14 @@ def cutting_plane_maximize(
 def _ellipsoid_maximize(oracle, box, T, stop, origin):
     m = box.m
     # Smallest ball covering the box: the corners sit at distance sqrt(m) R/2.
-    # Factor and log volume both come from its matrix Q0; a closed-form
-    # sqrt(m) R/2 factor can differ from cholesky(Q0) in the last bit.
+    # The radius is sqrt(m (R/2)^2), not sqrt(m) R/2: the two can differ in
+    # the last bit, and this one is the exact Cholesky factor of m (R/2)^2 I.
     radius_sq = m * ((box.R / 2.0) * (box.R / 2.0))
     if radius_sq == math.inf:
         raise ContractViolation("R is too large for the ellipsoid: m (R/2)^2 overflows")
-    Q0 = radius_sq * np.eye(m)
-    state = EllipsoidState(center=box.center(), factor=np.linalg.cholesky(Q0))
-    log_vol_initial = log_unit_ball_volume(m) + 0.5 * float(np.linalg.slogdet(Q0)[1])
+    state = EllipsoidState(center=box.center(), factor=math.sqrt(radius_sq) * np.eye(m))
+    log_vol_initial = _log_initial_volume(m, box.R)
+    log_cut = central_cut_log_factor(m)
     trace = CutTrace()
     lam_0 = np.zeros(m)
     trace.append(True, lam_0, -np.asarray(origin.g, dtype=float), origin.v, log_vol_initial)
@@ -239,7 +270,7 @@ def _ellipsoid_maximize(oracle, box, T, stop, origin):
     try:
         for t in range(1, T + 1):
             lam_t = state.center.copy()
-            log_vol = log_vol_initial + state.log_volume_offset
+            log_vol = log_vol_initial + (t - 1) * log_cut
             if box.contains(lam_t):
                 triple = oracle(lam_t)
                 g = np.asarray(triple.g, dtype=float)
@@ -256,10 +287,12 @@ def _ellipsoid_maximize(oracle, box, T, stop, origin):
             else:
                 w = separation_oracle_box(lam_t, box.R)
                 trace.append(False, lam_t, w, math.nan, log_vol)
-            # Once the localizer's extent along the cut is below the float
-            # resolution of the query point, further cuts cannot move it.
+            # Once the localizer's extent along the cut, sqrt(w^T Q w) / ||w||,
+            # is below the float resolution of the query point, further cuts
+            # cannot move it.
             extent_tol = 1e-13 * (1.0 + float(np.max(np.abs(lam_t))))
-            if cut_resolution(state, w) <= (extent_tol**2) * float(w @ w):
+            Bw = state.factor.T @ w
+            if float(Bw @ Bw) <= (extent_tol**2) * float(w @ w):
                 break
             state = ellipsoid_update(state, w)
             if t % (_PD_CHECK_EVERY * m) == 0:

@@ -61,12 +61,14 @@ def project_norm_ball_via_dual(
 
     Runs the safeguarded bisection over [0, R] with the exact oracle for
     ``T = ceil(log2(R max(1, ||x0||) / eps)) + 2`` rounds, one projector call
-    each.
+    each.  T keeps its ``+ 2`` because the acceptance test of the
+    conversion's call budget pins that count, so the ITP safeguard's slack
+    is not budgeted here as ``round_budget`` does for ``project``: the final
+    bracket is at most ``R 2^(ITP_N0 - T) <= 2 eps / max(1, ||x0||)`` wide.
     The primal point of the last queried multiplier is returned: the
-    oracle's derivative sign is exact, so the final bracket, at most
-    ``R 2^(ITP_N0 - T)`` wide, holds the optimal multiplier, and the
-    model and interpolated queries usually pin it to float precision much
-    sooner.
+    oracle's derivative sign is exact, so that bracket holds the optimal
+    multiplier, and the model and interpolated queries usually pin it to
+    float precision much sooner.
     The best-value query is not used, because far from the ball the dual
     values of distant queries tie to float precision.  Since the dual value
     at lam = 0 is 0 and exceeds d(lam) for every lam > 0 exactly when x0 is

@@ -1,35 +1,22 @@
 """Fast projection: cutting planes on the dual fed by inner AGD solves.
 
-``project`` maximizes the Lagrangian dual over the multiplier box with a
-cutting-plane engine whose oracle, one approximate minimization of the
-Lagrangian in the primal, yields the primal point, dual gradient and dual
-value together; the primal solution is the oracle's point at the dual point
-the engine returns.  m picks the engine: the ellipsoid for m >= 2, a
-bracketing search for m = 1.  With the guaranteed inner-accuracy schedule
-the output ``x_hat`` satisfies, against every feasible x,
+``project`` maximizes the Lagrangian dual over the multiplier box
+``[0, R]^m`` with ``cutting_plane_maximize``, whose oracle, one approximate
+minimization of the Lagrangian in the primal, yields the primal point, dual
+gradient and dual value together; the primal solution is the oracle's point
+at the dual point the engine returns.  ``cutting_plane.round_budget`` gives
+the number of rounds, for both engines.  With the guaranteed inner-accuracy
+schedule the output ``x_hat`` satisfies, against every feasible x,
 
     ||x_hat - x0||^2 <= ||x - x0||^2 + 6 eps      and      h_i(x_hat) <= eps.
 
-Both engines first query lam = 0, where x0 itself solves the inner problem,
-so an interior x0 is returned unchanged after one constraint evaluation.
-The m = 1 search stops as soon as a queried point passes ``certified``,
-the weak-duality test that already proves the tighter bound
-``||x_hat - x0||^2 <= ||x - x0||^2 + eps + eps_eff``, and steps on a
-secular model of the dual derivative.  Its first query after lam = 0 is
-the dual Newton step ``h(x0) / (||grad h(x0)||^2 / 2)`` when that lies in
-``(0, R)``: at lam = 0 the inner solution is x0 and the Lagrangian's
-Hessian is 2I, so ``d''(0) = -||grad h(x0)||^2 / 2`` exactly.  The step
-costs one constraint gradient, taken only when ``h(x0) > 0`` and counted
-in ``inner_gradient_evals``, and does not depend on R, so a loose R costs
-the m = 1 search no deep queries and no larger AGD budgets.  It is given
-``ceil(log2(R G / eps)) + ITP_N0`` bracketing rounds after the lam = 0
-query, so that its model and interpolated queries leave at worst plain
-bisection's final bracket.  Every result reports the test at its own
-answer as ``ProjectionResult.certified``.
-
-Where ``G = 0`` (a quadratic with A = 0, which always holds) the logarithms
-of G take their limit: the inscribed radius is infinite, so the ellipsoid
-runs only its lam = 0 round, and the bisection ``1 + ITP_N0`` more.
+The first query is lam = 0, where x0 itself solves the inner problem, so an
+interior x0 is returned unchanged after one constraint evaluation.  The
+search stops as soon as a queried point passes ``certified``, the
+weak-duality test that already proves the tighter bound
+``||x_hat - x0||^2 <= ||x - x0||^2 + eps + eps_eff`` (the ellipsoid tests
+it only at lam = 0).  Every result reports the test at its own answer as
+``ProjectionResult.certified``.
 
 When the multiplier bound R is unknown, ``SolverConfig.max_doubling_rounds``
 lets ``project`` restart with a doubled R while the answer's multipliers sit
@@ -44,14 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cutting_plane import (
-    ITP_N0,
-    CutTrace,
-    DualBox,
-    central_cut_log_factor,
-    cutting_plane_maximize,
-    log_unit_ball_volume,
-)
+from .cutting_plane import CutTrace, DualBox, cutting_plane_maximize, round_budget
 from .dual_oracle import OracleTriple, approx_dual_oracle
 from .model import (
     Array,
@@ -111,16 +91,6 @@ def bound_R_quadratic(c: Array, B: float, X_star: float) -> float:
     return max(1.0, float(np.max(B * X_star / c)))
 
 
-def _log_inscribed_radius(eps: float, m: int, G: float) -> float:
-    # The paper's radius is min(eps/bound, sqrt(eps)/G)/(2m), the bound being
-    # one on |h_i| over the feasible set.  Problems carry no such bound, so G
-    # stands in for it.  Its logarithm cannot underflow, and at G = 0 the
-    # radius is infinite.
-    if G == 0.0:
-        return math.inf
-    return math.log(min(eps, math.sqrt(eps)) / (2.0 * m)) - math.log(G)
-
-
 def certified(lam: Array, triple: OracleTriple, eps: float) -> bool:
     """Weak-duality certificate of the triple at ``lam``: ``max h(x_lam) <= eps``
     and ``-lam . h(x_lam) <= eps``.
@@ -140,23 +110,6 @@ def default_inner_accuracy(eps: float, m: int, R: float, G: float) -> float:
     log_mRG = math.log(m * R * G) if G > 0.0 else -math.inf
     log_schedule = 4.0 * math.log(eps) - math.log(256.0) - 6.0 * log_mRG
     return math.exp(min(log_schedule, math.log(eps)))
-
-
-def _ellipsoid_budget(m: int, R: float, log_r: float, cap: int) -> int:
-    """Outer round budget of the ellipsoid engine, at most ``cap``.
-
-    The localizer starts as the ball circumscribing ``[0, R]^m`` and every
-    cut scales its volume by ``exp(central_cut_log_factor(m))``.  The budget
-    is the first round after which its volume is below ``r^m = exp(m log_r)``:
-    the near-optimal dual set is taken to hold a cube of side r, so from then
-    on the localizer cannot contain it and some visited point is near optimal.
-    An infinite r makes every point near optimal: the lam = 0 round suffices.
-    """
-    if log_r == math.inf:
-        return 0
-    log_vol_initial = log_unit_ball_volume(m) + m * math.log(math.sqrt(m) * R / 2.0)
-    rounds = math.floor((log_vol_initial - m * log_r) / -central_cut_log_factor(m)) + 1
-    return min(cap, max(1, rounds))
 
 
 def project(problem: ProjectionProblem, config: SolverConfig) -> ProjectionResult:
@@ -210,21 +163,12 @@ def _solve(problem: ProjectionProblem, config: SolverConfig) -> ProjectionResult
         return approx_dual_oracle(problem, lam, eps_tilde, counters=counters)
 
     # The lam = 0 query is one of the capped rounds.
-    cap = config.max_outer_iterations - 1
-    if m == 1:
-        # The ITP safeguard spends up to ITP_N0 extra rounds on interpolated
-        # queries; with them the worst-case bracket is bisection's R 2^-T.
-        # log2(R G / eps) as a sum, since the product may overflow; at G = 0
-        # it is -inf and T is 1 + ITP_N0.
-        log2_G = math.log2(G) if G > 0.0 else -math.inf
-        log2_ratio = math.log2(R) + log2_G - math.log2(eps)
-        T = min(cap, math.ceil(max(log2_ratio, 1.0)) + ITP_N0)
-    else:
-        T = _ellipsoid_budget(m, R, _log_inscribed_radius(eps, m, G), cap)
+    T = round_budget(m, R, eps, G, config.max_outer_iterations - 1)
 
     def curvature() -> float:
-        # -d''(0), exact: x0 solves the inner problem at lam = 0 and the
-        # Lagrangian's Hessian there is 2I.
+        # -d''(0) of a one-constraint dual, exact: x0 solves the inner
+        # problem at lam = 0 and the Lagrangian's Hessian there is 2I.  Only
+        # the m = 1 search calls it; its one gradient is counted.
         counters["gradient_evals"] += 1
         grad = problem.constraints[0].grad(problem.x0)
         return 0.5 * float(grad @ grad)
@@ -234,7 +178,7 @@ def _solve(problem: ProjectionProblem, config: SolverConfig) -> ProjectionResult
         box=DualBox(R=R, m=m),
         T=T,
         stop=lambda lam, triple: certified(lam, triple, eps),
-        curvature=curvature if m == 1 else None,
+        curvature=curvature,
     )
 
     x_hat = final.x_lambda

@@ -89,7 +89,7 @@ def test_update_tracks_determinant_volume(rng):
         w = rng.standard_normal(3)
         state = ellipsoid_update(state, w)
     logdet = np.linalg.slogdet(shape(state))[1]
-    assert 0.5 * (logdet - logdet0) == pytest.approx(state.log_volume_offset, abs=1e-9)
+    assert 0.5 * (logdet - logdet0) == pytest.approx(25 * central_cut_log_factor(3), abs=1e-9)
 
 
 def test_kept_half_is_contained(rng):
@@ -164,6 +164,24 @@ def test_ellipsoid_opens_at_lam_zero():
         calls.clear()
         _, lam_bar, trace = cutting_plane_maximize(oracle, box, T, stop)
         assert len(trace) == len(calls) == 1 and not np.any(lam_bar)
+
+
+def test_ellipsoid_never_calls_the_curvature():
+    # project passes its m = 1 curvature at every m; only the bisection
+    # may call it
+    def curvature():
+        pytest.fail("the ellipsoid called curvature")
+
+    for m in (2, 3):
+        target = np.linspace(0.7, 1.9, m)
+        oracle = lambda lam: OracleTriple(
+            lam, -2.0 * (lam - target), -float((lam - target) @ (lam - target))
+        )
+        _, lam_bar, trace = cutting_plane_maximize(
+            oracle, DualBox(R=4.0, m=m), 40, curvature=curvature
+        )
+        assert len(trace) == 41
+        assert_allclose(lam_bar, target, atol=0.1)
 
 
 def test_linear_objective_drives_to_corner():

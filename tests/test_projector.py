@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fastproj.cli import random_quadratic_instance
+from fastproj.cutting_plane import ITP_N0, round_budget
 from fastproj.dual_oracle import approx_dual_oracle
 from fastproj.model import (
     ConstraintOracle,
@@ -94,7 +95,8 @@ def test_a_constraint_with_zero_gradient_takes_the_limit_of_its_logarithms():
     q = quadratic_constraint(np.zeros((3, 3)), np.zeros(3), 1.0)
     x0 = np.array([2.0, 0.0, 0.0])
     assert projector.default_inner_accuracy(1e-3, 1, 4.0, 0.0) == pytest.approx(1e-3)
-    assert projector._ellipsoid_budget(2, 4.0, projector._log_inscribed_radius(1e-3, 2, 0.0), 600) == 0
+    assert round_budget(2, 4.0, 1e-3, 0.0, 600) == 0
+    assert round_budget(1, 4.0, 1e-3, 0.0, 600) == 1 + ITP_N0
     for m in (1, 2):
         prob = quadratic_problem(x0, [q] * m, R=4.0)
         assert prob.max_lipschitz() == 0.0
@@ -233,16 +235,31 @@ def test_ellipsoid_runs_its_closed_form_budget(m):
     assert len(capped.trace) == rounds // 2
 
 
+def test_an_uncertified_m1_solve_runs_its_whole_budget():
+    # lam* = 3 lies beyond R = 1, so no query certifies: the search runs the
+    # lam = 0 round and then every round of its budget
+    prob = unit_ball_problem([4.0, 0.0], R=1.0)
+    config = SolverConfig(epsilon=1e-4)
+    res = project(prob, config)
+    assert not res.certified
+    cap = config.max_outer_iterations - 1
+    T = round_budget(1, prob.R, config.epsilon, prob.max_lipschitz(), cap)
+    assert len(res.trace) == res.oracle_calls == 1 + T
+
+
 def test_huge_R_or_eps_overflows_neither_schedule_nor_budget():
     # (m R G)^6, eps^4 and R G / eps overflow a float here; in logarithms the
     # schedule underflows to 0 or stops at eps, and the budgets hit the cap.
     for R in (1e50, 1e200, 1e300):
         assert projector.default_inner_accuracy(1e-3, 2, R, 10.0) < 1e-300
-        log_r = projector._log_inscribed_radius(1e-3, 2, 10.0)
-        assert projector._ellipsoid_budget(2, R, log_r, 600) == 600
+        assert round_budget(2, R, 1e-3, 10.0, 600) == 600
+    # sqrt(m) R overflows at R = 1.7e308 for m >= 2
+    for R in (1e200, 1e300, 1.7e308):
+        for m in (1, 2, 3):
+            assert round_budget(m, R, 1e-3, 10.0, 600) == 600
     assert projector.default_inner_accuracy(1e100, 1, 1.0, 1.0) == pytest.approx(1e100)
     prob = random_quadratic_instance(6, 2, seed=9)
-    for R in (1e200, 1e300):
+    for R in (1e200, 1e300, 1.7e308):
         with pytest.raises(ContractViolation, match="too large"):
             project(dataclasses.replace(prob, R=R), SolverConfig(epsilon=1e-3))
 
