@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -25,20 +25,36 @@ class SmoothObjective:
             raise ContractViolation("need beta >= alpha > 0")
 
 
+class AGDRun(NamedTuple):
+    """Where ``agd_minimize`` stopped: the returned point, the gradient there
+    when the stop test fired (else None), and the gradient calls made."""
+
+    point: Array
+    gradient: Array | None
+    gradient_calls: int
+
+
 def agd_minimize(
     objective: SmoothObjective,
     x_init: Array,
     iterations: int,
     g_init: Array | None = None,
-) -> Array:
-    """Run exactly ``iterations`` momentum steps and return the last y iterate.
+    tol_sq: float = -math.inf,
+) -> AGDRun:
+    """Run up to ``iterations`` momentum steps.
 
     Update per step: ``y+ = x - grad(x)/beta`` followed by the momentum
     combination ``x+ = (1 + gamma) y+ - gamma y`` with
     ``gamma = (sqrt(kappa) - 1)/(sqrt(kappa) + 1)``, ``kappa = beta/alpha``.
     No line search, restarts or adaptivity.  ``g_init``, the gradient at
     ``x_init`` when the caller already has it, replaces the first gradient
-    call (read only), so the run makes ``iterations - 1`` gradient calls.
+    call (read only).
+
+    The run returns the first momentum point x whose gradient g, already
+    checked finite, has ``g . g <= tol_sq``, with that g.  The default never
+    fires: then all steps run, the last y iterate is returned without a
+    gradient, and ``iterations - 1`` calls are made with ``g_init``,
+    ``iterations`` without.
     """
     if iterations < 1:
         raise ContractViolation("iterations must be >= 1")
@@ -46,15 +62,19 @@ def agd_minimize(
     kappa = beta / objective.alpha
     sq = math.sqrt(kappa)
     gamma = (sq - 1.0) / (sq + 1.0)
+    seeded = g_init is not None
 
     x = np.array(x_init, dtype=float)
     y = x.copy()
     for k in range(iterations):
-        g = g_init if k == 0 and g_init is not None else objective.gradient(x)
+        g = g_init if k == 0 and seeded else objective.gradient(x)
+        gg = g.dot(g)
         # Any inf or nan entry makes g.g non-finite, so the elementwise test
         # runs only then; it clears a finite g whose square overflows.
-        if not math.isfinite(g.dot(g)) and not np.isfinite(g).all():
+        if not math.isfinite(gg) and not np.isfinite(g).all():
             raise NumericalFailure("non-finite gradient during AGD", payload=x)
+        if gg <= tol_sq:
+            return AGDRun(x, g, k + 1 - seeded)
         y_next = x - g / beta
         # x+ = y+ + gamma (y+ - y), built in y's buffer: y is not needed
         # after this step and was never handed to the gradient oracle.
@@ -62,7 +82,7 @@ def agd_minimize(
         y *= gamma
         y += y_next
         x, y = y, y_next
-    return y
+    return AGDRun(y, None, iterations - seeded)
 
 
 def agd_iterations(alpha: float, beta: float, dist_sq_bound: float, eps_tilde: float) -> int:

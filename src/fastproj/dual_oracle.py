@@ -10,14 +10,21 @@ approximate dual gradient and whose Lagrangian value approximates d(lam):
     ||g - grad d(lam)||  <= sqrt(m G^2 eps_tilde)
 
 The inner minimization is 2-strongly convex and (2 + ||lam||_1 L)-smooth, so
-accelerated gradient descent converges at a linear rate.  Optimality at the
-requested accuracy is certified through strong convexity: the value gap is at
-most ``||grad L||^2 / 4``, so the iteration budget is doubled until the
-measured gradient norm satisfies ``||grad L||^2 <= 4 eps_tilde``.
+accelerated gradient descent converges at a linear rate (Nesterov,
+*Introductory Lectures on Convex Optimization*, 2004, 2.1-2.2).  Optimality
+at the requested accuracy is certified through strong convexity: the value
+gap is at most ``||grad L||^2 / 4``, so an iterate with
+``||grad L||^2 <= 4 eps_tilde`` is accurate enough.  The a-priori AGD
+budget caps each solve and doubles until the certificate holds.  With
+``stop_on_certificate`` (the m = 1 search) the solve returns the first AGD
+iterate that passes; otherwise (m >= 2) every round runs its whole budget
+before the certificate is tested, until the ellipsoid stops on its own
+certificate too.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,13 +72,19 @@ def approx_dual_oracle(
     lam: Array,
     eps_tilde: float,
     counters: dict | None = None,
+    stop_on_certificate: bool = False,
 ) -> OracleTriple:
     """Solve ``min_x L(x, lam)`` to ``eps_tilde`` and package (x_lam, g, v).
 
     The inner solve starts cold at ``x0`` with the AGD budget
     ``agd_iterations(2, beta, 1, eps_eff)``, which doubles until the
-    certificate holds; ``eps_eff`` is ``eps_tilde`` (0 allowed) clamped to
-    the float floor.  ``counters['gradient_evals']`` counts when supplied.
+    certificate ``||grad L||^2 <= 4 eps_eff`` holds; ``eps_eff`` is
+    ``eps_tilde`` (0 allowed) clamped to the float floor.  With
+    ``stop_on_certificate`` every AGD round returns the first momentum point
+    that passes, and that point is ``x_lam``; without it each round runs its
+    whole budget and the certificate is tested at its last iterate.  The
+    budget is the cap either way.  ``counters['gradient_evals']`` counts the
+    gradient calls made, when supplied.
     """
     gradient = lagrangian_gradient_fn(problem, lam)
     lam = np.asarray(lam, dtype=float)
@@ -90,12 +103,14 @@ def approx_dual_oracle(
 
     if grad_sq > 4.0 * eps_eff:
         budget = agd_iterations(2.0, beta, 1.0, eps_eff)
+        tol_sq = 4.0 * eps_eff if stop_on_certificate else -math.inf
         for _ in range(_MAX_DOUBLING_ROUNDS):
             # grad is the gradient at x: AGD's first step reuses it.
-            y = agd_minimize(objective, x, budget, grad)
-            evals += budget - 1
-            grad_y = objective.gradient(y)
-            evals += 1
+            y, grad_y, calls = agd_minimize(objective, x, budget, grad, tol_sq)
+            evals += calls
+            if grad_y is None:
+                grad_y = objective.gradient(y)
+                evals += 1
             grad_y_sq = float(grad_y @ grad_y)
             # Stalled progress against the previous round means float64
             # stagnation: no further budget can help.

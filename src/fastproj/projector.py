@@ -31,7 +31,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cutting_plane import CutTrace, DualBox, cutting_plane_maximize, round_budget
+from .cutting_plane import (
+    CutTrace,
+    DualBox,
+    cutting_plane_maximize,
+    inner_stops_on_certificate,
+    round_budget,
+)
 from .dual_oracle import OracleTriple, approx_dual_oracle
 from .model import (
     Array,
@@ -158,9 +164,12 @@ def _solve(problem: ProjectionProblem, config: SolverConfig) -> ProjectionResult
         eps_tilde = default_inner_accuracy(eps, m, R, G)
 
     counters: dict = {}
+    stop_inner = inner_stops_on_certificate(m)
 
     def oracle(lam: Array) -> OracleTriple:
-        return approx_dual_oracle(problem, lam, eps_tilde, counters=counters)
+        return approx_dual_oracle(
+            problem, lam, eps_tilde, counters=counters, stop_on_certificate=stop_inner
+        )
 
     # The lam = 0 query is one of the capped rounds.
     T = round_budget(m, R, eps, G, config.max_outer_iterations - 1)

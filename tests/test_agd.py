@@ -27,7 +27,7 @@ def quadratic_objective(M, z):
 
 def test_zero_is_fixed_point():
     obj = SmoothObjective(gradient=lambda x: 2.0 * x, alpha=2.0, beta=2.0)
-    assert_allclose(agd_minimize(obj, np.zeros(3), 17), np.zeros(3))
+    assert_allclose(agd_minimize(obj, np.zeros(3), 17).point, np.zeros(3))
 
 
 def test_isotropic_quadratic_one_exact_step():
@@ -37,7 +37,7 @@ def test_isotropic_quadratic_one_exact_step():
         alpha=2.0,
         beta=2.0,
     )
-    assert_allclose(agd_minimize(obj, np.zeros(2), 1), target)
+    assert_allclose(agd_minimize(obj, np.zeros(2), 1).point, target)
 
 
 def test_anisotropic_quadratic_reaches_value_gap():
@@ -46,7 +46,7 @@ def test_anisotropic_quadratic_reaches_value_gap():
     x_init = np.array([1.0, 1.0])
     eps = 1e-8
     T = agd_iterations(obj.alpha, obj.beta, float(x_init @ x_init), eps)
-    y = agd_minimize(obj, x_init, T)
+    y = agd_minimize(obj, x_init, T).point
     assert quadratic_value(M, np.zeros(2), y) <= eps  # closed-form minimum is 0
 
 
@@ -76,7 +76,7 @@ def test_value_gap_contract_on_random_quadratics(rng):
             x_init = rng.standard_normal(n)
             dist_sq = float((x_init - z) @ (x_init - z))
             T = agd_iterations(obj.alpha, obj.beta, dist_sq, eps)
-            y = agd_minimize(obj, x_init, T)
+            y = agd_minimize(obj, x_init, T).point
             assert quadratic_value(M, z, y) <= eps
 
 
@@ -88,7 +88,7 @@ def test_geometric_value_decay(rng):
     kappa = obj.beta / obj.alpha
     x_init = z + rng.standard_normal(n)
     ts = np.arange(5, 60, 5)
-    gaps = np.array([quadratic_value(M, z, agd_minimize(obj, x_init, int(t))) for t in ts])
+    gaps = np.array([quadratic_value(M, z, agd_minimize(obj, x_init, int(t)).point) for t in ts])
     slope = np.polyfit(ts, np.log(gaps), 1)[0]
     assert slope <= -0.9 / math.sqrt(kappa)
 
@@ -97,8 +97,8 @@ def test_deterministic_iterates(rng):
     M = random_psd(rng, 3)
     obj = quadratic_objective(M, np.ones(3))
     x_init = rng.standard_normal(3)
-    a = agd_minimize(obj, x_init, 40)
-    b = agd_minimize(obj, x_init, 40)
+    a = agd_minimize(obj, x_init, 40).point
+    b = agd_minimize(obj, x_init, 40).point
     assert np.array_equal(a, b)
 
 
@@ -133,7 +133,7 @@ def test_inf_mid_vector_raises_with_the_offending_iterate():
 def test_finite_gradient_whose_square_overflows_is_accepted():
     obj = SmoothObjective(gradient=lambda x: np.full(4, 1e200), alpha=2.0, beta=2.0)
     with np.errstate(over="ignore"):  # g.g overflows; every entry of g is finite
-        y = agd_minimize(obj, np.zeros(4), 2)
+        y = agd_minimize(obj, np.zeros(4), 2).point
     assert np.all(np.isfinite(y))
 
 
@@ -158,11 +158,60 @@ def test_start_gradient_replaces_the_first_call():
 
     obj = SmoothObjective(gradient=counted, alpha=base.alpha, beta=base.beta)
     x_init = np.array([1.0, 1.0, -1.0])
-    plain = agd_minimize(obj, x_init, 12)
+    plain = agd_minimize(obj, x_init, 12).point
     assert calls[0] == 12
     calls[0] = 0
     g_init = base.gradient(x_init)
-    seeded = agd_minimize(obj, x_init, 12, g_init)
+    seeded = agd_minimize(obj, x_init, 12, g_init).point
     assert calls[0] == 11
     assert np.array_equal(seeded, plain)
     assert np.array_equal(g_init, base.gradient(x_init))  # read, not written
+
+
+def test_stop_returns_the_first_passing_momentum_point(rng):
+    M = random_psd(rng, 5, np.array([0.3, 0.8, 1.5, 2.0, 6.0]))
+    z = rng.standard_normal(5)
+    base = quadratic_objective(M, z)
+    points, sq_norms = [], []
+
+    def recorded(x):
+        g = base.gradient(x)
+        points.append(x.copy())
+        sq_norms.append(float(g @ g))
+        return g
+
+    obj = SmoothObjective(gradient=recorded, alpha=base.alpha, beta=base.beta)
+    x_init = z + rng.standard_normal(5)
+    T = 200
+    full = agd_minimize(obj, x_init, T)
+    assert full.gradient is None and full.gradient_calls == T == len(points)
+    tol_sq = 1e-6 * sq_norms[0]
+    k = next(i for i, s in enumerate(sq_norms) if s <= tol_sq)
+    assert 0 < k < T - 1
+    momentum_points = list(points)  # the full run's x_0 .. x_(T-1)
+    points.clear()
+    stopped = agd_minimize(obj, x_init, T, tol_sq=tol_sq)
+    assert stopped.gradient_calls == k + 1 == len(points)
+    assert np.array_equal(stopped.point, momentum_points[k])
+    assert np.array_equal(stopped.gradient, base.gradient(momentum_points[k]))
+    # a seeded run makes one call fewer and stops at the same point
+    points.clear()
+    seeded = agd_minimize(obj, x_init, T, base.gradient(x_init), tol_sq)
+    assert seeded.gradient_calls == k == len(points)
+    assert np.array_equal(seeded.point, stopped.point)
+
+
+def test_stop_that_never_fires_leaves_the_iterates_unchanged(rng):
+    M = random_psd(rng, 4)
+    obj = quadratic_objective(M, np.ones(4))
+    x_init = rng.standard_normal(4)
+    plain = agd_minimize(obj, x_init, 30)
+    capped = agd_minimize(obj, x_init, 30, tol_sq=1e-300)
+    assert capped.gradient is None and capped.gradient_calls == 30
+    assert np.array_equal(capped.point, plain.point)
+
+
+def test_nan_gradient_raises_and_never_passes_the_stop():
+    obj = SmoothObjective(gradient=lambda x: np.array([math.nan, 0.0]), alpha=2.0, beta=2.0)
+    with pytest.raises(NumericalFailure):
+        agd_minimize(obj, np.ones(2), 5, tol_sq=math.inf)

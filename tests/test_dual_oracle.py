@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fastproj.dual_oracle import approx_dual_oracle
+from fastproj.agd import agd_iterations
+from fastproj.dual_oracle import approx_dual_oracle, effective_eps_tilde
 from fastproj.model import (
     ContractViolation,
     eval_constraints,
+    lagrangian_gradient,
     lagrangian_value,
     quadratic_constraint,
     quadratic_problem,
@@ -180,3 +182,33 @@ def test_gradient_counter_matches_real_calls(rng):
         approx_dual_oracle(prob, np.array([0.7]), eps_tilde, counters=counters)
         assert counters["gradient_evals"] == len(points) > 1
         assert points[0] == prob.x0.tobytes() != points[1]
+
+
+def test_stop_on_certificate_returns_a_certified_point_within_the_first_budget(rng):
+    n = 12
+    points = [0]
+
+    for _ in range(4):
+        quad = quadratic_constraint(random_psd(rng, n), rng.standard_normal(n) * 0.3, 1.0)
+        prob = quadratic_problem(rng.standard_normal(n) * 3.0, [quad], R=4.0)
+
+        def grad(x, inner=prob.constraints[0].grad):
+            points[0] += 1
+            return inner(x)
+
+        prob = replace(prob, constraints=(replace(prob.constraints[0], grad=grad),))
+        for lam, eps_tilde in ((0.3, 1e-6), (2.0, 1e-10), (3.5, 0.0)):
+            lam = np.array([lam])
+            eps_eff = effective_eps_tilde(prob, eps_tilde)
+            budget = agd_iterations(2.0, 2.0 + lam[0] * prob.max_smoothness(), 1.0, eps_eff)
+            budgeted = {}
+            approx_dual_oracle(prob, lam, eps_tilde, counters=budgeted)
+            assert budgeted["gradient_evals"] == 1 + budget  # the first budget certifies
+            points[0] = 0
+            stopped = {}
+            triple = approx_dual_oracle(
+                prob, lam, eps_tilde, counters=stopped, stop_on_certificate=True
+            )
+            assert stopped["gradient_evals"] == points[0] < 1 + budget
+            g = lagrangian_gradient(prob, triple.x_lambda, lam)
+            assert float(g @ g) <= 4.0 * eps_eff

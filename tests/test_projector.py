@@ -8,13 +8,14 @@ from numpy.testing import assert_allclose
 
 from fastproj.cli import random_quadratic_instance
 from fastproj.cutting_plane import ITP_N0, round_budget
-from fastproj.dual_oracle import approx_dual_oracle
+from fastproj.dual_oracle import approx_dual_oracle, effective_eps_tilde
 from fastproj.model import (
     ConstraintOracle,
     ContractViolation,
     ProjectionProblem,
     SolverConfig,
     eval_constraints,
+    lagrangian_gradient,
     quadratic_constraint,
     quadratic_problem,
 )
@@ -487,6 +488,7 @@ def test_certified_flags_an_uncertified_answer(rng):
 def test_numerical_failure_carries_partial_trace():
     from fastproj.model import ConstraintOracle, NumericalFailure
 
+    x0 = np.array([2.0, 0.0])
     calls = [0]
 
     def poisoned_grad(x):
@@ -495,15 +497,23 @@ def test_numerical_failure_carries_partial_trace():
             return np.full(2, np.nan)
         return 2.0 * x
 
-    bad = ConstraintOracle(
-        eval=lambda x: float(x @ x) - 1.0,
-        grad=poisoned_grad,
-        lipschitz_G=8.0,
-        smoothness_L=2.0,
-    )
+    def poisoned_off_x0(x):
+        # The m = 1 solve certifies within a few constraint-gradient calls,
+        # so its poison is the first gradient at a point other than x0: an
+        # AGD step of the first inner solve after lam = 0.
+        if not np.array_equal(x, x0):
+            return np.full(2, np.nan)
+        return 2.0 * x
+
     # m = 1 runs the bisection engine and m = 2 the ellipsoid
-    for m in (1, 2):
-        prob = ProjectionProblem(x0=np.array([2.0, 0.0]), constraints=(bad,) * m, R=4.0)
+    for m, grad in ((1, poisoned_off_x0), (2, poisoned_grad)):
+        bad = ConstraintOracle(
+            eval=lambda x: float(x @ x) - 1.0,
+            grad=grad,
+            lipschitz_G=8.0,
+            smoothness_L=2.0,
+        )
+        prob = ProjectionProblem(x0=x0, constraints=(bad,) * m, R=4.0)
         calls[0] = 0
         with pytest.raises(NumericalFailure) as exc:
             project(prob, SolverConfig(epsilon=1e-6))
@@ -539,6 +549,42 @@ def test_oracle_calls_count_every_inner_solve(monkeypatch, rng):
         assert res.oracle_calls == len(solves) == sum(res.trace.in_box)
         # the engine's triple at lambda_bar is the answer, never solved again
         assert sum(np.array_equal(lam, res.lambda_bar) for lam in solves) == 1
+
+
+def test_only_the_m1_search_stops_its_inner_solves_on_their_certificate(monkeypatch, rng):
+    n = 8
+    quads = [
+        quadratic_constraint(random_psd(rng, n), rng.standard_normal(n) * 0.2, 1.0),
+        quadratic_constraint(random_psd(rng, n), rng.standard_normal(n) * 0.2, 1.3),
+    ]
+    x0 = rng.standard_normal(n)
+    x0 *= 2.5 / np.linalg.norm(x0)
+    solves = []  # (lam, eps_tilde, triple, gradient evals) of every inner solve
+
+    def recorded(problem, lam, eps_tilde, counters, **kwargs):
+        before = counters.get("gradient_evals", 0)
+        triple = approx_dual_oracle(problem, lam, eps_tilde, counters, **kwargs)
+        solves.append((np.array(lam), eps_tilde, triple, counters["gradient_evals"] - before))
+        return triple
+
+    monkeypatch.setattr("fastproj.projector.approx_dual_oracle", recorded)
+    for prob in (quadratic_problem(x0, quads[:1], R=5.0), quadratic_problem(x0, quads, R=5.0)):
+        solves.clear()
+        project(prob, SolverConfig(epsilon=1e-4, epsilon_tilde_override=1e-6))
+        assert len(solves) > 1
+        budgeted = {}  # the a-priori path's evals at the same queries
+        for lam, eps_tilde, triple, evals in solves:
+            before = budgeted.get("gradient_evals", 0)
+            full = approx_dual_oracle(prob, lam, eps_tilde, counters=budgeted)
+            if prob.m == 1:
+                g = lagrangian_gradient(prob, triple.x_lambda, lam)
+                assert float(g @ g) <= 4.0 * effective_eps_tilde(prob, eps_tilde)
+                assert evals <= budgeted["gradient_evals"] - before
+            else:  # the a-priori path, bit for bit
+                assert np.array_equal(triple.x_lambda, full.x_lambda)
+                assert evals == budgeted["gradient_evals"] - before
+        total = sum(evals for *_, evals in solves)
+        assert (total < budgeted["gradient_evals"]) == (prob.m == 1)
 
 
 def test_concurrent_solves_share_problem(rng):
