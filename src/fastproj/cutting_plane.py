@@ -6,8 +6,9 @@ and value.  Out-of-box points are never queried.  ``cutting_plane_maximize``
 first queries lam = 0, where the inner problem is solved by the query point
 itself, and then runs the engine the number of multipliers m selects.
 ``round_budget`` gives each engine's round budget for a target accuracy,
-and ``inner_stops_on_certificate`` whether its inner solves may stop early,
-so everything that depends on m lives in this module.
+and ``inner_stops_on_certificate`` whether its AGD inner solves may stop
+early, so every choice of the dual search that depends on m lives in this
+module.
 
 For m >= 2 the localizer starts as an ellipsoid covering the dual box
 ``[0, R]^m`` and is cut through its center every round: with the negated
@@ -178,10 +179,13 @@ def round_budget(m: int, R: float, eps: float, G: float, cap: int) -> int:
 
 
 def inner_stops_on_certificate(m: int) -> bool:
-    """Whether the oracle's inner solves for an m-multiplier search stop at
-    their first AGD iterate with ``||grad L||^2 <= 4 eps_eff`` instead of
+    """Whether the oracle's AGD inner solves for an m-multiplier search stop
+    at their first iterate with ``||grad L||^2 <= 4 eps_eff`` instead of
     running their a-priori budget (``approx_dual_oracle``'s
-    ``stop_on_certificate``).
+    ``stop_on_certificate``).  A single quadratic constraint's queries are
+    served by its Lanczos basis, which always stops on the certificate, so
+    at m = 1 this governs the non-quadratic constraints and a query past the
+    basis's vector cap.
 
     True at m = 1 only.  The bracketing engine tests ``certified`` at every
     query, so a solve that stops as soon as its own accuracy is proven gives

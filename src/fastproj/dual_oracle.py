@@ -9,17 +9,28 @@ approximate dual gradient and whose Lagrangian value approximates d(lam):
     |v - d(lam)|         <= eps_tilde
     ||g - grad d(lam)||  <= sqrt(m G^2 eps_tilde)
 
-The inner minimization is 2-strongly convex and (2 + ||lam||_1 L)-smooth, so
-accelerated gradient descent converges at a linear rate (Nesterov,
-*Introductory Lectures on Convex Optimization*, 2004, 2.1-2.2).  Optimality
-at the requested accuracy is certified through strong convexity: the value
-gap is at most ``||grad L||^2 / 4``, so an iterate with
-``||grad L||^2 <= 4 eps_tilde`` is accurate enough.  The a-priori AGD
-budget caps each solve and doubles until the certificate holds.  With
-``stop_on_certificate`` (the m = 1 search) the solve returns the first AGD
-iterate that passes; otherwise (m >= 2) every round runs its whole budget
-before the certificate is tested, until the ellipsoid stops on its own
-certificate too.
+The inner minimization is 2-strongly convex and (2 + ||lam||_1 L)-smooth.
+Optimality at the requested accuracy is certified through strong
+convexity: the value gap is at most ``||grad L||^2 / 4``, so a point with
+``||grad L||^2 <= 4 eps_tilde`` is accurate enough.
+
+Two inner solvers produce that point.  A problem whose one constraint is a
+``QuadraticConstraint`` ``(x - c)^T A (x - c) - level`` has the inner
+solution ``x = c + u`` with ``(I + lam A) u = x0 - c``, whose Krylov space
+``K(A, x0 - c)`` does not depend on lam.  ``lanczos_basis`` builds one
+Lanczos basis of it per projection, grown on demand and shared by every
+query of that projection (the shift invariance GLTR uses for the
+trust-region subproblem: Gould, Lucidi, Roma & Toint, SIAM J. Optim.
+1999).  Every other problem, and a query the basis cannot serve within
+``_MAX_BASIS_VECTORS``, runs accelerated gradient descent, which converges
+at a linear rate (Nesterov, *Introductory Lectures on Convex
+Optimization*, 2004, 2.1-2.2).  Its a-priori budget caps each solve and
+doubles until the certificate holds.  With ``stop_on_certificate`` (the
+m = 1 search) the solve returns the first AGD iterate that passes;
+otherwise (m >= 2) every round runs its whole budget before the
+certificate is tested, until the ellipsoid stops on its own certificate
+too.  Either way the certificate is tested on a true constraint gradient at
+the returned point.
 """
 
 from __future__ import annotations
@@ -33,7 +44,9 @@ from .agd import SmoothObjective, agd_iterations, agd_minimize
 from .model import (
     Array,
     ContractViolation,
+    NumericalFailure,
     ProjectionProblem,
+    QuadraticConstraint,
     eval_constraints,
     lagrangian_gradient_fn,
 )
@@ -47,13 +60,24 @@ _FLOAT_GAP_REL = 1e-13
 # norm stops shrinking (float stagnation), or after this many rounds.
 _MAX_DOUBLING_ROUNDS = 8
 
+# A Lanczos basis holds at most this many vectors, about the memory of one
+# 56-column WY factor; a query that needs more continues with AGD.
+_MAX_BASIS_VECTORS = 64
+
+# A Lanczos residual at most this fraction of A's spectral norm means the
+# Krylov space is invariant: the basis stops growing.
+_BREAKDOWN_REL = 1e-14
+
 
 @dataclass(frozen=True)
 class OracleTriple:
     """Approximate primal minimizer with its dual gradient/value estimates.
 
-    ``v`` and ``g`` are recomputed from ``x_lambda`` so the recomputation
-    identities hold exactly.
+    ``v`` and ``g`` are recomputed from ``x_lambda``: ``v = ||x_lambda -
+    x0||^2 + lam . g``, and ``g`` is the constraint vector at ``x_lambda``,
+    evaluated by each constraint's ``eval``, or on the Krylov path read off
+    the quadratic's gradient there as ``(x - c) . grad h(x) / 2 - level``,
+    which agrees with ``eval`` to rounding.
     """
 
     x_lambda: Array
@@ -67,39 +91,199 @@ def effective_eps_tilde(problem: ProjectionProblem, eps_tilde: float) -> float:
     return max(eps_tilde, _FLOAT_GAP_REL * scale)
 
 
+class LanczosBasis:
+    """Lanczos basis of ``K(A, x0 - c)`` for one quadratic constraint
+    ``(x - c)^T A (x - c) - level``, grown on demand and shared by the inner
+    solves at every multiplier.
+
+    After k products the rows of ``V[:k]`` are orthonormal and
+    ``A V_k^T = V_k^T T_k + beta_k v_{k+1} e_k^T`` with T_k tridiagonal
+    (``alpha`` on its diagonal, ``beta`` off it).  Each product
+    ``A v = grad(c + v) / 2`` goes through the constraint's own ``grad``,
+    counts as one gradient evaluation, and is orthogonalized once against
+    every stored vector (classical Gram-Schmidt, which subsumes the
+    three-term recurrence).  The basis stops growing when ``beta_k`` falls
+    to ``_BREAKDOWN_REL`` of A's spectral norm, and at
+    ``_MAX_BASIS_VECTORS`` products.
+    """
+
+    def __init__(self, quad: QuadraticConstraint, x0: Array):
+        self._grad = quad.grad
+        self._center = quad.center
+        self._level = quad.c
+        self._x0 = x0
+        self._breakdown = _BREAKDOWN_REL * quad.spectral_norm
+        r0 = x0 - quad.center
+        self._rho = math.sqrt(float(r0.dot(r0)))
+        self._V = np.empty((_MAX_BASIS_VECTORS, x0.size))
+        self._alpha: list[float] = []
+        self._beta: list[float] = []
+        # Whether the next product may be taken: x0 = c needs none.
+        self._open = self._rho > 0.0
+        if self._open:
+            np.multiply(r0, 1.0 / self._rho, out=self._V[0])
+
+    def _extend(self) -> None:
+        """One product ``A v_k``: appends ``alpha_k`` and ``beta_k`` and, while
+        the basis may still grow, stores ``v_{k+1}``."""
+        k = len(self._alpha)
+        V = self._V
+        point = self._center + V[k]
+        product = self._grad(point)  # 2 A v_k
+        basis = V[: k + 1]
+        coef = basis.dot(product)
+        w = coef.dot(basis)
+        np.subtract(product, w, out=w)
+        ww = float(w.dot(w))
+        alpha = 0.5 * float(coef[k])
+        if not (math.isfinite(alpha) and math.isfinite(ww)):
+            raise NumericalFailure("non-finite constraint gradient in the Lanczos basis", payload=point)
+        norm = math.sqrt(ww)
+        beta = 0.5 * norm
+        self._alpha.append(alpha)
+        self._beta.append(beta)
+        self._open = beta > self._breakdown and k + 1 < _MAX_BASIS_VECTORS
+        if self._open:
+            np.multiply(w, 1.0 / norm, out=V[k + 1])
+
+    def solve(self, lam: float, tol_sq: float) -> tuple[OracleTriple, Array, float, int]:
+        """The Krylov iterate's triple at ``lam > 0``, the Lagrangian
+        gradient there and its squared norm from the constraint's true
+        gradient, and the gradient calls made: ``(triple, grad L, ||grad
+        L||^2, calls)``.
+
+        The iterate is ``x = c + V_k^T y`` with ``(I + lam T_k) y = rho e1``,
+        ``rho = ||x0 - c||``: the Galerkin solution of
+        ``(I + lam A)(x - c) = x0 - c``.  Its Lagrangian gradient is
+        ``-2 lam beta_k y_k v_{k+1}``, so the residual estimate
+        ``lam beta_k |y_k|`` is the last step of the tridiagonal elimination,
+        O(1) per added row.  The basis grows while
+        ``4 (lam beta_k y_k)^2 > tol_sq``; then x is formed and the
+        certificate ``||grad L(x)||^2 <= tol_sq`` is tested on the true
+        gradient.  A failed test quarters the estimate's target and grows
+        the basis further.  When the basis cannot grow, the iterate is
+        returned whatever its gradient, for the caller to continue from.
+        """
+        alpha, beta = self._alpha, self._beta
+        # Forward elimination of (I + lam T_k) y = rho e1, one row at a time:
+        # pivot ratios c_i and eliminated right-hand sides z_i, so that
+        # y_{k-1} = z_{k-1}; e is lam beta_{i-1}.
+        cs: list[float] = []
+        zs: list[float] = []
+        rhs, z, e, c = self._rho, 0.0, 0.0, 0.0
+        est_sq = rhs * rhs  # (lam beta_k y_k)^2; with no rows, all of x0 - c
+        target_sq = 0.25 * tol_sq
+        calls = i = 0
+        while True:
+            if i == len(alpha):
+                if est_sq <= target_sq or not self._open:
+                    calls += 1
+                    result = self._iterate(lam, cs, zs)
+                    if result[2] <= tol_sq or not self._open:
+                        return result + (calls,)
+                    # Rounding kept the true gradient above the estimate.
+                    target_sq = 0.0625 * min(target_sq, est_sq)
+                self._extend()
+                calls += 1
+            p = 1.0 + lam * alpha[i] - e * c
+            z = (rhs - e * z) / p
+            rhs = 0.0
+            e = lam * beta[i]
+            c = e / p
+            cs.append(c)
+            zs.append(z)
+            est_sq = (e * z) ** 2
+            i += 1
+
+    def _iterate(self, lam: float, cs: list[float], zs: list[float]):
+        # Back substitution y_i = z_i - c_i y_{i+1}, then u = V_k^T y.
+        k = len(zs)
+        y = np.empty(k)
+        yi = 0.0
+        for i in range(k - 1, -1, -1):
+            yi = zs[i] - cs[i] * yi
+            y[i] = yi
+        u = y.dot(self._V[:k])
+        x = u + self._center
+        grad_h = self._grad(x)
+        d = x - self._x0
+        grad_l = lam * grad_h
+        grad_l += d
+        grad_l += d
+        grad_sq = float(grad_l.dot(grad_l))
+        if not math.isfinite(grad_sq):
+            raise NumericalFailure("non-finite constraint gradient at the Krylov iterate", payload=x)
+        # h(x) = u . grad h(x) / 2 - level: no constraint evaluation.
+        h = 0.5 * float(u.dot(grad_h)) - self._level
+        triple = OracleTriple(x_lambda=x, g=np.array([h]), v=float(d.dot(d)) + lam * h)
+        return triple, grad_l, grad_sq
+
+
+def lanczos_basis(problem: ProjectionProblem) -> LanczosBasis | None:
+    """A fresh ``LanczosBasis`` for ``approx_dual_oracle`` when the problem's
+    only constraint is a ``QuadraticConstraint`` (dense or WY), else None.
+    It is built for one projection's queries and holds no products yet."""
+    if problem.m != 1 or not isinstance(problem.constraints[0], QuadraticConstraint):
+        return None
+    return LanczosBasis(problem.constraints[0], problem.x0)
+
+
 def approx_dual_oracle(
     problem: ProjectionProblem,
     lam: Array,
     eps_tilde: float,
     counters: dict | None = None,
     stop_on_certificate: bool = False,
+    basis: LanczosBasis | None = None,
 ) -> OracleTriple:
     """Solve ``min_x L(x, lam)`` to ``eps_tilde`` and package (x_lam, g, v).
 
-    The inner solve starts cold at ``x0`` with the AGD budget
+    Accuracy is proven by the certificate ``||grad L||^2 <= 4 eps_eff``;
+    ``eps_eff`` is ``eps_tilde`` (0 allowed) clamped to the float floor.
+    ``basis``, from ``lanczos_basis(problem)``, serves every query at
+    ``lam > 0``: ``x_lam`` is its Krylov iterate, proven on the
+    constraint's true gradient there, which also gives ``g``.  A query it
+    cannot serve within its vector cap continues with AGD from that
+    iterate.
+
+    Otherwise the inner solve starts cold at ``x0`` with the AGD budget
     ``agd_iterations(2, beta, 1, eps_eff)``, which doubles until the
-    certificate ``||grad L||^2 <= 4 eps_eff`` holds; ``eps_eff`` is
-    ``eps_tilde`` (0 allowed) clamped to the float floor.  With
-    ``stop_on_certificate`` every AGD round returns the first momentum point
-    that passes, and that point is ``x_lam``; without it each round runs its
-    whole budget and the certificate is tested at its last iterate.  The
-    budget is the cap either way.  ``counters['gradient_evals']`` counts the
-    gradient calls made, when supplied.
+    certificate holds.  With ``stop_on_certificate`` every AGD round
+    returns the first momentum point that passes, and that point is
+    ``x_lam``; without it each round runs its whole budget and the
+    certificate is tested at its last iterate.  The budget is the cap
+    either way.  ``counters['gradient_evals']`` counts the gradient calls
+    made, Lanczos products included, when supplied.
     """
-    gradient = lagrangian_gradient_fn(problem, lam)
-    lam = np.asarray(lam, dtype=float)
     if not eps_tilde >= 0:
         raise ContractViolation("eps_tilde must be nonnegative")
-
     eps_eff = effective_eps_tilde(problem, eps_tilde)
+    evals = 0
+    start = None
+    if basis is not None:
+        lam = np.asarray(lam, dtype=float)
+        mu = float(lam[0]) if lam.shape == (1,) else math.nan
+        if not mu >= 0.0:
+            raise ContractViolation("lambda must be one nonnegative multiplier")
+        if mu > 0.0:
+            triple, grad, grad_sq, evals = basis.solve(mu, 4.0 * eps_eff)
+            if grad_sq <= 4.0 * eps_eff:
+                _count(counters, evals)
+                return triple
+            start = triple.x_lambda, grad, grad_sq
+
+    gradient = lagrangian_gradient_fn(problem, lam)
+    lam = np.asarray(lam, dtype=float)
     beta = 2.0 + float(np.sum(lam)) * problem.max_smoothness()
     objective = SmoothObjective(gradient=gradient, alpha=2.0, beta=beta)
 
-    evals = 0
-    x = np.array(problem.x0)
-    grad = objective.gradient(x)
-    evals += 1
-    grad_sq = float(grad @ grad)
+    if start is None:
+        x = np.array(problem.x0)
+        grad = objective.gradient(x)
+        evals += 1
+        grad_sq = float(grad @ grad)
+    else:
+        x, grad, grad_sq = start
 
     if grad_sq > 4.0 * eps_eff:
         budget = agd_iterations(2.0, beta, 1.0, eps_eff)
@@ -121,12 +305,15 @@ def approx_dual_oracle(
                 break
             budget *= 2
 
-    if counters is not None:
-        counters["gradient_evals"] = counters.get("gradient_evals", 0) + evals
-
+    _count(counters, evals)
     # v is model.lagrangian_value's arithmetic on the same g: each constraint
     # is evaluated once.
     g = eval_constraints(problem, x)
     d = x - problem.x0
     v = float(d @ d + lam @ g)
     return OracleTriple(x_lambda=x, g=g, v=v)
+
+
+def _count(counters: dict | None, evals: int) -> None:
+    if counters is not None:
+        counters["gradient_evals"] = counters.get("gradient_evals", 0) + evals

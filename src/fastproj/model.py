@@ -246,13 +246,17 @@ def quadratic_constraint(A: Array, center: Array, c: float) -> QuadraticConstrai
     spectral = float(max(eigs[-1], -eigs[0]))
     sigma_min = max(float(eigs[0]), 1e-12)
 
+    # d.dot(A) goes to BLAS, as d @ A does (A is 2-D, so the two agree on
+    # every shape of d), but dispatches a vector-matrix product faster; a
+    # three-operand einsum would not use BLAS at all.
     def _eval(x, A=A, center=center, c=c):
         d = np.asarray(x, dtype=float) - center
-        # d @ A goes to BLAS; a three-operand einsum does not.
-        return np.einsum("...i,...i->...", d @ A, d) - c
+        return np.einsum("...i,...i->...", d.dot(A), d) - c
 
     def _grad(x, A=A, center=center):
-        return 2.0 * ((np.asarray(x, dtype=float) - center) @ A)
+        g = (np.asarray(x, dtype=float) - center).dot(A)
+        g *= 2.0
+        return g
 
     return _quadratic(_eval, _grad, center, c, spectral, sigma_min, A=A)
 

@@ -1,10 +1,13 @@
-"""Fast projection: cutting planes on the dual fed by inner AGD solves.
+"""Fast projection: cutting planes on the dual fed by inner solves.
 
 ``project`` maximizes the Lagrangian dual over the multiplier box
 ``[0, R]^m`` with ``cutting_plane_maximize``, whose oracle, one approximate
 minimization of the Lagrangian in the primal, yields the primal point, dual
 gradient and dual value together; the primal solution is the oracle's point
-at the dual point the engine returns.  ``cutting_plane.round_budget`` gives
+at the dual point the engine returns.  The inner solves run AGD from x0,
+except on a problem whose one constraint is a quadratic: there every query
+of a solve reads its point off one shared Lanczos basis
+(``dual_oracle.lanczos_basis``).  ``cutting_plane.round_budget`` gives
 the number of rounds, for both engines.  With the guaranteed inner-accuracy
 schedule the output ``x_hat`` satisfies, against every feasible x,
 
@@ -38,7 +41,7 @@ from .cutting_plane import (
     inner_stops_on_certificate,
     round_budget,
 )
-from .dual_oracle import OracleTriple, approx_dual_oracle
+from .dual_oracle import OracleTriple, approx_dual_oracle, lanczos_basis
 from .model import (
     Array,
     ContractViolation,
@@ -106,7 +109,7 @@ def certified(lam: Array, triple: OracleTriple, eps: float) -> bool:
     which is at most ``OPT + eps + eps_eff`` since ``d(lam) <= OPT``.
     """
     g = triple.g
-    return float(np.max(g)) <= eps and -float(lam @ g) <= eps
+    return float(g.max()) <= eps and -float(lam @ g) <= eps
 
 
 def default_inner_accuracy(eps: float, m: int, R: float, G: float) -> float:
@@ -121,11 +124,12 @@ def default_inner_accuracy(eps: float, m: int, R: float, G: float) -> float:
 def project(problem: ProjectionProblem, config: SolverConfig) -> ProjectionResult:
     """Compute an eps-approximate projection of ``problem.x0``.
 
-    Every inner solve starts cold at ``x0``.  The answer is the engine's own
-    triple at ``lambda_bar``; no inner solve is repeated, so without
-    doubling ``oracle_calls`` is the number of in-box rounds.  The result's
-    ``certified`` says whether that triple passes the ``certified`` duality
-    test, which proves its guarantee a posteriori.
+    Each solve builds its own Lanczos basis when ``lanczos_basis`` applies,
+    and every AGD inner solve starts cold at ``x0``.  The answer is the
+    engine's own triple at ``lambda_bar``; no inner solve is repeated, so
+    without doubling ``oracle_calls`` is the number of in-box rounds.  The
+    result's ``certified`` says whether that triple passes the ``certified``
+    duality test, which proves its guarantee a posteriori.
 
     While a multiplier of the answer is at or above 0.9 R, the solve is
     repeated on a copy of ``problem`` with R doubled, at most
@@ -165,10 +169,16 @@ def _solve(problem: ProjectionProblem, config: SolverConfig) -> ProjectionResult
 
     counters: dict = {}
     stop_inner = inner_stops_on_certificate(m)
+    basis = lanczos_basis(problem)
 
     def oracle(lam: Array) -> OracleTriple:
         return approx_dual_oracle(
-            problem, lam, eps_tilde, counters=counters, stop_on_certificate=stop_inner
+            problem,
+            lam,
+            eps_tilde,
+            counters=counters,
+            stop_on_certificate=stop_inner,
+            basis=basis,
         )
 
     # The lam = 0 query is one of the capped rounds.
@@ -195,7 +205,7 @@ def _solve(problem: ProjectionProblem, config: SolverConfig) -> ProjectionResult
         x_hat=x_hat,
         lambda_bar=np.array(lam_bar),
         objective=float(np.sum((x_hat - problem.x0) ** 2)),
-        max_violation=float(np.max(final.g)),
+        max_violation=float(final.g.max()),
         dual_value=final.v,
         oracle_calls=sum(trace.in_box),
         inner_gradient_evals=counters.get("gradient_evals", 0),

@@ -1,19 +1,31 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fastproj.agd import agd_iterations
-from fastproj.dual_oracle import approx_dual_oracle, effective_eps_tilde
+from fastproj.agd import agd_iterations, agd_minimize
+from fastproj.cli import random_quadratic_instance
+from fastproj.dual_oracle import (
+    _MAX_BASIS_VECTORS,
+    LanczosBasis,
+    approx_dual_oracle,
+    effective_eps_tilde,
+    lanczos_basis,
+)
 from fastproj.model import (
+    ConstraintOracle,
     ContractViolation,
+    NumericalFailure,
+    SolverConfig,
     eval_constraints,
     lagrangian_gradient,
     lagrangian_value,
     quadratic_constraint,
     quadratic_problem,
 )
+from fastproj.projector import project
 from fastproj.reference import project_l2_ball
 
 from conftest import (
@@ -212,3 +224,167 @@ def test_stop_on_certificate_returns_a_certified_point_within_the_first_budget(r
             assert stopped["gradient_evals"] == points[0] < 1 + budget
             g = lagrangian_gradient(prob, triple.x_lambda, lam)
             assert float(g @ g) <= 4.0 * eps_eff
+
+
+# ------------------------------------------------------- Lanczos basis (m = 1)
+
+
+def _counted_grad(prob, calls):
+    """``prob`` with its one constraint's grad counting into ``calls[0]``."""
+    quad = prob.constraints[0]
+
+    def grad(x, inner=quad.grad):
+        calls[0] += 1
+        return inner(x)
+
+    return replace(prob, constraints=(replace(quad, grad=grad),))
+
+
+def _exact_inner_solution(prob, lam):
+    # x = c + (I + lam A)^-1 (x0 - c), the exact minimizer of the Lagrangian
+    quad = prob.constraints[0]
+    A = quad.to_dense()
+    return quad.center + np.linalg.solve(np.eye(prob.n) + lam * A, prob.x0 - quad.center)
+
+
+def test_a_basis_applies_only_to_a_single_quadratic(rng):
+    dense = random_quadratic_instance(16, 1, 2)
+    factored = random_quadratic_instance(64, 1, 2, factored=True)
+    assert isinstance(lanczos_basis(dense), LanczosBasis)
+    assert isinstance(lanczos_basis(factored), LanczosBasis)
+    quad = dense.constraints[0]
+    plain = ConstraintOracle(quad.eval, quad.grad, quad.lipschitz_G, quad.smoothness_L)
+    assert lanczos_basis(replace(dense, constraints=(plain,))) is None
+    assert lanczos_basis(two_quadratics_problem(rng)) is None
+
+
+def test_a_ball_basis_breaks_down_after_one_product_and_is_exact():
+    # A = I: K(A, x0) is the line through x0, so the first product closes
+    # the basis and every query after it costs only its certificate gradient
+    calls = [0]
+    prob = _counted_grad(unit_ball_problem([2.0, -1.0, 0.5]), calls)
+    basis = lanczos_basis(prob)
+    for lam, expected_calls in ((1.0, 2), (0.3, 1), (7.5, 1)):
+        calls[0] = 0
+        counters = {}
+        triple = approx_dual_oracle(prob, np.array([lam]), 0.0, counters, basis=basis)
+        assert counters["gradient_evals"] == calls[0] == expected_calls
+        assert_allclose(triple.x_lambda, prob.x0 / (1.0 + lam), rtol=1e-15)
+        assert triple.v == pytest.approx(ball_dual_value(prob.x0, lam), abs=1e-14)
+
+
+def test_a_rank_r_basis_is_exact_after_r_plus_one_products(rng):
+    n, r = 12, 3
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    A = (q[:, :r] * np.array([1.0, 0.4, 0.1])) @ q[:, :r].T
+    quad = quadratic_constraint(0.5 * (A + A.T), rng.standard_normal(n) * 0.2, 1.0)
+    calls = [0]
+    prob = _counted_grad(quadratic_problem(rng.standard_normal(n) * 3.0, [quad], R=8.0), calls)
+    basis = lanczos_basis(prob)
+    evals = []
+    for lam in (0.5, 3.0, 6.0):
+        calls[0] = 0
+        triple = approx_dual_oracle(prob, np.array([lam]), 0.0, basis=basis)
+        evals.append(calls[0])
+        assert_allclose(triple.x_lambda, _exact_inner_solution(prob, lam), atol=1e-12)
+    # x0 - c has components outside A's range, so K(A, x0 - c) has
+    # dimension r + 1: the first query takes r + 1 products, and every query
+    # one certificate gradient
+    assert evals == [r + 2, 1, 1]
+
+
+def test_the_residual_estimate_predicts_the_certificate(monkeypatch):
+    # one basis serves increasing multipliers; each query grows it only
+    # while lam beta_k |y_k| misses the certificate, and then the one true
+    # gradient at its iterate (one _iterate call) proves it
+    proofs = [0]
+    iterate = LanczosBasis._iterate
+
+    def counted(self, *args):
+        proofs[0] += 1
+        return iterate(self, *args)
+
+    monkeypatch.setattr(LanczosBasis, "_iterate", counted)
+    for seed, factored in ((0, False), (1, False), (2, True)):
+        prob = random_quadratic_instance(64, 1, seed, factored=factored)
+        basis = lanczos_basis(prob)
+        eps_eff = effective_eps_tilde(prob, 0.0)
+        for lam in (0.5, 2.0, 5.0, 20.0):
+            lam = np.array([lam])
+            proofs[0] = 0
+            triple = approx_dual_oracle(prob, lam, 0.0, basis=basis)
+            assert proofs[0] == 1, (seed, lam)
+            g = lagrangian_gradient(prob, triple.x_lambda, lam)
+            assert float(g @ g) <= 4.0 * eps_eff
+
+
+def test_a_failed_proof_grows_the_basis_and_proves_again(monkeypatch):
+    # a true gradient above the Lanczos estimate (rounding) makes the query
+    # grow the basis past the estimate's stop, not fall back to AGD
+    prob = random_quadratic_instance(64, 1, 3)
+    lam = np.array([2.0])
+    clean = {}
+    approx_dual_oracle(prob, lam, 0.0, clean, basis=lanczos_basis(prob))
+    iterate = LanczosBasis._iterate
+    proofs = []
+
+    def first_fails(self, *args):
+        triple, grad, grad_sq = iterate(self, *args)
+        proofs.append(grad_sq)
+        return triple, grad, math.inf if len(proofs) == 1 else grad_sq
+
+    def no_agd(*args):
+        raise AssertionError("AGD ran")
+
+    monkeypatch.setattr(LanczosBasis, "_iterate", first_fails)
+    monkeypatch.setattr("fastproj.dual_oracle.agd_minimize", no_agd)
+    counters = {}
+    triple = approx_dual_oracle(prob, lam, 0.0, counters, basis=lanczos_basis(prob))
+    assert len(proofs) == 2
+    assert counters["gradient_evals"] > clean["gradient_evals"] + 1
+    g = lagrangian_gradient(prob, triple.x_lambda, lam)
+    assert float(g @ g) <= 4.0 * effective_eps_tilde(prob, 0.0)
+
+
+def test_a_non_finite_gradient_mid_basis_raises_with_the_partial_trace():
+    prob = random_quadratic_instance(16, 1, 4)
+    quad = prob.constraints[0]
+    calls = [0]
+
+    def poisoned(x):
+        # call 1 is the curvature at x0, calls 2 and 3 the first products
+        calls[0] += 1
+        return np.full(x.shape, np.nan) if calls[0] == 3 else quad.grad(x)
+
+    bad = replace(prob, constraints=(replace(quad, grad=poisoned),))
+    with pytest.raises(NumericalFailure) as exc:
+        project(bad, SolverConfig(epsilon=1e-4))
+    assert calls[0] == 3
+    assert len(exc.value.trace) >= 1  # the lam = 0 round completed
+
+
+def test_a_query_past_the_vector_cap_continues_with_agd_and_certifies(monkeypatch, rng):
+    # eigenvalues down to 1e-8 at lam = 1e4: (I + lam A) spans four decades,
+    # more than 64 Lanczos vectors resolve at the float floor
+    n = 200
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    A = (q * np.logspace(-8.0, 0.0, n)) @ q.T
+    quad = quadratic_constraint(0.5 * (A + A.T), np.zeros(n), 1.0)
+    prob = quadratic_problem(rng.standard_normal(n) * 3.0, [quad], R=1e5)
+    runs = []
+
+    def counted(objective, x_init, *args):
+        runs.append(x_init)
+        return agd_minimize(objective, x_init, *args)
+
+    monkeypatch.setattr("fastproj.dual_oracle.agd_minimize", counted)
+    lam = np.array([1e4])
+    counters = {}
+    triple = approx_dual_oracle(
+        prob, lam, 0.0, counters, stop_on_certificate=True, basis=lanczos_basis(prob)
+    )
+    assert runs and counters["gradient_evals"] > _MAX_BASIS_VECTORS
+    # AGD starts from the Krylov iterate, not from x0
+    assert not np.array_equal(runs[0], prob.x0)
+    g = lagrangian_gradient(prob, triple.x_lambda, lam)
+    assert float(g @ g) <= 4.0 * effective_eps_tilde(prob, 0.0)

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from fastproj.cli import random_quadratic_instance
 from fastproj.cutting_plane import ITP_N0, round_budget
-from fastproj.dual_oracle import approx_dual_oracle, effective_eps_tilde
+from fastproj.dual_oracle import approx_dual_oracle, effective_eps_tilde, lanczos_basis
 from fastproj.model import (
     ConstraintOracle,
     ContractViolation,
@@ -345,24 +345,33 @@ def test_doubling_budget_exhaustion_flags_trace():
 def test_doubling_reports_the_work_of_every_round():
     # the CI ball instance: its multiplier lies between 0.9 and 1.8, so at
     # R = 1 project solves twice.  Counting wrappers on the constraint see
-    # the work of both rounds.
-    prob = random_quadratic_instance(64, 1, 5, ball=True)
-    counts = {"eval": 0, "grad": 0}
+    # the work of both rounds, on the quadratic itself (the Krylov path) and
+    # on a plain oracle with the same eval and grad (the AGD path).
+    ball = random_quadratic_instance(64, 1, 5, ball=True)
+    quad = ball.constraints[0]
+    plain = ConstraintOracle(quad.eval, quad.grad, quad.lipschitz_G, quad.smoothness_L)
+    for oracle in (quad, plain):
+        counts = {"eval": 0, "grad": 0}
 
-    def counting(name, fn):
-        return lambda x: counts.__setitem__(name, counts[name] + 1) or fn(x)
+        def counting(name, fn):
+            return lambda x: counts.__setitem__(name, counts[name] + 1) or fn(x)
 
-    quad = prob.constraints[0]
-    quad = dataclasses.replace(
-        quad, eval=counting("eval", quad.eval), grad=counting("grad", quad.grad)
-    )
-    prob = dataclasses.replace(prob, constraints=(quad,), R=1.0)
-    res = project(prob, SolverConfig(epsilon=1e-3, max_doubling_rounds=8))
-    assert res.doubling_rounds_used == 1
-    assert res.oracle_calls == counts["eval"] > len(res.trace)
-    # each solve's lam = 0 query evaluates one Lagrangian gradient,
-    # 2 (x0 - x0), that calls no constraint gradient
-    assert res.inner_gradient_evals == counts["grad"] + res.doubling_rounds_used + 1
+        counted = dataclasses.replace(
+            oracle, eval=counting("eval", oracle.eval), grad=counting("grad", oracle.grad)
+        )
+        prob = dataclasses.replace(ball, constraints=(counted,), R=1.0)
+        res = project(prob, SolverConfig(epsilon=1e-3, max_doubling_rounds=8))
+        assert res.doubling_rounds_used == 1
+        assert res.oracle_calls > len(res.trace)
+        if oracle is quad:
+            # h at lam > 0 comes from the certificate's gradient: each solve
+            # evaluates the constraint once, at its lam = 0 query
+            assert counts["eval"] == res.doubling_rounds_used + 1
+        else:
+            assert res.oracle_calls == counts["eval"]
+        # each solve's lam = 0 query evaluates one Lagrangian gradient,
+        # 2 (x0 - x0), that calls no constraint gradient
+        assert res.inner_gradient_evals == counts["grad"] + res.doubling_rounds_used + 1
 
 
 def test_default_config_solves_a_boundary_multiplier_once(monkeypatch):
@@ -585,6 +594,40 @@ def test_only_the_m1_search_stops_its_inner_solves_on_their_certificate(monkeypa
                 assert evals == budgeted["gradient_evals"] - before
         total = sum(evals for *_, evals in solves)
         assert (total < budgeted["gradient_evals"]) == (prob.m == 1)
+
+
+@pytest.mark.parametrize("factored", [False, True])
+def test_the_krylov_and_agd_m1_paths_agree(factored):
+    # the same m = 1 instance, dense or WY, as a QuadraticConstraint (one
+    # Lanczos basis per solve) and as a plain ConstraintOracle wrapping the
+    # same eval and grad (AGD stopped on the certificate)
+    eps = 1e-4
+    prob = random_quadratic_instance(96, 1, 8, factored=factored)
+    quad = prob.constraints[0]
+    plain = ConstraintOracle(quad.eval, quad.grad, quad.lipschitz_G, quad.smoothness_L)
+    agd_prob = dataclasses.replace(prob, constraints=(plain,))
+    assert lanczos_basis(prob) is not None and lanczos_basis(agd_prob) is None
+    eps_eff = effective_eps_tilde(
+        prob, projector.default_inner_accuracy(eps, 1, prob.R, prob.max_lipschitz())
+    )
+    for R in (prob.R, 1e6):
+        config = SolverConfig(epsilon=eps)
+        krylov = project(dataclasses.replace(prob, R=R), config)
+        agd = project(dataclasses.replace(agd_prob, R=R), config)
+        assert krylov.certified and agd.certified
+        assert abs(krylov.objective - agd.objective) <= eps + eps_eff
+        assert krylov.inner_gradient_evals < agd.inner_gradient_evals
+
+
+def test_the_ci_m1_instance_takes_at_most_22_inner_gradients():
+    # `fastproj gen --n 512 --m 1 --seed 3` solved at eps 1e-4: AGD stopped
+    # on the certificate took 44 inner gradients, one shared Lanczos basis
+    # per solve takes 15; a loose R must not cost more
+    prob = random_quadratic_instance(512, 1, 3)
+    for R in (prob.R, 1e6):
+        res = project(dataclasses.replace(prob, R=R), SolverConfig(epsilon=1e-4))
+        assert res.certified
+        assert res.inner_gradient_evals <= 22, R
 
 
 def test_concurrent_solves_share_problem(rng):
