@@ -26,11 +26,11 @@ class SmoothObjective:
 
 
 class AGDRun(NamedTuple):
-    """Where ``agd_minimize`` stopped: the returned point, the gradient there
-    when the stop test fired (else None), and the gradient calls made."""
+    """Where ``agd_minimize`` stopped: the returned point, the gradient
+    there, and the gradient calls made."""
 
     point: Array
-    gradient: Array | None
+    gradient: Array
     gradient_calls: int
 
 
@@ -52,9 +52,9 @@ def agd_minimize(
 
     The run returns the first momentum point x whose gradient g, already
     checked finite, has ``g . g <= tol_sq``, with that g.  The default never
-    fires: then all steps run, the last y iterate is returned without a
-    gradient, and ``iterations - 1`` calls are made with ``g_init``,
-    ``iterations`` without.
+    fires: then all steps run and the last y iterate is returned with its
+    gradient, checked the same way; ``iterations`` calls are made with
+    ``g_init``, ``iterations + 1`` without.
     """
     if iterations < 1:
         raise ContractViolation("iterations must be >= 1")
@@ -66,14 +66,16 @@ def agd_minimize(
 
     x = np.array(x_init, dtype=float)
     y = x.copy()
-    for k in range(iterations):
+    for k in range(iterations + 1):
+        if k == iterations:
+            x = y  # the budget is spent: the run ends on the last y iterate
         g = g_init if k == 0 and seeded else objective.gradient(x)
         gg = g.dot(g)
         # Any inf or nan entry makes g.g non-finite, so the elementwise test
         # runs only then; it clears a finite g whose square overflows.
         if not math.isfinite(gg) and not np.isfinite(g).all():
             raise NumericalFailure("non-finite gradient during AGD", payload=x)
-        if gg <= tol_sq:
+        if gg <= tol_sq or k == iterations:
             return AGDRun(x, g, k + 1 - seeded)
         y_next = x - g / beta
         # x+ = y+ + gamma (y+ - y), built in y's buffer: y is not needed
@@ -82,7 +84,6 @@ def agd_minimize(
         y *= gamma
         y += y_next
         x, y = y, y_next
-    return AGDRun(y, None, iterations - seeded)
 
 
 def agd_iterations(alpha: float, beta: float, dist_sq_bound: float, eps_tilde: float) -> int:

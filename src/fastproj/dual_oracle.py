@@ -238,6 +238,8 @@ def approx_dual_oracle(
 ) -> OracleTriple:
     """Solve ``min_x L(x, lam)`` to ``eps_tilde`` and package (x_lam, g, v).
 
+    At ``lam = 0`` x0 itself is the minimizer: the triple is ``(copy of x0,
+    h(x0), 0)``, made with one constraint evaluation and no gradient call.
     Accuracy is proven by the certificate ``||grad L||^2 <= 4 eps_eff``;
     ``eps_eff`` is ``eps_tilde`` (0 allowed) clamped to the float floor.
     ``basis``, from ``lanczos_basis(problem)``, serves every query at
@@ -259,9 +261,9 @@ def approx_dual_oracle(
         raise ContractViolation("eps_tilde must be nonnegative")
     eps_eff = effective_eps_tilde(problem, eps_tilde)
     evals = 0
-    start = None
+    x = None  # AGD's start, with grad and grad_sq, when the basis falls short
+    lam = np.asarray(lam, dtype=float)
     if basis is not None:
-        lam = np.asarray(lam, dtype=float)
         mu = float(lam[0]) if lam.shape == (1,) else math.nan
         if not mu >= 0.0:
             raise ContractViolation("lambda must be one nonnegative multiplier")
@@ -270,20 +272,20 @@ def approx_dual_oracle(
             if grad_sq <= 4.0 * eps_eff:
                 _count(counters, evals)
                 return triple
-            start = triple.x_lambda, grad, grad_sq
+            x = triple.x_lambda
 
+    if lam.shape == (problem.m,) and not lam.any():
+        # Any other lam is checked by lagrangian_gradient_fn.
+        return OracleTriple(problem.x0.copy(), eval_constraints(problem, problem.x0), 0.0)
     gradient = lagrangian_gradient_fn(problem, lam)
-    lam = np.asarray(lam, dtype=float)
     beta = 2.0 + float(np.sum(lam)) * problem.max_smoothness()
     objective = SmoothObjective(gradient=gradient, alpha=2.0, beta=beta)
 
-    if start is None:
+    if x is None:
         x = np.array(problem.x0)
         grad = objective.gradient(x)
         evals += 1
         grad_sq = float(grad @ grad)
-    else:
-        x, grad, grad_sq = start
 
     if grad_sq > 4.0 * eps_eff:
         budget = agd_iterations(2.0, beta, 1.0, eps_eff)
@@ -292,9 +294,6 @@ def approx_dual_oracle(
             # grad is the gradient at x: AGD's first step reuses it.
             y, grad_y, calls = agd_minimize(objective, x, budget, grad, tol_sq)
             evals += calls
-            if grad_y is None:
-                grad_y = objective.gradient(y)
-                evals += 1
             grad_y_sq = float(grad_y @ grad_y)
             # Stalled progress against the previous round means float64
             # stagnation: no further budget can help.

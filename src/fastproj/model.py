@@ -132,15 +132,15 @@ class SolverConfig:
     ``epsilon`` is the target accuracy.  When ``epsilon_tilde_override`` is
     absent the inner accuracy follows the guaranteed schedule
     ``eps**4 / (256 (m R G)**6)``, which in practice is clamped to the float
-    floor ``1e-13 (1 + ||x0||^2)``; the override exposes the practical regime
-    (e.g. ``500 * eps**2``).  ``engine`` selects nothing: the number of
-    constraints picks the dual engine, so ``"ellipsoid"`` and
-    ``"bisection"`` both run the 1-D search at m = 1, and ``"bisection"``
-    is refused at m >= 2.  The field goes once the benchmark stops passing
-    it.  ``max_outer_iterations`` caps the rounds of the dual engine, the
-    lam = 0 query included.  ``max_doubling_rounds`` is how
-    many times ``project`` may double R while the answer sits on the box
-    boundary; 0 means one solve.
+    floor ``1e-13 (1 + ||x0||^2)``; the override, at most eps, exposes the
+    practical regime (e.g. ``500 * eps**2``, for eps <= 2e-3 only).
+    ``engine`` selects nothing: the number of constraints picks the dual
+    engine, so ``"ellipsoid"`` and ``"bisection"`` both run the 1-D search
+    at m = 1, and ``"bisection"`` is refused at m >= 2.  The field goes once
+    the benchmark stops passing it.  ``max_outer_iterations`` caps the
+    rounds of the dual engine, the lam = 0 query included.
+    ``max_doubling_rounds`` is how many times ``project`` may double R while
+    the answer sits on the box boundary; 0 means one solve.
     """
 
     epsilon: float

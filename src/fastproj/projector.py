@@ -167,7 +167,7 @@ def _solve(problem: ProjectionProblem, config: SolverConfig) -> ProjectionResult
     if eps_tilde is None:
         eps_tilde = default_inner_accuracy(eps, m, R, G)
 
-    counters: dict = {}
+    counters = {"gradient_evals": 0}
     stop_inner = inner_stops_on_certificate(m)
     basis = lanczos_basis(problem)
 
@@ -208,7 +208,7 @@ def _solve(problem: ProjectionProblem, config: SolverConfig) -> ProjectionResult
         max_violation=float(final.g.max()),
         dual_value=final.v,
         oracle_calls=sum(trace.in_box),
-        inner_gradient_evals=counters.get("gradient_evals", 0),
+        inner_gradient_evals=counters["gradient_evals"],
         doubling_rounds_used=0,
         trace=trace,
         certified=certified(lam_bar, final, eps),

@@ -258,6 +258,24 @@ def test_criterion_8_linear_scaling(tmp_path):
     report(8, f"512->4096 median ratio {ratio:.2f} in [5,13], exponent {slope:.2f} in [0.8,1.3]")
 
 
+def test_criterion_8_logarithmic_accuracy_scaling():
+    # The abstract's other half: cost logarithmic in 1/eps.  At m = 2 the
+    # ellipsoid's inscribed radius is linear in eps, so each decade adds
+    # 2 ln 10 / -central_cut_log_factor(2) rounds, and the default schedule
+    # sits at the float floor, so inner evals per call do not grow.
+    decade = math.ceil(2.0 * math.log(10.0) / -central_cut_log_factor(2)) + 1
+    assert decade == 19
+    for seed in range(7000, 7003):
+        prob = random_quadratic_instance(256, 2, seed, factored=True)
+        runs = [project(prob, SolverConfig(epsilon=eps)) for eps in (1e-2, 1e-3, 1e-4, 1e-5)]
+        assert all(r.certified for r in runs), seed
+        per_call = max(r.inner_gradient_evals / r.oracle_calls for r in runs)
+        for loose, tight in zip(runs, runs[1:]):
+            assert tight.oracle_calls - loose.oracle_calls <= decade, seed
+            assert tight.inner_gradient_evals - loose.inner_gradient_evals <= decade * per_call, seed
+    report(8, f"each decade of eps adds at most {decade} calls and {decade} calls' evals")
+
+
 def test_criterion_9_doubling_trick():
     prob = unit_ball_problem([4.0, 0.0], R=1.0)  # exact multiplier 3
     res = project(prob, SolverConfig(epsilon=1e-4, max_doubling_rounds=8))

@@ -130,6 +130,25 @@ def test_inf_mid_vector_raises_with_the_offending_iterate():
     assert np.array_equal(exc.value.payload, seen[-1])
 
 
+def test_non_finite_gradient_at_the_last_y_iterate_raises_with_it():
+    # a capped run's closing gradient gets the same check as every other
+    x_init = np.arange(1.0, 4.0)
+    clean = agd_minimize(SmoothObjective(lambda x: 2.0 * x, 1.0, 4.0), x_init, 5)
+    calls = [0]
+
+    def gradient(x):
+        calls[0] += 1
+        g = 2.0 * x
+        if calls[0] == 6:
+            g[1] = math.nan
+        return g
+
+    with pytest.raises(NumericalFailure) as exc:
+        agd_minimize(SmoothObjective(gradient, 1.0, 4.0), x_init, 5)
+    assert calls[0] == 6
+    assert np.array_equal(exc.value.payload, clean.point)
+
+
 def test_finite_gradient_whose_square_overflows_is_accepted():
     obj = SmoothObjective(gradient=lambda x: np.full(4, 1e200), alpha=2.0, beta=2.0)
     with np.errstate(over="ignore"):  # g.g overflows; every entry of g is finite
@@ -159,11 +178,11 @@ def test_start_gradient_replaces_the_first_call():
     obj = SmoothObjective(gradient=counted, alpha=base.alpha, beta=base.beta)
     x_init = np.array([1.0, 1.0, -1.0])
     plain = agd_minimize(obj, x_init, 12).point
-    assert calls[0] == 12
+    assert calls[0] == 13  # 12 steps and the gradient at the returned point
     calls[0] = 0
     g_init = base.gradient(x_init)
     seeded = agd_minimize(obj, x_init, 12, g_init).point
-    assert calls[0] == 11
+    assert calls[0] == 12
     assert np.array_equal(seeded, plain)
     assert np.array_equal(g_init, base.gradient(x_init))  # read, not written
 
@@ -184,11 +203,14 @@ def test_stop_returns_the_first_passing_momentum_point(rng):
     x_init = z + rng.standard_normal(5)
     T = 200
     full = agd_minimize(obj, x_init, T)
-    assert full.gradient is None and full.gradient_calls == T == len(points)
+    assert full.gradient_calls == T + 1 == len(points)
+    # the capped run ends on its last y iterate, with the gradient there
+    assert np.array_equal(full.point, points[T])
+    assert np.array_equal(full.gradient, base.gradient(full.point))
     tol_sq = 1e-6 * sq_norms[0]
     k = next(i for i, s in enumerate(sq_norms) if s <= tol_sq)
     assert 0 < k < T - 1
-    momentum_points = list(points)  # the full run's x_0 .. x_(T-1)
+    momentum_points = points[:T]  # the full run's x_0 .. x_(T-1)
     points.clear()
     stopped = agd_minimize(obj, x_init, T, tol_sq=tol_sq)
     assert stopped.gradient_calls == k + 1 == len(points)
@@ -207,8 +229,9 @@ def test_stop_that_never_fires_leaves_the_iterates_unchanged(rng):
     x_init = rng.standard_normal(4)
     plain = agd_minimize(obj, x_init, 30)
     capped = agd_minimize(obj, x_init, 30, tol_sq=1e-300)
-    assert capped.gradient is None and capped.gradient_calls == 30
+    assert capped.gradient_calls == plain.gradient_calls == 31
     assert np.array_equal(capped.point, plain.point)
+    assert np.array_equal(capped.gradient, plain.gradient)
 
 
 def test_nan_gradient_raises_and_never_passes_the_stop():

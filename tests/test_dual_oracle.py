@@ -47,12 +47,34 @@ def two_quadratics_problem(rng, n=6):
     return quadratic_problem(x0, quads, R=4.0)
 
 
-def test_zero_multiplier_returns_query_point():
-    prob = unit_ball_problem([2.0, 0.0])
-    triple = approx_dual_oracle(prob, np.zeros(1), 1e-8)
-    assert_allclose(triple.x_lambda, prob.x0)
-    assert triple.v == 0.0
-    assert_allclose(triple.g, eval_constraints(prob, prob.x0))
+def test_zero_multiplier_returns_query_point(monkeypatch, rng):
+    # x0 minimizes L(., 0) exactly: the triple is read off x0 with one
+    # evaluation per constraint, and no gradient, objective or AGD run; m = 1
+    # with and without a Lanczos basis, and m = 2
+    def refused(*args, **kwargs):
+        raise AssertionError("inner solver used at lam = 0")
+
+    monkeypatch.setattr("fastproj.dual_oracle.SmoothObjective", refused)
+    monkeypatch.setattr("fastproj.dual_oracle.agd_minimize", refused)
+    grads = [0]
+
+    def counted(c):
+        def grad(x):
+            grads[0] += 1
+            return c.grad(x)
+
+        return replace(c, grad=grad)
+
+    ball = unit_ball_problem([2.0, 0.0])
+    for prob, with_basis in ((ball, False), (ball, True), (two_quadratics_problem(rng), False)):
+        prob = replace(prob, constraints=tuple(counted(c) for c in prob.constraints))
+        basis = lanczos_basis(prob) if with_basis else None
+        counters = {}
+        triple = approx_dual_oracle(prob, np.zeros(prob.m), 1e-8, counters, basis=basis)
+        assert grads[0] == 0 and counters == {}
+        assert triple.v == 0.0
+        assert np.array_equal(triple.x_lambda, prob.x0) and triple.x_lambda is not prob.x0
+        assert np.array_equal(triple.g, eval_constraints(prob, prob.x0))
 
 
 def test_ball_optimum_closed_form():
@@ -224,6 +246,30 @@ def test_stop_on_certificate_returns_a_certified_point_within_the_first_budget(r
             assert stopped["gradient_evals"] == points[0] < 1 + budget
             g = lagrangian_gradient(prob, triple.x_lambda, lam)
             assert float(g @ g) <= 4.0 * eps_eff
+
+
+def test_a_non_finite_gradient_closing_a_capped_run_raises(rng):
+    # the first round's gradients: one at x0, budget - 1 AGD steps, then
+    # the one at AGD's last y iterate, which is non-finite here
+    n = 6
+    quad = quadratic_constraint(random_psd(rng, n), rng.standard_normal(n) * 0.3, 1.0)
+    prob = quadratic_problem(rng.standard_normal(n) * 3.0, [quad], R=4.0)
+    lam, eps_tilde = np.array([0.7]), 1e-6
+    eps_eff = effective_eps_tilde(prob, eps_tilde)
+    budget = agd_iterations(2.0, 2.0 + lam[0] * prob.max_smoothness(), 1.0, eps_eff)
+    calls = [0]
+
+    def grad(x, inner=prob.constraints[0].grad):
+        calls[0] += 1
+        g = inner(x)
+        if calls[0] == budget + 1:
+            g[0] = math.inf
+        return g
+
+    bad = replace(prob, constraints=(replace(prob.constraints[0], grad=grad),))
+    with pytest.raises(NumericalFailure):
+        approx_dual_oracle(bad, lam, eps_tilde)
+    assert calls[0] == budget + 1
 
 
 # ------------------------------------------------------- Lanczos basis (m = 1)
