@@ -24,13 +24,17 @@ trust-region subproblem: Gould, Lucidi, Roma & Toint, SIAM J. Optim.
 1999).  Every other problem, and a query the basis cannot serve within
 ``_MAX_BASIS_VECTORS``, runs accelerated gradient descent, which converges
 at a linear rate (Nesterov, *Introductory Lectures on Convex
-Optimization*, 2004, 2.1-2.2).  Its a-priori budget caps each solve and
+Optimization*, 2004, 2.1-2.2).  Its a-priori budget caps each round and
 doubles until the certificate holds.  With ``stop_on_certificate`` (the
-m = 1 search) the solve returns the first AGD iterate that passes;
-otherwise (m >= 2) every round runs its whole budget before the
-certificate is tested, until the ellipsoid stops on its own certificate
-too.  Either way the certificate is tested on a true constraint gradient at
-the returned point.
+m = 1 search) a round returns the first AGD iterate that passes the
+certificate.  Otherwise (m >= 2) it returns the first iterate with
+``||grad L||^2 <= 4 floor``, ``floor`` being the float64 resolution
+``float_floor`` that ``eps_eff`` is clamped to: past it the value gap is
+below what float64 resolves.  On the default schedule ``eps_eff`` is the
+floor, so both stops coincide.  A practical ``eps_tilde`` runs each round
+to the floor or to its cap: stopping it at ``4 eps_eff`` waits on the
+ellipsoid stopping on its own certificate.  Either way the certificate is
+tested on a true constraint gradient at the returned point.
 """
 
 from __future__ import annotations
@@ -52,8 +56,9 @@ from .model import (
 )
 
 # Value gaps below roughly 1e-13 times the problem scale are not resolvable
-# in float64; requested accuracies below that are clamped.  The clamped
-# accuracy still certifies iterates far tighter than any end-to-end tolerance.
+# in float64; requested accuracies below that are clamped, and AGD rounds
+# stop there whatever the accuracy.  The clamped accuracy still certifies
+# iterates far tighter than any end-to-end tolerance.
 _FLOAT_GAP_REL = 1e-13
 
 # Budget-doubling rounds stop when the certificate holds, when the gradient
@@ -85,10 +90,15 @@ class OracleTriple:
     v: float
 
 
+def float_floor(problem: ProjectionProblem) -> float:
+    """The float64 resolution floor ``_FLOAT_GAP_REL (1 + ||x0||^2)`` of a
+    value gap."""
+    return _FLOAT_GAP_REL * (1.0 + float(problem.x0 @ problem.x0))
+
+
 def effective_eps_tilde(problem: ProjectionProblem, eps_tilde: float) -> float:
     """Requested inner accuracy clamped at the float64 resolution floor."""
-    scale = 1.0 + float(problem.x0 @ problem.x0)
-    return max(eps_tilde, _FLOAT_GAP_REL * scale)
+    return max(eps_tilde, float_floor(problem))
 
 
 class LanczosBasis:
@@ -250,12 +260,13 @@ def approx_dual_oracle(
 
     Otherwise the inner solve starts cold at ``x0`` with the AGD budget
     ``agd_iterations(2, beta, 1, eps_eff)``, which doubles until the
-    certificate holds.  With ``stop_on_certificate`` every AGD round
-    returns the first momentum point that passes, and that point is
-    ``x_lam``; without it each round runs its whole budget and the
-    certificate is tested at its last iterate.  The budget is the cap
-    either way.  ``counters['gradient_evals']`` counts the gradient calls
-    made, Lanczos products included, when supplied.
+    certificate holds.  Every AGD round returns its first momentum point
+    with ``||grad L||^2 <= tol``, or its last iterate when the budget runs
+    out first.  ``tol`` is ``4 eps_eff`` with ``stop_on_certificate``, and
+    ``4 float_floor(problem)`` without it, which is the same on the default
+    schedule.  The certificate is tested at the point each round returns.
+    ``counters['gradient_evals']`` counts the gradient calls made, Lanczos
+    products included, when supplied.
     """
     if not eps_tilde >= 0:
         raise ContractViolation("eps_tilde must be nonnegative")
@@ -265,8 +276,8 @@ def approx_dual_oracle(
     lam = np.asarray(lam, dtype=float)
     if basis is not None:
         mu = float(lam[0]) if lam.shape == (1,) else math.nan
-        if not mu >= 0.0:
-            raise ContractViolation("lambda must be one nonnegative multiplier")
+        if not 0.0 <= mu < math.inf:
+            raise ContractViolation("lambda must be one finite nonnegative multiplier")
         if mu > 0.0:
             triple, grad, grad_sq, evals = basis.solve(mu, 4.0 * eps_eff)
             if grad_sq <= 4.0 * eps_eff:
@@ -289,7 +300,7 @@ def approx_dual_oracle(
 
     if grad_sq > 4.0 * eps_eff:
         budget = agd_iterations(2.0, beta, 1.0, eps_eff)
-        tol_sq = 4.0 * eps_eff if stop_on_certificate else -math.inf
+        tol_sq = 4.0 * (eps_eff if stop_on_certificate else float_floor(problem))
         for _ in range(_MAX_DOUBLING_ROUNDS):
             # grad is the gradient at x: AGD's first step reuses it.
             y, grad_y, calls = agd_minimize(objective, x, budget, grad, tol_sq)

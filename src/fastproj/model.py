@@ -172,7 +172,7 @@ def eval_constraints(problem: ProjectionProblem, x: Array) -> Array:
 
 
 def lagrangian_value(problem: ProjectionProblem, x: Array, lam: Array) -> float:
-    """``||x - x0||^2 + lam . h(x)`` for elementwise-nonnegative ``lam``."""
+    """``||x - x0||^2 + lam . h(x)`` for finite, elementwise-nonnegative ``lam``."""
     lam = _check_multipliers(problem, lam)
     d = np.asarray(x, dtype=float) - problem.x0
     return float(d @ d + lam @ eval_constraints(problem, x))
@@ -213,8 +213,8 @@ def _check_multipliers(problem: ProjectionProblem, lam) -> Array:
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (problem.m,):
         raise ContractViolation(f"lambda has shape {lam.shape}, expected ({problem.m},)")
-    if np.any(lam < 0):
-        raise ContractViolation("lambda must be elementwise nonnegative")
+    if not (np.isfinite(lam).all() and (lam >= 0).all()):
+        raise ContractViolation("lambda must be finite and elementwise nonnegative")
     return lam
 
 

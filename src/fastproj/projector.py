@@ -7,8 +7,12 @@ gradient and dual value together; the primal solution is the oracle's point
 at the dual point the engine returns.  The inner solves run AGD from x0,
 except on a problem whose one constraint is a quadratic: there every query
 of a solve reads its point off one shared Lanczos basis
-(``dual_oracle.lanczos_basis``).  ``cutting_plane.round_budget`` gives
-the number of rounds, for both engines.  With the guaranteed inner-accuracy
+(``dual_oracle.lanczos_basis``).  AGD stops at its first iterate that
+passes the inner certificate at m = 1, and at the float floor at m >= 2,
+which is the certificate's own threshold on the default schedule
+(``cutting_plane.inner_stops_on_certificate``).
+``cutting_plane.round_budget`` gives the number of rounds, for both
+engines.  With the guaranteed inner-accuracy
 schedule the output ``x_hat`` satisfies, against every feasible x,
 
     ||x_hat - x0||^2 <= ||x - x0||^2 + 6 eps      and      h_i(x_hat) <= eps.

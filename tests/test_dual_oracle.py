@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fastproj.agd import agd_iterations, agd_minimize
+from fastproj.agd import SmoothObjective, agd_iterations, agd_minimize
 from fastproj.cli import random_quadratic_instance
 from fastproj.dual_oracle import (
     _MAX_BASIS_VECTORS,
     LanczosBasis,
     approx_dual_oracle,
     effective_eps_tilde,
+    float_floor,
     lanczos_basis,
 )
 from fastproj.model import (
@@ -21,6 +22,7 @@ from fastproj.model import (
     SolverConfig,
     eval_constraints,
     lagrangian_gradient,
+    lagrangian_gradient_fn,
     lagrangian_value,
     quadratic_constraint,
     quadratic_problem,
@@ -89,6 +91,20 @@ def test_rejects_negative_multiplier():
     prob = unit_ball_problem([2.0, 0.0])
     with pytest.raises(ContractViolation):
         approx_dual_oracle(prob, np.array([-1.0]), 1e-8)
+
+
+def test_rejects_non_finite_multipliers(rng):
+    # m = 1 with and without a Lanczos basis, and m = 2 in either slot
+    ball = unit_ball_problem([2.0, 0.0])
+    pair = two_quadratics_problem(rng)
+    for bad in (math.nan, math.inf):
+        for prob, lam in ((ball, [bad]), (pair, [bad, 0.5]), (pair, [0.0, bad])):
+            with pytest.raises(ContractViolation):
+                approx_dual_oracle(prob, np.array(lam), 1e-8)
+            with pytest.raises(ContractViolation):
+                lagrangian_value(prob, prob.x0, lam)
+        with pytest.raises(ContractViolation):
+            approx_dual_oracle(ball, np.array([bad]), 1e-8, basis=lanczos_basis(ball))
 
 
 def test_triple_recomputation_identities(rng):
@@ -234,10 +250,17 @@ def test_stop_on_certificate_returns_a_certified_point_within_the_first_budget(r
         for lam, eps_tilde in ((0.3, 1e-6), (2.0, 1e-10), (3.5, 0.0)):
             lam = np.array([lam])
             eps_eff = effective_eps_tilde(prob, eps_tilde)
-            budget = agd_iterations(2.0, 2.0 + lam[0] * prob.max_smoothness(), 1.0, eps_eff)
+            beta = 2.0 + lam[0] * prob.max_smoothness()
+            budget = agd_iterations(2.0, beta, 1.0, eps_eff)
+            # without the stop the first round runs to the float floor: the
+            # count of the same AGD run made directly, its x0 gradient included
             budgeted = {}
             approx_dual_oracle(prob, lam, eps_tilde, counters=budgeted)
-            assert budgeted["gradient_evals"] == 1 + budget  # the first budget certifies
+            objective = SmoothObjective(lagrangian_gradient_fn(prob, lam), 2.0, beta)
+            floor_sq = 4.0 * float_floor(prob)
+            run = agd_minimize(objective, prob.x0, budget, tol_sq=floor_sq)
+            assert float(run.gradient @ run.gradient) <= floor_sq
+            assert budgeted["gradient_evals"] == run.gradient_calls < 1 + budget
             points[0] = 0
             stopped = {}
             triple = approx_dual_oracle(
@@ -250,13 +273,18 @@ def test_stop_on_certificate_returns_a_certified_point_within_the_first_budget(r
 
 def test_a_non_finite_gradient_closing_a_capped_run_raises(rng):
     # the first round's gradients: one at x0, budget - 1 AGD steps, then
-    # the one at AGD's last y iterate, which is non-finite here
+    # the one at AGD's last y iterate, which is non-finite here; at this
+    # loose eps_tilde the budget is short of the float floor, so the run is
+    # capped and no momentum point stops it
     n = 6
     quad = quadratic_constraint(random_psd(rng, n), rng.standard_normal(n) * 0.3, 1.0)
     prob = quadratic_problem(rng.standard_normal(n) * 3.0, [quad], R=4.0)
-    lam, eps_tilde = np.array([0.7]), 1e-6
+    lam, eps_tilde = np.array([0.7]), 1e-2
     eps_eff = effective_eps_tilde(prob, eps_tilde)
     budget = agd_iterations(2.0, 2.0 + lam[0] * prob.max_smoothness(), 1.0, eps_eff)
+    clean = {}
+    approx_dual_oracle(prob, lam, eps_tilde, clean)
+    assert clean["gradient_evals"] >= 1 + budget
     calls = [0]
 
     def grad(x, inner=prob.constraints[0].grad):
@@ -270,6 +298,56 @@ def test_a_non_finite_gradient_closing_a_capped_run_raises(rng):
     with pytest.raises(NumericalFailure):
         approx_dual_oracle(bad, lam, eps_tilde)
     assert calls[0] == budget + 1
+
+
+def test_an_m2_query_stops_at_its_first_point_at_the_float_floor(monkeypatch, rng):
+    # On the default schedule eps_eff is the floor: AGD returns the first
+    # momentum point whose Lagrangian gradient passes 4 floor, inside the
+    # first budget.  A practical eps_tilde keeps the same stop, so each of
+    # its rounds ends at the floor or at its cap, never at 4 eps_eff.  Both
+    # spectra reach down to 1e-4, so at lam = 10 the practical budget ends
+    # short of the floor.
+    n = 16
+    quads = []
+    for _ in range(2):
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        A = (q * np.logspace(-4.0, 0.0, n)) @ q.T
+        quads.append(quadratic_constraint(0.5 * (A + A.T), rng.standard_normal(n) * 0.3, 1.0))
+    prob = quadratic_problem(rng.standard_normal(n) * 3.0, quads, R=100.0)
+    lam = np.array([10.0, 10.0])
+    floor_sq = 4.0 * float_floor(prob)
+    points = []
+    first, second = prob.constraints
+
+    def grad(x, inner=first.grad):
+        points.append(np.array(x))
+        return inner(x)
+
+    counted = replace(prob, constraints=(replace(first, grad=grad), second))
+    beta = 2.0 + lam.sum() * prob.max_smoothness()
+    budget = agd_iterations(2.0, beta, 1.0, effective_eps_tilde(prob, 0.0))
+    counters = {}
+    triple = approx_dual_oracle(counted, lam, 0.0, counters)
+    grad_sq = [float(g @ g) for g in (lagrangian_gradient(prob, x, lam) for x in points)]
+    assert counters["gradient_evals"] == len(points) < 1 + budget
+    assert np.array_equal(triple.x_lambda, points[-1])
+    assert grad_sq[-1] <= floor_sq < min(grad_sq[:-1])
+
+    runs = []
+
+    def recorded(objective, x_init, iterations, g_init, tol_sq):
+        run = agd_minimize(objective, x_init, iterations, g_init, tol_sq)
+        runs.append((iterations, tol_sq, float(run.gradient @ run.gradient), run.gradient_calls))
+        return run
+
+    monkeypatch.setattr("fastproj.dual_oracle.agd_minimize", recorded)
+    eps_tilde = 2e-3
+    approx_dual_oracle(prob, lam, eps_tilde)
+    for iterations, tol_sq, run_sq, calls in runs:
+        assert tol_sq == floor_sq
+        assert run_sq <= floor_sq or calls == iterations
+    # one capped round, certified above the floor
+    assert len(runs) == 1 and floor_sq < runs[0][2] <= 4.0 * eps_tilde
 
 
 # ------------------------------------------------------- Lanczos basis (m = 1)

@@ -560,6 +560,21 @@ def test_oracle_calls_count_every_inner_solve(monkeypatch, rng):
         assert sum(np.array_equal(lam, res.lambda_bar) for lam in solves) == 1
 
 
+@pytest.mark.parametrize("m", [2, 3])
+def test_inner_solves_stopped_at_the_float_floor_keep_every_answer_certified(m):
+    # the ellipsoid's inner solves stop at the first AGD point at the float
+    # floor, on the default schedule and at a practical eps_tilde
+    eps = 1e-3
+    for seed in range(300, 306):
+        for factored in (False, True):
+            prob = random_quadratic_instance(96, m, seed, factored=factored)
+            for eps_tilde in (None, 5e-4):
+                config = SolverConfig(epsilon=eps, epsilon_tilde_override=eps_tilde)
+                res = project(prob, config)
+                assert res.certified, (seed, factored, eps_tilde)
+                assert res.max_violation <= eps
+
+
 def test_only_the_m1_search_stops_its_inner_solves_on_their_certificate(monkeypatch, rng):
     n = 8
     quads = [
@@ -581,7 +596,7 @@ def test_only_the_m1_search_stops_its_inner_solves_on_their_certificate(monkeypa
         solves.clear()
         project(prob, SolverConfig(epsilon=1e-4, epsilon_tilde_override=1e-6))
         assert len(solves) > 1
-        budgeted = {"gradient_evals": 0}  # the a-priori path's evals at the same queries
+        budgeted = {"gradient_evals": 0}  # evals without stop_on_certificate, same queries
         for lam, eps_tilde, triple, evals in solves:
             before = budgeted["gradient_evals"]
             full = approx_dual_oracle(prob, lam, eps_tilde, counters=budgeted)
@@ -589,7 +604,7 @@ def test_only_the_m1_search_stops_its_inner_solves_on_their_certificate(monkeypa
                 g = lagrangian_gradient(prob, triple.x_lambda, lam)
                 assert float(g @ g) <= 4.0 * effective_eps_tilde(prob, eps_tilde)
                 assert evals <= budgeted["gradient_evals"] - before
-            else:  # the a-priori path, bit for bit
+            else:  # the path without stop_on_certificate, bit for bit
                 assert np.array_equal(triple.x_lambda, full.x_lambda)
                 assert evals == budgeted["gradient_evals"] - before
         total = sum(evals for *_, evals in solves)
