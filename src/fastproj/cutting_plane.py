@@ -5,10 +5,7 @@ in-box round; the triple's ``g`` and ``v`` are the approximate dual gradient
 and value.  Out-of-box points are never queried.  ``cutting_plane_maximize``
 first queries lam = 0, where the inner problem is solved by the query point
 itself, and then runs the engine the number of multipliers m selects.
-``round_budget`` gives each engine's round budget for a target accuracy,
-and ``inner_stops_on_certificate`` whether its AGD inner solves stop at
-their certificate or at the float floor, so every choice of the dual search
-that depends on m lives in this module.
+``round_budget`` gives each engine's round budget for a target accuracy.
 
 For m >= 2 the localizer starts as an ellipsoid covering the dual box
 ``[0, R]^m`` and is cut through its center every round: with the negated
@@ -176,28 +173,6 @@ def round_budget(m: int, R: float, eps: float, G: float, cap: int) -> int:
     log_r = math.log(min(eps, math.sqrt(eps)) / (2.0 * m)) - math.log(G)
     rounds = math.floor((_log_initial_volume(m, R) - m * log_r) / -central_cut_log_factor(m)) + 1
     return min(cap, max(1, rounds))
-
-
-def inner_stops_on_certificate(m: int) -> bool:
-    """Whether the oracle's AGD inner solves for an m-multiplier search stop
-    at their first iterate with ``||grad L||^2 <= 4 eps_eff``
-    (``approx_dual_oracle``'s ``stop_on_certificate``) instead of at the
-    float floor, ``4 float_floor``.  The two stops differ only when a
-    practical ``eps_tilde`` lifts ``eps_eff`` above the floor.  A single
-    quadratic constraint's queries are served by its Lanczos basis, which
-    always stops on the certificate, so at m = 1 this governs the
-    non-quadratic constraints and a query past the basis's vector cap.
-
-    True at m = 1 only.  The bracketing engine tests ``certified`` at every
-    query, so a solve that stops as soon as its own accuracy is proven gives
-    it all it reads.  The ellipsoid tests ``certified`` only at lam = 0 and
-    returns the best value estimate after its whole budget; with the
-    practical inner accuracy ``500 eps^2``, stopping its inner solves at
-    ``4 eps_eff`` left 0 of 8 answers certified in a trial.  This function
-    goes, and every inner solve stops on its certificate, once the ellipsoid
-    also stops on ``certified``.
-    """
-    return m == 1
 
 
 def separation_oracle_box(lam: Array, R: float) -> Array:

@@ -7,12 +7,8 @@ gradient and dual value together; the primal solution is the oracle's point
 at the dual point the engine returns.  The inner solves run AGD from x0,
 except on a problem whose one constraint is a quadratic: there every query
 of a solve reads its point off one shared Lanczos basis
-(``dual_oracle.lanczos_basis``).  AGD stops at its first iterate that
-passes the inner certificate at m = 1, and at the float floor at m >= 2,
-which is the certificate's own threshold on the default schedule
-(``cutting_plane.inner_stops_on_certificate``).
-``cutting_plane.round_budget`` gives the number of rounds, for both
-engines.  With the guaranteed inner-accuracy
+(``dual_oracle.lanczos_basis``).  ``cutting_plane.round_budget`` gives
+the number of rounds, for both engines.  With the guaranteed inner-accuracy
 schedule the output ``x_hat`` satisfies, against every feasible x,
 
     ||x_hat - x0||^2 <= ||x - x0||^2 + 6 eps      and      h_i(x_hat) <= eps.
@@ -38,13 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cutting_plane import (
-    CutTrace,
-    DualBox,
-    cutting_plane_maximize,
-    inner_stops_on_certificate,
-    round_budget,
-)
+from .cutting_plane import CutTrace, DualBox, cutting_plane_maximize, round_budget
 from .dual_oracle import OracleTriple, approx_dual_oracle, lanczos_basis
 from .model import (
     Array,
@@ -172,18 +162,10 @@ def _solve(problem: ProjectionProblem, config: SolverConfig) -> ProjectionResult
         eps_tilde = default_inner_accuracy(eps, m, R, G)
 
     counters = {"gradient_evals": 0}
-    stop_inner = inner_stops_on_certificate(m)
     basis = lanczos_basis(problem)
 
     def oracle(lam: Array) -> OracleTriple:
-        return approx_dual_oracle(
-            problem,
-            lam,
-            eps_tilde,
-            counters=counters,
-            stop_on_certificate=stop_inner,
-            basis=basis,
-        )
+        return approx_dual_oracle(problem, lam, eps_tilde, counters=counters, basis=basis)
 
     # The lam = 0 query is one of the capped rounds.
     T = round_budget(m, R, eps, G, config.max_outer_iterations - 1)

@@ -234,7 +234,10 @@ def test_gradient_counter_matches_real_calls(rng):
         assert points[0] == prob.x0.tobytes() != points[1]
 
 
-def test_stop_on_certificate_returns_a_certified_point_within_the_first_budget(rng):
+def test_an_m1_query_returns_a_certified_point_within_the_first_budget(rng):
+    # at m = 1 AGD stops at its first momentum point that passes the
+    # certificate 4 eps_eff: the point and count of the same AGD run made
+    # directly, its x0 gradient included
     n = 12
     points = [0]
 
@@ -252,49 +255,45 @@ def test_stop_on_certificate_returns_a_certified_point_within_the_first_budget(r
             eps_eff = effective_eps_tilde(prob, eps_tilde)
             beta = 2.0 + lam[0] * prob.max_smoothness()
             budget = agd_iterations(2.0, beta, 1.0, eps_eff)
-            # without the stop the first round runs to the float floor: the
-            # count of the same AGD run made directly, its x0 gradient included
-            budgeted = {}
-            approx_dual_oracle(prob, lam, eps_tilde, counters=budgeted)
             objective = SmoothObjective(lagrangian_gradient_fn(prob, lam), 2.0, beta)
-            floor_sq = 4.0 * float_floor(prob)
-            run = agd_minimize(objective, prob.x0, budget, tol_sq=floor_sq)
-            assert float(run.gradient @ run.gradient) <= floor_sq
-            assert budgeted["gradient_evals"] == run.gradient_calls < 1 + budget
+            run = agd_minimize(objective, prob.x0, budget, tol_sq=4.0 * eps_eff)
             points[0] = 0
-            stopped = {}
-            triple = approx_dual_oracle(
-                prob, lam, eps_tilde, counters=stopped, stop_on_certificate=True
-            )
-            assert stopped["gradient_evals"] == points[0] < 1 + budget
+            counters = {}
+            triple = approx_dual_oracle(prob, lam, eps_tilde, counters=counters)
+            assert counters["gradient_evals"] == points[0] == run.gradient_calls < 1 + budget
+            assert np.array_equal(triple.x_lambda, run.point)
             g = lagrangian_gradient(prob, triple.x_lambda, lam)
             assert float(g @ g) <= 4.0 * eps_eff
 
 
 def test_a_non_finite_gradient_closing_a_capped_run_raises(rng):
     # the first round's gradients: one at x0, budget - 1 AGD steps, then
-    # the one at AGD's last y iterate, which is non-finite here; at this
-    # loose eps_tilde the budget is short of the float floor, so the run is
-    # capped and no momentum point stops it
+    # the one at AGD's last y iterate, which is non-finite here.  At m = 2
+    # AGD stops at the float floor, and at this loose eps_tilde the budget
+    # is short of it, so the run is capped and no momentum point stops it.
     n = 6
-    quad = quadratic_constraint(random_psd(rng, n), rng.standard_normal(n) * 0.3, 1.0)
-    prob = quadratic_problem(rng.standard_normal(n) * 3.0, [quad], R=4.0)
-    lam, eps_tilde = np.array([0.7]), 1e-2
+    quads = [
+        quadratic_constraint(random_psd(rng, n), rng.standard_normal(n) * 0.3, 1.0)
+        for _ in range(2)
+    ]
+    prob = quadratic_problem(rng.standard_normal(n) * 3.0, quads, R=4.0)
+    lam, eps_tilde = np.array([0.7, 0.7]), 1e-2
     eps_eff = effective_eps_tilde(prob, eps_tilde)
-    budget = agd_iterations(2.0, 2.0 + lam[0] * prob.max_smoothness(), 1.0, eps_eff)
+    budget = agd_iterations(2.0, 2.0 + lam.sum() * prob.max_smoothness(), 1.0, eps_eff)
     clean = {}
     approx_dual_oracle(prob, lam, eps_tilde, clean)
     assert clean["gradient_evals"] >= 1 + budget
     calls = [0]
+    first, second = prob.constraints
 
-    def grad(x, inner=prob.constraints[0].grad):
+    def grad(x, inner=first.grad):
         calls[0] += 1
         g = inner(x)
         if calls[0] == budget + 1:
             g[0] = math.inf
         return g
 
-    bad = replace(prob, constraints=(replace(prob.constraints[0], grad=grad),))
+    bad = replace(prob, constraints=(replace(first, grad=grad), second))
     with pytest.raises(NumericalFailure):
         approx_dual_oracle(bad, lam, eps_tilde)
     assert calls[0] == budget + 1
@@ -348,6 +347,65 @@ def test_an_m2_query_stops_at_its_first_point_at_the_float_floor(monkeypatch, rn
         assert run_sq <= floor_sq or calls == iterations
     # one capped round, certified above the floor
     assert len(runs) == 1 and floor_sq < runs[0][2] <= 4.0 * eps_tilde
+
+
+def _recorded_agd(monkeypatch):
+    """Every AGD run of ``approx_dual_oracle``: ``(iterations, tol_sq, run)``."""
+    runs = []
+
+    def recorded(objective, x_init, iterations, g_init, tol_sq):
+        run = agd_minimize(objective, x_init, iterations, g_init, tol_sq)
+        runs.append((iterations, tol_sq, run))
+        return run
+
+    monkeypatch.setattr("fastproj.dual_oracle.agd_minimize", recorded)
+    return runs
+
+
+def test_a_capped_round_is_followed_by_one_with_twice_the_budget(monkeypatch):
+    # a budget of 3 steps is far short of the float floor: the first two
+    # rounds run to their caps, the third stops at the floor inside its own
+    prob = random_quadratic_instance(32, 2, 5, factored=True)
+    lam = np.array([1.0, 1.0])
+    floor_sq = 4.0 * float_floor(prob)
+    runs = _recorded_agd(monkeypatch)
+    monkeypatch.setattr("fastproj.dual_oracle.agd_iterations", lambda *args: 3)
+    counters = {}
+    triple = approx_dual_oracle(prob, lam, 0.0, counters)
+    assert [iterations for iterations, *_ in runs] == [3, 6, 12]
+    calls = [run.gradient_calls for *_, run in runs]
+    assert calls[:2] == [3, 6] and calls[2] < 12
+    assert counters["gradient_evals"] == 1 + sum(calls)
+    g = lagrangian_gradient(prob, triple.x_lambda, lam)
+    assert float(g @ g) <= floor_sq
+
+
+def test_a_round_that_fails_to_halve_the_gradient_ends_the_inner_solve(monkeypatch):
+    # noise of 1e-3 in one constraint gradient keeps every round far above
+    # the float floor: the first round runs to its cap, the second ends no
+    # better, and the solve returns the better point, uncertified
+    prob = random_quadratic_instance(32, 2, 5, factored=True)
+    lam = np.array([1.0, 1.0])
+    noise = np.random.default_rng(2)
+    first, second = prob.constraints
+
+    def grad(x, inner=first.grad):
+        return inner(x) + 1e-3 * noise.standard_normal(x.size)
+
+    noisy = replace(prob, constraints=(replace(first, grad=grad), second))
+    runs = _recorded_agd(monkeypatch)
+    counters = {}
+    triple = approx_dual_oracle(noisy, lam, 0.0, counters)
+    (cap, _, run1), (doubled, _, run2) = runs
+    assert doubled == 2 * cap
+    assert run1.gradient_calls == cap and run2.gradient_calls == doubled
+    assert counters["gradient_evals"] == 1 + cap + doubled
+    sq1, sq2 = (float(run.gradient @ run.gradient) for run in (run1, run2))
+    assert sq2 > 0.5 * sq1
+    better = run1 if sq1 <= sq2 else run2
+    assert np.array_equal(triple.x_lambda, better.point)
+    g = lagrangian_gradient(prob, triple.x_lambda, lam)
+    assert float(g @ g) > 4.0 * effective_eps_tilde(prob, 0.0)
 
 
 # ------------------------------------------------------- Lanczos basis (m = 1)
@@ -504,9 +562,7 @@ def test_a_query_past_the_vector_cap_continues_with_agd_and_certifies(monkeypatc
     monkeypatch.setattr("fastproj.dual_oracle.agd_minimize", counted)
     lam = np.array([1e4])
     counters = {}
-    triple = approx_dual_oracle(
-        prob, lam, 0.0, counters, stop_on_certificate=True, basis=lanczos_basis(prob)
-    )
+    triple = approx_dual_oracle(prob, lam, 0.0, counters, basis=lanczos_basis(prob))
     assert runs and counters["gradient_evals"] > _MAX_BASIS_VECTORS
     # AGD starts from the Krylov iterate, not from x0
     assert not np.array_equal(runs[0], prob.x0)

@@ -6,16 +6,21 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from fastproj.agd import SmoothObjective, agd_minimize
 from fastproj.cli import random_quadratic_instance
 from fastproj.cutting_plane import ITP_N0, round_budget
-from fastproj.dual_oracle import approx_dual_oracle, effective_eps_tilde, lanczos_basis
+from fastproj.dual_oracle import (
+    approx_dual_oracle,
+    effective_eps_tilde,
+    float_floor,
+    lanczos_basis,
+)
 from fastproj.model import (
     ConstraintOracle,
     ContractViolation,
     ProjectionProblem,
     SolverConfig,
     eval_constraints,
-    lagrangian_gradient,
     quadratic_constraint,
     quadratic_problem,
 )
@@ -576,6 +581,10 @@ def test_inner_solves_stopped_at_the_float_floor_keep_every_answer_certified(m):
 
 
 def test_only_the_m1_search_stops_its_inner_solves_on_their_certificate(monkeypatch, rng):
+    # every AGD run under project returns its first momentum point below
+    # tol_sq, 4 eps_eff at m = 1 and 4 float_floor at m = 2, or its last
+    # iterate at the cap: checked against the same run made without a stop,
+    # with every point it visits recorded
     n = 8
     quads = [
         quadratic_constraint(random_psd(rng, n), rng.standard_normal(n) * 0.2, 1.0),
@@ -583,32 +592,48 @@ def test_only_the_m1_search_stops_its_inner_solves_on_their_certificate(monkeypa
     ]
     x0 = rng.standard_normal(n)
     x0 *= 2.5 / np.linalg.norm(x0)
-    solves = []  # (lam, eps_tilde, triple, gradient evals) of every inner solve
+    quad = quads[0]
+    plain = ConstraintOracle(quad.eval, quad.grad, quad.lipschitz_G, quad.smoothness_L)
+    single = dataclasses.replace(quadratic_problem(x0, quads[:1], R=5.0), constraints=(plain,))
+    pair = quadratic_problem(x0, quads, R=5.0)
+    eps_tilde = 1e-6
+    runs = []  # (objective, x_init, iterations, g_init, tol_sq, run) of every AGD run
 
-    def recorded(problem, lam, eps_tilde, counters, **kwargs):
-        before = counters["gradient_evals"]
-        triple = approx_dual_oracle(problem, lam, eps_tilde, counters, **kwargs)
-        solves.append((np.array(lam), eps_tilde, triple, counters["gradient_evals"] - before))
-        return triple
+    def recorded(objective, x_init, iterations, g_init, tol_sq):
+        run = agd_minimize(objective, x_init, iterations, g_init, tol_sq)
+        runs.append((objective, np.array(x_init), iterations, g_init.copy(), tol_sq, run))
+        return run
 
-    monkeypatch.setattr("fastproj.projector.approx_dual_oracle", recorded)
-    for prob in (quadratic_problem(x0, quads[:1], R=5.0), quadratic_problem(x0, quads, R=5.0)):
-        solves.clear()
-        project(prob, SolverConfig(epsilon=1e-4, epsilon_tilde_override=1e-6))
-        assert len(solves) > 1
-        budgeted = {"gradient_evals": 0}  # evals without stop_on_certificate, same queries
-        for lam, eps_tilde, triple, evals in solves:
-            before = budgeted["gradient_evals"]
-            full = approx_dual_oracle(prob, lam, eps_tilde, counters=budgeted)
-            if prob.m == 1:
-                g = lagrangian_gradient(prob, triple.x_lambda, lam)
-                assert float(g @ g) <= 4.0 * effective_eps_tilde(prob, eps_tilde)
-                assert evals <= budgeted["gradient_evals"] - before
-            else:  # the path without stop_on_certificate, bit for bit
-                assert np.array_equal(triple.x_lambda, full.x_lambda)
-                assert evals == budgeted["gradient_evals"] - before
-        total = sum(evals for *_, evals in solves)
-        assert (total < budgeted["gradient_evals"]) == (prob.m == 1)
+    monkeypatch.setattr("fastproj.dual_oracle.agd_minimize", recorded)
+    for prob in (single, pair):
+        floor_sq = 4.0 * float_floor(prob)
+        certificate_sq = 4.0 * effective_eps_tilde(prob, eps_tilde)
+        assert floor_sq < certificate_sq
+        runs.clear()
+        project(prob, SolverConfig(epsilon=1e-4, epsilon_tilde_override=eps_tilde))
+        assert runs
+        early_above_floor = 0  # runs stopped before their cap, above the floor
+        for objective, x_init, iterations, g_init, tol_sq, run in runs:
+            assert tol_sq == (certificate_sq if prob.m == 1 else floor_sq)
+            visited = [(x_init, g_init)]
+
+            def grad(x, inner=objective.gradient):
+                g = inner(x)
+                visited.append((np.array(x), g.copy()))
+                return g
+
+            free = SmoothObjective(grad, objective.alpha, objective.beta)
+            agd_minimize(free, x_init, iterations, g_init)
+            first = next(
+                (k for k, (_, g) in enumerate(visited[:-1]) if g @ g <= tol_sq),
+                len(visited) - 1,
+            )
+            assert run.gradient_calls == first
+            assert np.array_equal(run.point, visited[first][0])
+            stop_sq = float(run.gradient @ run.gradient)
+            early_above_floor += run.gradient_calls < iterations and stop_sq > floor_sq
+        # the two thresholds differ in what they return, at m = 1 only
+        assert (early_above_floor > 0) == (prob.m == 1)
 
 
 @pytest.mark.parametrize("factored", [False, True])
