@@ -24,10 +24,11 @@ trust-region subproblem: Gould, Lucidi, Roma & Toint, SIAM J. Optim.
 1999).  Every other problem, and a query the basis cannot serve within
 ``_MAX_BASIS_VECTORS``, runs accelerated gradient descent, which converges
 at a linear rate (Nesterov, *Introductory Lectures on Convex
-Optimization*, 2004, 2.1-2.2).  Its a-priori budget caps each round and
-doubles until the certificate holds; each round returns its first iterate
-below a stop threshold that ``approx_dual_oracle`` sets.  The certificate
-is tested on a true constraint gradient at the returned point.
+Optimization*, 2004, 2.1-2.2).  A query makes one AGD run, which returns
+its first iterate below a stop threshold that ``approx_dual_oracle`` sets.
+The run is capped at the step count that this rate proves enough to bring
+the start's own gradient down to that threshold.  The certificate is
+tested on a true constraint gradient at the returned point.
 """
 
 from __future__ import annotations
@@ -44,19 +45,16 @@ from .model import (
     NumericalFailure,
     ProjectionProblem,
     QuadraticConstraint,
+    _check_multipliers,
     eval_constraints,
     lagrangian_gradient_fn,
 )
 
 # Value gaps below roughly 1e-13 times the problem scale are not resolvable
-# in float64; requested accuracies below that are clamped, and AGD rounds
-# stop there whatever the accuracy.  The clamped accuracy still certifies
-# iterates far tighter than any end-to-end tolerance.
+# in float64; requested accuracies below that are clamped, and at m >= 2
+# AGD runs stop there whatever the accuracy.  The clamped accuracy still
+# certifies iterates far tighter than any end-to-end tolerance.
 _FLOAT_GAP_REL = 1e-13
-
-# Budget-doubling rounds stop when the certificate holds, when the gradient
-# norm stops shrinking (float stagnation), or after this many rounds.
-_MAX_DOUBLING_ROUNDS = 8
 
 # A Lanczos basis holds at most this many vectors, about the memory of one
 # 56-column WY factor; a query that needs more continues with AGD.
@@ -250,34 +248,29 @@ def approx_dual_oracle(
     cannot serve within its vector cap continues with AGD from that
     iterate.
 
-    Otherwise the inner solve starts cold at ``x0`` with the AGD budget
-    ``agd_iterations(2, beta, 1, eps_eff)``, which doubles until the
-    certificate holds.  Every AGD round returns its first momentum point
-    below the stop threshold, or its last iterate when the budget runs out
-    first.  The certificate is tested at the point each round returns.
+    Every other query starts at ``x0``.  One AGD run then returns its first
+    momentum point below the stop threshold ``tol_sq``, or its last iterate
+    at the cap ``agd_iterations(2, beta, ||grad L(start)||^2, tol_sq)``, the
+    step count proven to reach ``tol_sq`` (see the comment at the call); the
+    start is kept when the run ends with no smaller gradient.
     ``counters['gradient_evals']`` counts the gradient calls made, Lanczos
     products included, when supplied.
     """
     if not eps_tilde >= 0:
         raise ContractViolation("eps_tilde must be nonnegative")
+    lam = _check_multipliers(problem, lam)
+    if not lam.any():
+        return OracleTriple(problem.x0.copy(), eval_constraints(problem, problem.x0), 0.0)
     eps_eff = effective_eps_tilde(problem, eps_tilde)
     evals = 0
     x = None  # AGD's start, with grad and grad_sq, when the basis falls short
-    lam = np.asarray(lam, dtype=float)
     if basis is not None:
-        mu = float(lam[0]) if lam.shape == (1,) else math.nan
-        if not 0.0 <= mu < math.inf:
-            raise ContractViolation("lambda must be one finite nonnegative multiplier")
-        if mu > 0.0:
-            triple, grad, grad_sq, evals = basis.solve(mu, 4.0 * eps_eff)
-            if grad_sq <= 4.0 * eps_eff:
-                _count(counters, evals)
-                return triple
-            x = triple.x_lambda
+        triple, grad, grad_sq, evals = basis.solve(float(lam[0]), 4.0 * eps_eff)
+        if grad_sq <= 4.0 * eps_eff:
+            _count(counters, evals)
+            return triple
+        x = triple.x_lambda
 
-    if lam.shape == (problem.m,) and not lam.any():
-        # Any other lam is checked by lagrangian_gradient_fn.
-        return OracleTriple(problem.x0.copy(), eval_constraints(problem, problem.x0), 0.0)
     gradient = lagrangian_gradient_fn(problem, lam)
     beta = 2.0 + float(np.sum(lam)) * problem.max_smoothness()
     objective = SmoothObjective(gradient=gradient, alpha=2.0, beta=beta)
@@ -287,30 +280,29 @@ def approx_dual_oracle(
         grad = objective.gradient(x)
         evals += 1
         grad_sq = float(grad @ grad)
+        if not math.isfinite(grad_sq):
+            raise NumericalFailure("non-finite Lagrangian gradient norm at x0", payload=x)
 
     if grad_sq > 4.0 * eps_eff:
-        budget = agd_iterations(2.0, beta, 1.0, eps_eff)
         # AGD stops at the certificate at m = 1, whose search tests
-        # ``certified`` at every query.  The ellipsoid does not yet (ROADMAP
-        # item 2), so at m >= 2 AGD stops at the float floor, past which
-        # float64 resolves no progress; on the default schedule eps_eff is
-        # that floor.  A practical eps_tilde then sets only the cap: on
-        # perfbench's wy-512-m3-practical (5e-4, seeds 1-2, instances 0-9)
-        # all 4,044 rounds ended at the floor inside it.
+        # ``certified`` at every query; the ellipsoid does not yet (ROADMAP
+        # item 2), so at m >= 2 it stops at the float floor, the finest gap
+        # float64 resolves.
         tol_sq = 4.0 * (eps_eff if problem.m == 1 else float_floor(problem))
-        for _ in range(_MAX_DOUBLING_ROUNDS):
-            # grad is the gradient at x: AGD's first step reuses it.
-            y, grad_y, calls = agd_minimize(objective, x, budget, grad, tol_sq)
-            evals += calls
-            grad_y_sq = float(grad_y @ grad_y)
-            # Stalled progress against the previous round means float64
-            # stagnation: no further budget can help.
-            stalled = grad_y_sq > 0.5 * grad_sq
-            if grad_y_sq < grad_sq:
-                x, grad, grad_sq = y, grad_y, grad_y_sq
-            if grad_sq <= 4.0 * eps_eff or stalled:
-                break
-            budget *= 2
+        # The cap is proven from the start's gradient g0.  The constant
+        # momentum scheme has f(y_k) - f* <= (f(x) - f* + (alpha/2)||x -
+        # x*||^2)(1 - 1/sqrt(kappa))^k (Nesterov 2004, 2.2), a bracket that
+        # strong convexity bounds by ||g0||^2 / alpha, and smoothness gives
+        # ||grad f(y)||^2 <= 2 beta (f(y) - f*).  So sqrt(kappa) ln(2 beta
+        # ||g0||^2 / (alpha tol_sq)) steps reach tol_sq, which at alpha = 2
+        # is this cap: a run ends on it above tol_sq only through float
+        # stagnation or an inconsistent oracle.  grad is the gradient at x,
+        # which AGD's first step reuses.
+        cap = agd_iterations(2.0, beta, grad_sq, tol_sq)
+        y, grad_y, calls = agd_minimize(objective, x, cap, grad, tol_sq)
+        evals += calls
+        if float(grad_y @ grad_y) < grad_sq:
+            x = y
 
     _count(counters, evals)
     # v is model.lagrangian_value's arithmetic on the same g: each constraint

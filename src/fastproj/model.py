@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import io
 import json
+import math
 from dataclasses import dataclass, replace
 from itertools import chain
+from numbers import Integral
 from typing import Callable, Sequence
 
 import numpy as np
@@ -157,6 +159,9 @@ class SolverConfig:
                 raise ContractViolation("epsilon_tilde_override must lie in (0, epsilon]")
         if self.engine not in ("ellipsoid", "bisection"):
             raise ContractViolation(f"unknown engine {self.engine!r}")
+        counts = (self.max_outer_iterations, self.max_doubling_rounds)
+        if not all(isinstance(k, Integral) and not isinstance(k, bool) for k in counts):
+            raise ContractViolation("max_outer_iterations and max_doubling_rounds must be integers")
         if self.max_outer_iterations < 1:
             raise ContractViolation("max_outer_iterations must be positive")
         if self.max_doubling_rounds < 0:
@@ -213,7 +218,9 @@ def _check_multipliers(problem: ProjectionProblem, lam) -> Array:
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (problem.m,):
         raise ContractViolation(f"lambda has shape {lam.shape}, expected ({problem.m},)")
-    if not (np.isfinite(lam).all() and (lam >= 0).all()):
+    # One Python pass over the few multipliers costs less than two array
+    # reductions on every oracle call; NaN fails the comparison.
+    if not all(0.0 <= v < math.inf for v in lam.tolist()):
         raise ContractViolation("lambda must be finite and elementwise nonnegative")
     return lam
 
@@ -346,9 +353,12 @@ def quadratic_problem(
 ) -> ProjectionProblem:
     """Assemble a problem from quadratic oracles, fixing their Lipschitz bounds
     to the instance-wide working radius (which needs x0 and all constraints).
-    The oracles' ``eval``/``grad`` are reused as they are.  A quadratic whose
-    center does not have x0's shape raises ``ContractViolation``."""
+    The oracles' ``eval``/``grad`` are reused as they are.  An empty list, or
+    a quadratic whose center does not have x0's shape, raises
+    ``ContractViolation``."""
     x0 = np.asarray(x0, dtype=float)
+    if not quadratics:
+        raise ContractViolation("at least one constraint is required")
     if any(q.center.shape != x0.shape for q in quadratics):
         raise ContractViolation("every quadratic's center must have the shape of x0")
     rho = quadratic_working_radius(x0, quadratics)

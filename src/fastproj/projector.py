@@ -87,8 +87,11 @@ def bound_R_single(Q: float, B: float) -> float:
 
 def bound_R_quadratic(c: Array, B: float, X_star: float) -> float:
     """Multiplier bound ``max_i B X* / c_i`` for quadratic constraints with
-    positive levels c_i, clamped below at 1."""
+    positive levels c_i, clamped below at 1.  A NaN would lose every
+    comparison in the clamp, so non-finite inputs are refused."""
     c = np.asarray(c, dtype=float)
+    if not (np.isfinite(c).all() and math.isfinite(B) and math.isfinite(X_star)):
+        raise ContractViolation("the levels, B and X_star must be finite")
     if np.any(c <= 0):
         raise ContractViolation("all levels c_i must be positive")
     return max(1.0, float(np.max(B * X_star / c)))

@@ -266,46 +266,120 @@ def test_an_m1_query_returns_a_certified_point_within_the_first_budget(rng):
             assert float(g @ g) <= 4.0 * eps_eff
 
 
-def test_a_non_finite_gradient_closing_a_capped_run_raises(rng):
-    # the first round's gradients: one at x0, budget - 1 AGD steps, then
-    # the one at AGD's last y iterate, which is non-finite here.  At m = 2
-    # AGD stops at the float floor, and at this loose eps_tilde the budget
-    # is short of it, so the run is capped and no momentum point stops it.
+def _recorded_agd(monkeypatch):
+    """Every AGD run of ``approx_dual_oracle``: ``(objective, x_init,
+    iterations, g_init, tol_sq, run)``."""
+    runs = []
+
+    def recorded(objective, x_init, iterations, g_init, tol_sq):
+        run = agd_minimize(objective, x_init, iterations, g_init, tol_sq)
+        runs.append((objective, np.array(x_init), iterations, g_init, tol_sq, run))
+        return run
+
+    monkeypatch.setattr("fastproj.dual_oracle.agd_minimize", recorded)
+    return runs
+
+
+def _wide_spectrum_problem(rng, n, m, low):
+    # unit-norm quadratics whose spectra reach down to ``low``
+    quads = []
+    for _ in range(m):
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        A = (q * np.logspace(math.log10(low), 0.0, n)) @ q.T
+        quads.append(quadratic_constraint(0.5 * (A + A.T), rng.standard_normal(n) * 0.3, 1.0))
+    return quadratic_problem(rng.standard_normal(n) * 3.0, quads, R=1e3)
+
+
+def test_one_agd_run_per_query_capped_at_the_proven_step_count(monkeypatch, rng):
+    # Each query makes exactly one AGD run, from x0, capped at
+    # agd_iterations(2, beta, ||grad L(x0)||^2, tol_sq): the steps that
+    # Nesterov's linear rate proves enough to bring the start's gradient to
+    # the stop threshold.  A rerun of exactly that many steps with no stop
+    # ends at or below tol_sq on every query.
+    runs = _recorded_agd(monkeypatch)
+    problems = [random_quadratic_instance(n, m, 400 + n + m) for n in (8, 32) for m in (1, 2, 3)]
+    problems += [_wide_spectrum_problem(rng, n, m, 1e-5) for n in (8, 32) for m in (1, 2, 3)]
+    queries = 0
+    for prob in problems:
+        for scale in (1e-2, 1.0, 1e2):
+            lam = scale * rng.uniform(0.5, 1.5, prob.m)
+            beta = 2.0 + lam.sum() * prob.max_smoothness()
+            for eps_tilde in (0.0, 1e-8, 1e-5, 5e-4, 2e-3):
+                runs.clear()
+                approx_dual_oracle(prob, lam, eps_tilde)
+                eps_eff = effective_eps_tilde(prob, eps_tilde)
+                at_x0 = lagrangian_gradient(prob, prob.x0, lam)
+                if float(at_x0 @ at_x0) <= 4.0 * eps_eff:
+                    assert not runs  # x0 itself passes the certificate
+                    continue
+                ((objective, x_init, iterations, g_init, tol_sq, run),) = runs
+                assert np.array_equal(x_init, prob.x0)
+                assert tol_sq == 4.0 * (eps_eff if prob.m == 1 else float_floor(prob))
+                assert iterations == agd_iterations(2.0, beta, float(at_x0 @ at_x0), tol_sq)
+                assert run.gradient_calls <= iterations
+                full = agd_minimize(objective, x_init, iterations, g_init)
+                assert float(full.gradient @ full.gradient) <= tol_sq
+                queries += 1
+    assert queries >= 100
+
+
+def test_a_non_finite_gradient_closing_a_capped_run_raises(monkeypatch, rng):
+    # a cap of 5 steps is far short of the float floor, so the run is
+    # capped: one gradient at x0, 4 AGD steps, then the one at AGD's last
+    # y iterate, which is non-finite here
     n = 6
     quads = [
         quadratic_constraint(random_psd(rng, n), rng.standard_normal(n) * 0.3, 1.0)
         for _ in range(2)
     ]
     prob = quadratic_problem(rng.standard_normal(n) * 3.0, quads, R=4.0)
-    lam, eps_tilde = np.array([0.7, 0.7]), 1e-2
-    eps_eff = effective_eps_tilde(prob, eps_tilde)
-    budget = agd_iterations(2.0, 2.0 + lam.sum() * prob.max_smoothness(), 1.0, eps_eff)
+    lam, cap = np.array([0.7, 0.7]), 5
+    monkeypatch.setattr("fastproj.dual_oracle.agd_iterations", lambda *args: cap)
+    runs = _recorded_agd(monkeypatch)
     clean = {}
-    approx_dual_oracle(prob, lam, eps_tilde, clean)
-    assert clean["gradient_evals"] >= 1 + budget
+    approx_dual_oracle(prob, lam, 0.0, clean)
+    ((*_, iterations, _, tol_sq, run),) = runs
+    assert iterations == run.gradient_calls == cap
+    assert float(run.gradient @ run.gradient) > tol_sq
+    assert clean["gradient_evals"] == 1 + cap
     calls = [0]
     first, second = prob.constraints
 
     def grad(x, inner=first.grad):
         calls[0] += 1
         g = inner(x)
-        if calls[0] == budget + 1:
+        if calls[0] == cap + 1:
             g[0] = math.inf
         return g
 
     bad = replace(prob, constraints=(replace(first, grad=grad), second))
     with pytest.raises(NumericalFailure):
-        approx_dual_oracle(bad, lam, eps_tilde)
-    assert calls[0] == budget + 1
+        approx_dual_oracle(bad, lam, 0.0)
+    assert calls[0] == cap + 1
 
 
-def test_an_m2_query_stops_at_its_first_point_at_the_float_floor(monkeypatch, rng):
+def test_a_non_finite_gradient_at_x0_raises():
+    # the cap is read off the gradient at x0, so a non-finite one is refused
+    # before any AGD run
+    x0 = np.array([2.0, 0.0])
+    for bad in (math.nan, math.inf):
+        oracle = ConstraintOracle(
+            eval=lambda x: float(x @ x) - 1.0,
+            grad=lambda x, bad=bad: np.full(2, bad),
+            lipschitz_G=8.0,
+            smoothness_L=2.0,
+        )
+        prob = replace(unit_ball_problem(x0), constraints=(oracle, oracle))
+        with pytest.raises(NumericalFailure):
+            approx_dual_oracle(prob, np.array([0.5, 0.5]), 1e-8)
+
+
+def test_an_m2_query_stops_at_its_first_point_at_the_float_floor(rng):
     # On the default schedule eps_eff is the floor: AGD returns the first
-    # momentum point whose Lagrangian gradient passes 4 floor, inside the
-    # first budget.  A practical eps_tilde keeps the same stop, so each of
-    # its rounds ends at the floor or at its cap, never at 4 eps_eff.  Both
-    # spectra reach down to 1e-4, so at lam = 10 the practical budget ends
-    # short of the floor.
+    # momentum point whose Lagrangian gradient passes 4 floor.  The cap is
+    # set against that stop, so a practical eps_tilde changes nothing in
+    # the run: the same point after the same count.  Both spectra reach
+    # down to 1e-4 at lam = 10.
     n = 16
     quads = []
     for _ in range(2):
@@ -323,67 +397,23 @@ def test_an_m2_query_stops_at_its_first_point_at_the_float_floor(monkeypatch, rn
         return inner(x)
 
     counted = replace(prob, constraints=(replace(first, grad=grad), second))
-    beta = 2.0 + lam.sum() * prob.max_smoothness()
-    budget = agd_iterations(2.0, beta, 1.0, effective_eps_tilde(prob, 0.0))
     counters = {}
     triple = approx_dual_oracle(counted, lam, 0.0, counters)
     grad_sq = [float(g @ g) for g in (lagrangian_gradient(prob, x, lam) for x in points)]
-    assert counters["gradient_evals"] == len(points) < 1 + budget
+    assert counters["gradient_evals"] == len(points)
     assert np.array_equal(triple.x_lambda, points[-1])
     assert grad_sq[-1] <= floor_sq < min(grad_sq[:-1])
 
-    runs = []
-
-    def recorded(objective, x_init, iterations, g_init, tol_sq):
-        run = agd_minimize(objective, x_init, iterations, g_init, tol_sq)
-        runs.append((iterations, tol_sq, float(run.gradient @ run.gradient), run.gradient_calls))
-        return run
-
-    monkeypatch.setattr("fastproj.dual_oracle.agd_minimize", recorded)
-    eps_tilde = 2e-3
-    approx_dual_oracle(prob, lam, eps_tilde)
-    for iterations, tol_sq, run_sq, calls in runs:
-        assert tol_sq == floor_sq
-        assert run_sq <= floor_sq or calls == iterations
-    # one capped round, certified above the floor
-    assert len(runs) == 1 and floor_sq < runs[0][2] <= 4.0 * eps_tilde
+    practical = {}
+    triple_2e3 = approx_dual_oracle(prob, lam, 2e-3, practical)
+    assert practical == counters
+    assert np.array_equal(triple_2e3.x_lambda, triple.x_lambda)
 
 
-def _recorded_agd(monkeypatch):
-    """Every AGD run of ``approx_dual_oracle``: ``(iterations, tol_sq, run)``."""
-    runs = []
-
-    def recorded(objective, x_init, iterations, g_init, tol_sq):
-        run = agd_minimize(objective, x_init, iterations, g_init, tol_sq)
-        runs.append((iterations, tol_sq, run))
-        return run
-
-    monkeypatch.setattr("fastproj.dual_oracle.agd_minimize", recorded)
-    return runs
-
-
-def test_a_capped_round_is_followed_by_one_with_twice_the_budget(monkeypatch):
-    # a budget of 3 steps is far short of the float floor: the first two
-    # rounds run to their caps, the third stops at the floor inside its own
-    prob = random_quadratic_instance(32, 2, 5, factored=True)
-    lam = np.array([1.0, 1.0])
-    floor_sq = 4.0 * float_floor(prob)
-    runs = _recorded_agd(monkeypatch)
-    monkeypatch.setattr("fastproj.dual_oracle.agd_iterations", lambda *args: 3)
-    counters = {}
-    triple = approx_dual_oracle(prob, lam, 0.0, counters)
-    assert [iterations for iterations, *_ in runs] == [3, 6, 12]
-    calls = [run.gradient_calls for *_, run in runs]
-    assert calls[:2] == [3, 6] and calls[2] < 12
-    assert counters["gradient_evals"] == 1 + sum(calls)
-    g = lagrangian_gradient(prob, triple.x_lambda, lam)
-    assert float(g @ g) <= floor_sq
-
-
-def test_a_round_that_fails_to_halve_the_gradient_ends_the_inner_solve(monkeypatch):
-    # noise of 1e-3 in one constraint gradient keeps every round far above
-    # the float floor: the first round runs to its cap, the second ends no
-    # better, and the solve returns the better point, uncertified
+def test_a_noisy_gradient_runs_once_to_its_cap_and_keeps_the_better_point(monkeypatch):
+    # noise of 1e-3 in one constraint gradient keeps the run far above the
+    # float floor: it ends at its cap, the solve returns the better of its
+    # start and its end, uncertified, and no second run follows
     prob = random_quadratic_instance(32, 2, 5, factored=True)
     lam = np.array([1.0, 1.0])
     noise = np.random.default_rng(2)
@@ -396,14 +426,15 @@ def test_a_round_that_fails_to_halve_the_gradient_ends_the_inner_solve(monkeypat
     runs = _recorded_agd(monkeypatch)
     counters = {}
     triple = approx_dual_oracle(noisy, lam, 0.0, counters)
-    (cap, _, run1), (doubled, _, run2) = runs
-    assert doubled == 2 * cap
-    assert run1.gradient_calls == cap and run2.gradient_calls == doubled
-    assert counters["gradient_evals"] == 1 + cap + doubled
-    sq1, sq2 = (float(run.gradient @ run.gradient) for run in (run1, run2))
-    assert sq2 > 0.5 * sq1
-    better = run1 if sq1 <= sq2 else run2
-    assert np.array_equal(triple.x_lambda, better.point)
+    ((objective, x_init, cap, g_init, tol_sq, run),) = runs
+    start_sq = float(g_init @ g_init)
+    assert cap == agd_iterations(2.0, objective.beta, start_sq, tol_sq)
+    assert run.gradient_calls == cap
+    assert counters["gradient_evals"] == 1 + cap
+    end_sq = float(run.gradient @ run.gradient)
+    assert end_sq > tol_sq
+    better = run.point if end_sq < start_sq else x_init
+    assert np.array_equal(triple.x_lambda, better)
     g = lagrangian_gradient(prob, triple.x_lambda, lam)
     assert float(g @ g) > 4.0 * effective_eps_tilde(prob, 0.0)
 

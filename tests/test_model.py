@@ -346,6 +346,22 @@ def test_problem_validation():
             SolverConfig(epsilon=eps)
 
 
+def test_solver_counts_must_be_integers():
+    # a float count would pass the range checks and fail later in range();
+    # bool is an int subclass
+    for field in ("max_outer_iterations", "max_doubling_rounds"):
+        for bad in (2.5, 1.5, 3.0, True, "3"):
+            with pytest.raises(ContractViolation):
+                SolverConfig(epsilon=1e-3, **{field: bad})
+    config = SolverConfig(epsilon=1e-3, max_outer_iterations=np.int64(5), max_doubling_rounds=2)
+    assert config.max_outer_iterations == 5
+
+
+def test_quadratic_problem_needs_a_constraint():
+    with pytest.raises(ContractViolation, match="at least one constraint"):
+        quadratic_problem(np.array([2.0, 0.0]), [], R=4.0)
+
+
 def test_quadratic_whose_dimension_differs_from_x0_is_refused():
     x0 = np.array([2.0, 0.0])
     ball2 = quadratic_constraint(np.eye(2), np.zeros(2), 1.0)

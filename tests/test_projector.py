@@ -314,6 +314,15 @@ def test_bound_r_quadratic_examples():
     assert bound_R_quadratic(np.array([1.0]), 1.0, 1.0) == 1.0
 
 
+def test_bound_r_quadratic_refuses_non_finite_inputs():
+    # a NaN loses every comparison in the clamp max(1, ...), so it would
+    # read R = 1
+    for bad in (math.nan, math.inf):
+        for levels, B, X_star in (([1.0], bad, 1.0), ([1.0], 4.0, bad), ([1.0, bad], 4.0, 1.0)):
+            with pytest.raises(ContractViolation):
+                bound_R_quadratic(np.array(levels), B=B, X_star=X_star)
+
+
 # ----------------------------------------------------------------- doubling
 
 
