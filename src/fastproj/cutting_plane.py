@@ -223,10 +223,13 @@ def cutting_plane_maximize(
     for the returned point ``lam`` and the oracle's triple there.
 
     ``oracle`` is queried once per in-box round and never outside the box.
-    The ``lam = 0`` query costs no inner steps; it is round 1 of the trace,
-    ``stop`` is tested there, and it seeds both engines.  For m = 1 its
-    triple is the bisection's ``origin``, and ``curvature``, when given, is
-    passed on with it for the Newton first query; the ellipsoid never calls
+    The ``lam = 0`` query runs no inner solve, since x0 is the inner
+    minimizer there (the oracle evaluates each constraint at x0, or on the
+    Krylov path reads h(x0) off its first Lanczos product); it is round 1 of
+    the trace, ``stop`` is tested there, and it seeds both engines.  For
+    m = 1 its triple is the bisection's ``origin``, and ``curvature``, when
+    given, is passed on with it for the Newton first query, so it may read
+    what the origin's query computed; the ellipsoid never calls
     ``curvature``.  ``stop(lam, triple)`` ends the run at the first queried
     point where it holds (the ellipsoid tests it only at ``lam = 0``) and
     returns that point; otherwise the best visited point is returned.

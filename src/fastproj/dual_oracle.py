@@ -21,14 +21,18 @@ solution ``x = c + u`` with ``(I + lam A) u = x0 - c``, whose Krylov space
 Lanczos basis of it per projection, grown on demand and shared by every
 query of that projection (the shift invariance GLTR uses for the
 trust-region subproblem: Gould, Lucidi, Roma & Toint, SIAM J. Optim.
-1999).  Every other problem, and a query the basis cannot serve within
+1999).  Its products are its only gradient calls: a query's certificate is
+tested on the gradient at its point summed from the stored products, and
+the ``lam = 0`` query and the dual's curvature there come from the first.
+
+Every other problem, and a query the basis cannot serve within
 ``_MAX_BASIS_VECTORS``, runs accelerated gradient descent, which converges
 at a linear rate (Nesterov, *Introductory Lectures on Convex
 Optimization*, 2004, 2.1-2.2).  A query makes one AGD run, which returns
 its first iterate below a stop threshold that ``approx_dual_oracle`` sets.
 The run is capped at the step count that this rate proves enough to bring
 the start's own gradient down to that threshold.  The certificate is
-tested on a true constraint gradient at the returned point.
+tested on the constraint gradients that AGD computes at the returned point.
 """
 
 from __future__ import annotations
@@ -46,8 +50,8 @@ from .model import (
     ProjectionProblem,
     QuadraticConstraint,
     _check_multipliers,
+    _lagrangian_gradient_fn,
     eval_constraints,
-    lagrangian_gradient_fn,
 )
 
 # Value gaps below roughly 1e-13 times the problem scale are not resolvable
@@ -72,8 +76,9 @@ class OracleTriple:
     ``v`` and ``g`` are recomputed from ``x_lambda``: ``v = ||x_lambda -
     x0||^2 + lam . g``, and ``g`` is the constraint vector at ``x_lambda``,
     evaluated by each constraint's ``eval``, or on the Krylov path read off
-    the quadratic's gradient there as ``(x - c) . grad h(x) / 2 - level``,
-    which agrees with ``eval`` to rounding.
+    the quadratic's gradient there as ``(x - c) . grad h(x) / 2 - level``
+    (at x0, ``rho^2 alpha_0 - level``), which agrees with ``eval`` to
+    rounding.
     """
 
     x_lambda: Array
@@ -100,12 +105,17 @@ class LanczosBasis:
     After k products the rows of ``V[:k]`` are orthonormal and
     ``A V_k^T = V_k^T T_k + beta_k v_{k+1} e_k^T`` with T_k tridiagonal
     (``alpha`` on its diagonal, ``beta`` off it).  Each product
-    ``A v = grad(c + v) / 2`` goes through the constraint's own ``grad``,
-    counts as one gradient evaluation, and is orthogonalized once against
-    every stored vector (classical Gram-Schmidt, which subsumes the
-    three-term recurrence).  The basis stops growing when ``beta_k`` falls
-    to ``_BREAKDOWN_REL`` of A's spectral norm, and at
-    ``_MAX_BASIS_VECTORS`` products.
+    ``P_i = grad(c + v_i) = 2 A v_i`` goes through the constraint's own
+    ``grad``, counts as one gradient evaluation, is kept in ``P[:k]`` and is
+    orthogonalized once against every stored vector (classical Gram-Schmidt,
+    which subsumes the three-term recurrence).  The basis stops growing when
+    ``beta_k`` falls to ``_BREAKDOWN_REL`` of A's spectral norm, and at
+    ``_MAX_BASIS_VECTORS`` products.  ``products`` counts the products
+    taken; nothing else the basis does calls the constraint.
+
+    The first product, ``2 A v_0`` with ``v_0 = (x0 - c) / rho``, answers
+    the ``lam = 0`` query (``origin``) and gives the dual's curvature there
+    (``curvature``).
     """
 
     def __init__(self, quad: QuadraticConstraint, x0: Array):
@@ -117,6 +127,7 @@ class LanczosBasis:
         r0 = x0 - quad.center
         self._rho = math.sqrt(float(r0.dot(r0)))
         self._V = np.empty((_MAX_BASIS_VECTORS, x0.size))
+        self._P = np.empty_like(self._V)  # row i holds the product 2 A v_i
         self._alpha: list[float] = []
         self._beta: list[float] = []
         # Whether the next product may be taken: x0 = c needs none.
@@ -124,13 +135,40 @@ class LanczosBasis:
         if self._open:
             np.multiply(r0, 1.0 / self._rho, out=self._V[0])
 
+    @property
+    def products(self) -> int:
+        """The products ``2 A v_i`` taken so far."""
+        return len(self._alpha)
+
+    def origin(self) -> OracleTriple:
+        """The triple at ``lam = 0``: ``(copy of x0, h(x0), 0)`` with
+        ``h(x0) = rho^2 alpha_0 - level``, read off the first product, which
+        this takes unless it is taken already or x0 = c (then ``h = -level``).
+        """
+        if self._open and not self._alpha:
+            self._extend()
+        quad = self._rho * self._rho * self._alpha[0] if self._alpha else 0.0
+        return OracleTriple(x_lambda=self._x0.copy(), g=np.array([quad - self._level]), v=0.0)
+
+    def curvature(self) -> float:
+        """``-d''(0) = ||grad h(x0)||^2 / 2 = rho^2 ||P_0||^2 / 2``, exact: x0
+        solves the inner problem at ``lam = 0``, where the Lagrangian's
+        Hessian is 2I.  Read off the first product, which ``origin`` takes;
+        0 when x0 = c, which takes none."""
+        if not self._alpha:
+            return 0.0
+        p0 = self._P[0]
+        return 0.5 * self._rho * self._rho * float(p0.dot(p0))
+
     def _extend(self) -> None:
-        """One product ``A v_k``: appends ``alpha_k`` and ``beta_k`` and, while
-        the basis may still grow, stores ``v_{k+1}``."""
+        """One product ``A v_k``: stores ``2 A v_k`` in ``P[k]``, appends
+        ``alpha_k`` and ``beta_k`` and, while the basis may still grow,
+        stores ``v_{k+1}``."""
         k = len(self._alpha)
         V = self._V
         point = self._center + V[k]
         product = self._grad(point)  # 2 A v_k
+        self._P[k] = product
         basis = V[: k + 1]
         coef = basis.dot(product)
         w = coef.dot(basis)
@@ -147,11 +185,10 @@ class LanczosBasis:
         if self._open:
             np.multiply(w, 1.0 / norm, out=V[k + 1])
 
-    def solve(self, lam: float, tol_sq: float) -> tuple[OracleTriple, Array, float, int]:
-        """The Krylov iterate's triple at ``lam > 0``, the Lagrangian
-        gradient there and its squared norm from the constraint's true
-        gradient, and the gradient calls made: ``(triple, grad L, ||grad
-        L||^2, calls)``.
+    def solve(self, lam: float, tol_sq: float) -> tuple[OracleTriple, Array, float]:
+        """The Krylov iterate's triple at ``lam > 0``, with the Lagrangian
+        gradient there and its squared norm: ``(triple, grad L, ||grad
+        L||^2)``.
 
         The iterate is ``x = c + V_k^T y`` with ``(I + lam T_k) y = rho e1``,
         ``rho = ||x0 - c||``: the Galerkin solution of
@@ -160,10 +197,14 @@ class LanczosBasis:
         ``lam beta_k |y_k|`` is the last step of the tridiagonal elimination,
         O(1) per added row.  The basis grows while
         ``4 (lam beta_k y_k)^2 > tol_sq``; then x is formed and the
-        certificate ``||grad L(x)||^2 <= tol_sq`` is tested on the true
-        gradient.  A failed test quarters the estimate's target and grows
-        the basis further.  When the basis cannot grow, the iterate is
-        returned whatever its gradient, for the caller to continue from.
+        certificate ``||grad L(x)||^2 <= tol_sq`` is tested on the
+        constraint's gradient at x, assembled from the stored products as
+        ``grad h(x) = 2 A V_k^T y = y . P[:k]``.  ``grad`` is affine, so the
+        sum is the gradient at x to rounding whatever the orthogonality of
+        V and the accuracy of T_k, the two things the test exists to catch.
+        A failed test quarters the estimate's target and grows the basis
+        further.  When the basis cannot grow, the iterate is returned
+        whatever its gradient, for the caller to continue from.
         """
         alpha, beta = self._alpha, self._beta
         # Forward elimination of (I + lam T_k) y = rho e1, one row at a time:
@@ -174,18 +215,16 @@ class LanczosBasis:
         rhs, z, e, c = self._rho, 0.0, 0.0, 0.0
         est_sq = rhs * rhs  # (lam beta_k y_k)^2; with no rows, all of x0 - c
         target_sq = 0.25 * tol_sq
-        calls = i = 0
+        i = 0
         while True:
             if i == len(alpha):
                 if est_sq <= target_sq or not self._open:
-                    calls += 1
                     result = self._iterate(lam, cs, zs)
                     if result[2] <= tol_sq or not self._open:
-                        return result + (calls,)
-                    # Rounding kept the true gradient above the estimate.
+                        return result
+                    # Rounding kept the gradient above the estimate.
                     target_sq = 0.0625 * min(target_sq, est_sq)
                 self._extend()
-                calls += 1
             p = 1.0 + lam * alpha[i] - e * c
             z = (rhs - e * z) / p
             rhs = 0.0
@@ -205,8 +244,8 @@ class LanczosBasis:
             yi = zs[i] - cs[i] * yi
             y[i] = yi
         u = y.dot(self._V[:k])
+        grad_h = y.dot(self._P[:k])  # grad h(x) = 2 A u
         x = u + self._center
-        grad_h = self._grad(x)
         d = x - self._x0
         grad_l = lam * grad_h
         grad_l += d
@@ -239,14 +278,16 @@ def approx_dual_oracle(
     """Solve ``min_x L(x, lam)`` to ``eps_tilde`` and package (x_lam, g, v).
 
     At ``lam = 0`` x0 itself is the minimizer: the triple is ``(copy of x0,
-    h(x0), 0)``, made with one constraint evaluation and no gradient call.
-    Accuracy is proven by the certificate ``||grad L||^2 <= 4 eps_eff``;
-    ``eps_eff`` is ``eps_tilde`` (0 allowed) clamped to the float floor.
-    ``basis``, from ``lanczos_basis(problem)``, serves every query at
-    ``lam > 0``: ``x_lam`` is its Krylov iterate, proven on the
-    constraint's true gradient there, which also gives ``g``.  A query it
-    cannot serve within its vector cap continues with AGD from that
-    iterate.
+    h(x0), 0)``, made with one constraint evaluation and no gradient call,
+    or with a ``basis`` by its ``origin``, which reads h(x0) off the first
+    Lanczos product and counts that product.  Accuracy is proven by the
+    certificate ``||grad L||^2 <= 4 eps_eff``; ``eps_eff`` is
+    ``eps_tilde`` (0 allowed) clamped to the float floor.  ``basis``, from
+    ``lanczos_basis(problem)``, serves every query at ``lam > 0``:
+    ``x_lam`` is its Krylov iterate, proven on the constraint's gradient
+    there summed from the stored products, which also gives ``g``, so the
+    query counts only the products it adds.  A query it cannot serve
+    within its vector cap continues with AGD from that iterate.
 
     Every other query starts at ``x0``.  One AGD run then returns its first
     momentum point below the stop threshold ``tol_sq``, or its last iterate
@@ -260,18 +301,25 @@ def approx_dual_oracle(
         raise ContractViolation("eps_tilde must be nonnegative")
     lam = _check_multipliers(problem, lam)
     if not lam.any():
-        return OracleTriple(problem.x0.copy(), eval_constraints(problem, problem.x0), 0.0)
+        if basis is None:
+            return OracleTriple(problem.x0.copy(), eval_constraints(problem, problem.x0), 0.0)
+        taken = basis.products
+        triple = basis.origin()
+        _count(counters, basis.products - taken)
+        return triple
     eps_eff = effective_eps_tilde(problem, eps_tilde)
     evals = 0
     x = None  # AGD's start, with grad and grad_sq, when the basis falls short
     if basis is not None:
-        triple, grad, grad_sq, evals = basis.solve(float(lam[0]), 4.0 * eps_eff)
+        taken = basis.products
+        triple, grad, grad_sq = basis.solve(float(lam[0]), 4.0 * eps_eff)
+        evals = basis.products - taken
         if grad_sq <= 4.0 * eps_eff:
             _count(counters, evals)
             return triple
         x = triple.x_lambda
 
-    gradient = lagrangian_gradient_fn(problem, lam)
+    gradient = _lagrangian_gradient_fn(problem, lam)
     beta = 2.0 + float(np.sum(lam)) * problem.max_smoothness()
     objective = SmoothObjective(gradient=gradient, alpha=2.0, beta=beta)
 

@@ -191,7 +191,12 @@ def lagrangian_gradient_fn(problem: ProjectionProblem, lam: Array) -> Callable[[
     step, so it takes points of shape ``(n,)`` unchecked and skips the
     constraints whose multiplier is zero.
     """
-    lam = _check_multipliers(problem, lam)
+    return _lagrangian_gradient_fn(problem, _check_multipliers(problem, lam))
+
+
+def _lagrangian_gradient_fn(problem: ProjectionProblem, lam: Array) -> Callable[[Array], Array]:
+    """``lagrangian_gradient_fn`` for a ``lam`` that ``_check_multipliers``
+    has already returned."""
     x0 = problem.x0
     weighted = [(float(li), c.grad) for li, c in zip(lam, problem.constraints) if li != 0.0]
 

@@ -7,18 +7,21 @@ gradient and dual value together; the primal solution is the oracle's point
 at the dual point the engine returns.  The inner solves run AGD from x0,
 except on a problem whose one constraint is a quadratic: there every query
 of a solve reads its point off one shared Lanczos basis
-(``dual_oracle.lanczos_basis``).  ``cutting_plane.round_budget`` gives
-the number of rounds, for both engines.  With the guaranteed inner-accuracy
-schedule the output ``x_hat`` satisfies, against every feasible x,
+(``dual_oracle.lanczos_basis``) and is proven on the products that basis
+stores, so the basis's products are the solve's only gradient calls.
+``cutting_plane.round_budget`` gives the number of rounds, for both
+engines.  With the guaranteed inner-accuracy schedule the output ``x_hat``
+satisfies, against every feasible x,
 
     ||x_hat - x0||^2 <= ||x - x0||^2 + 6 eps      and      h_i(x_hat) <= eps.
 
 The first query is lam = 0, where x0 itself solves the inner problem, so an
-interior x0 is returned unchanged after one constraint evaluation.  The
-search stops as soon as a queried point passes ``certified``, the
-weak-duality test that already proves the tighter bound
-``||x_hat - x0||^2 <= ||x - x0||^2 + eps + eps_eff`` (the ellipsoid tests
-it only at lam = 0).  Every result reports the test at its own answer as
+interior x0 is returned unchanged after one constraint evaluation, or on a
+Lanczos basis after its first product, which also gives the m = 1 search
+the dual's curvature at lam = 0.  The search stops as soon as a queried
+point passes ``certified``, the weak-duality test that already proves the
+tighter bound ``||x_hat - x0||^2 <= ||x - x0||^2 + eps + eps_eff`` (the
+ellipsoid tests it only at lam = 0).  Every result reports the test at its own answer as
 ``ProjectionResult.certified``.
 
 When the multiplier bound R is unknown, ``SolverConfig.max_doubling_rounds``
@@ -79,17 +82,21 @@ class ProjectionResult:
 
 def bound_R_single(Q: float, B: float) -> float:
     """Multiplier bound 2B/Q for one constraint whose boundary gradient norm
-    is at least Q, clamped below at 1."""
-    if not (Q > 0 and B > 0):
-        raise ContractViolation("Q and B must be positive")
+    is at least Q, clamped below at 1.  Q and B must be positive and
+    finite: an infinite Q would read R = 1, and an infinite B R = inf."""
+    if not (0 < Q < math.inf and 0 < B < math.inf):
+        raise ContractViolation("Q and B must be positive and finite")
     return max(1.0, 2.0 * B / Q)
 
 
 def bound_R_quadratic(c: Array, B: float, X_star: float) -> float:
     """Multiplier bound ``max_i B X* / c_i`` for quadratic constraints with
     positive levels c_i, clamped below at 1.  A NaN would lose every
-    comparison in the clamp, so non-finite inputs are refused."""
+    comparison in the clamp, so non-finite inputs are refused, as is an
+    empty level array, which has no maximum."""
     c = np.asarray(c, dtype=float)
+    if c.size == 0:
+        raise ContractViolation("at least one level c_i is required")
     if not (np.isfinite(c).all() and math.isfinite(B) and math.isfinite(X_star)):
         raise ContractViolation("the levels, B and X_star must be finite")
     if np.any(c <= 0):
@@ -176,7 +183,11 @@ def _solve(problem: ProjectionProblem, config: SolverConfig) -> ProjectionResult
     def curvature() -> float:
         # -d''(0) of a one-constraint dual, exact: x0 solves the inner
         # problem at lam = 0 and the Lagrangian's Hessian there is 2I.  Only
-        # the m = 1 search calls it; its one gradient is counted.
+        # the m = 1 search calls it, after the lam = 0 query; a basis reads
+        # it off the product that query took and counted, else its one
+        # gradient is counted here.
+        if basis is not None:
+            return basis.curvature()
         counters["gradient_evals"] += 1
         grad = problem.constraints[0].grad(problem.x0)
         return 0.5 * float(grad @ grad)

@@ -50,30 +50,34 @@ def two_quadratics_problem(rng, n=6):
 
 
 def test_zero_multiplier_returns_query_point(monkeypatch, rng):
-    # x0 minimizes L(., 0) exactly: the triple is read off x0 with one
-    # evaluation per constraint, and no gradient, objective or AGD run; m = 1
-    # with and without a Lanczos basis, and m = 2
+    # x0 minimizes L(., 0) exactly: the triple is read off x0 with no
+    # objective or AGD run.  Without a basis (m = 1 and m = 2) it takes one
+    # evaluation per constraint and no gradient; a Lanczos basis reads h(x0)
+    # off its first product, one counted gradient and no evaluation
     def refused(*args, **kwargs):
         raise AssertionError("inner solver used at lam = 0")
 
     monkeypatch.setattr("fastproj.dual_oracle.SmoothObjective", refused)
     monkeypatch.setattr("fastproj.dual_oracle.agd_minimize", refused)
-    grads = [0]
+    calls = {"eval": 0, "grad": 0}
 
     def counted(c):
-        def grad(x):
-            grads[0] += 1
-            return c.grad(x)
+        def count(name, fn):
+            return lambda x: calls.__setitem__(name, calls[name] + 1) or fn(x)
 
-        return replace(c, grad=grad)
+        return replace(c, eval=count("eval", c.eval), grad=count("grad", c.grad))
 
     ball = unit_ball_problem([2.0, 0.0])
     for prob, with_basis in ((ball, False), (ball, True), (two_quadratics_problem(rng), False)):
         prob = replace(prob, constraints=tuple(counted(c) for c in prob.constraints))
         basis = lanczos_basis(prob) if with_basis else None
+        calls.update(eval=0, grad=0)
         counters = {}
         triple = approx_dual_oracle(prob, np.zeros(prob.m), 1e-8, counters, basis=basis)
-        assert grads[0] == 0 and counters == {}
+        if with_basis:
+            assert calls == {"eval": 0, "grad": 1} and counters == {"gradient_evals": 1}
+        else:
+            assert calls == {"eval": prob.m, "grad": 0} and counters == {}
         assert triple.v == 0.0
         assert np.array_equal(triple.x_lambda, prob.x0) and triple.x_lambda is not prob.x0
         assert np.array_equal(triple.g, eval_constraints(prob, prob.x0))
@@ -105,6 +109,28 @@ def test_rejects_non_finite_multipliers(rng):
                 lagrangian_value(prob, prob.x0, lam)
         with pytest.raises(ContractViolation):
             approx_dual_oracle(ball, np.array([bad]), 1e-8, basis=lanczos_basis(ball))
+
+
+def test_an_agd_query_checks_its_multipliers_once(monkeypatch, rng):
+    # approx_dual_oracle checks lam and builds the Lagrangian gradient from
+    # the checked value; the public lagrangian_gradient_fn keeps its own
+    # check
+    import fastproj.model as model
+
+    checks = [0]
+    real = model._check_multipliers
+
+    def counted(problem, lam):
+        checks[0] += 1
+        return real(problem, lam)
+
+    monkeypatch.setattr("fastproj.dual_oracle._check_multipliers", counted)
+    monkeypatch.setattr(model, "_check_multipliers", counted)
+    prob = two_quadratics_problem(rng)
+    approx_dual_oracle(prob, np.array([0.3, 0.7]), 1e-8)
+    assert checks[0] == 1
+    lagrangian_gradient_fn(prob, np.array([0.3, 0.7]))
+    assert checks[0] == 2
 
 
 def test_triple_recomputation_identities(rng):
@@ -473,11 +499,12 @@ def test_a_basis_applies_only_to_a_single_quadratic(rng):
 
 def test_a_ball_basis_breaks_down_after_one_product_and_is_exact():
     # A = I: K(A, x0) is the line through x0, so the first product closes
-    # the basis and every query after it costs only its certificate gradient
+    # the basis, and every query after it is proven on that stored product
+    # with no gradient call
     calls = [0]
     prob = _counted_grad(unit_ball_problem([2.0, -1.0, 0.5]), calls)
     basis = lanczos_basis(prob)
-    for lam, expected_calls in ((1.0, 2), (0.3, 1), (7.5, 1)):
+    for lam, expected_calls in ((1.0, 1), (0.3, 0), (7.5, 0)):
         calls[0] = 0
         counters = {}
         triple = approx_dual_oracle(prob, np.array([lam]), 0.0, counters, basis=basis)
@@ -501,9 +528,9 @@ def test_a_rank_r_basis_is_exact_after_r_plus_one_products(rng):
         evals.append(calls[0])
         assert_allclose(triple.x_lambda, _exact_inner_solution(prob, lam), atol=1e-12)
     # x0 - c has components outside A's range, so K(A, x0 - c) has
-    # dimension r + 1: the first query takes r + 1 products, and every query
-    # one certificate gradient
-    assert evals == [r + 2, 1, 1]
+    # dimension r + 1: the first query takes r + 1 products, and the
+    # certificates are proven on the stored products, at no gradient call
+    assert evals == [r + 1, 0, 0]
 
 
 def test_the_residual_estimate_predicts_the_certificate(monkeypatch):
@@ -531,6 +558,54 @@ def test_the_residual_estimate_predicts_the_certificate(monkeypatch):
             assert float(g @ g) <= 4.0 * eps_eff
 
 
+def test_a_krylov_answer_is_proven_on_its_stored_products(monkeypatch):
+    # the certificate's gradient is assembled from the stored products as
+    # y . P[:k] = 2 A (x - c), with no gradient call: a direct evaluation and
+    # a direct Lagrangian gradient at each answer agree with it, dense and
+    # WY, at multipliers from 0.1 to 30.  h is compared relative to the
+    # constraint's scale, its level, since it crosses 0 at the optimum.
+    def no_agd(*args):
+        raise AssertionError("AGD ran")
+
+    monkeypatch.setattr("fastproj.dual_oracle.agd_minimize", no_agd)
+    for seed, factored in ((0, False), (1, False), (2, False), (3, True), (4, True), (5, True)):
+        prob = random_quadratic_instance(256 if factored else 128, 1, seed, factored=factored)
+        quad = prob.constraints[0]
+        basis = lanczos_basis(prob)
+        for eps_tilde in (0.0, 1e-6):
+            eps_eff = effective_eps_tilde(prob, eps_tilde)
+            for lam in (0.1, 0.4, 1.0, 2.5, 8.0, 30.0):
+                lam = np.array([lam])
+                triple = approx_dual_oracle(prob, lam, eps_tilde, basis=basis)
+                h = float(quad.eval(triple.x_lambda))
+                assert abs(triple.g[0] - h) <= 1e-12 * (quad.c + abs(h)), (seed, lam)
+                g = lagrangian_gradient(prob, triple.x_lambda, lam)
+                assert float(g @ g) <= 4.0 * eps_eff * (1.0 + 1e-6), (seed, lam)
+
+
+def test_the_lam_zero_query_and_the_curvature_come_off_the_first_product():
+    # h(x0) = rho^2 alpha_0 - level and -d''(0) = rho^2 ||2 A v_0||^2 / 2
+    # from one product, which the lam = 0 query takes and counts; x0 = c
+    # takes none
+    for seed, factored in ((0, False), (1, False), (2, True), (3, True)):
+        prob = random_quadratic_instance(256 if factored else 128, 1, seed, factored=factored)
+        quad = prob.constraints[0]
+        calls = [0]
+        counted = _counted_grad(prob, calls)
+        basis = lanczos_basis(counted)
+        counters = {}
+        triple = approx_dual_oracle(counted, np.zeros(1), 0.0, counters, basis=basis)
+        assert calls[0] == counters["gradient_evals"] == basis.products == 1
+        assert triple.g[0] == pytest.approx(float(quad.eval(prob.x0)), rel=1e-12)
+        assert np.array_equal(triple.x_lambda, prob.x0) and triple.v == 0.0
+        grad = quad.grad(prob.x0)
+        assert basis.curvature() == pytest.approx(0.5 * float(grad @ grad), rel=1e-12)
+        assert calls[0] == 1
+        at_center = lanczos_basis(replace(counted, x0=quad.center))
+        assert at_center.origin().g[0] == -quad.c and at_center.curvature() == 0.0
+        assert calls[0] == 1 and at_center.products == 0
+
+
 def test_a_failed_proof_grows_the_basis_and_proves_again(monkeypatch):
     # a true gradient above the Lanczos estimate (rounding) makes the query
     # grow the basis past the estimate's stop, not fall back to AGD
@@ -553,8 +628,10 @@ def test_a_failed_proof_grows_the_basis_and_proves_again(monkeypatch):
     monkeypatch.setattr("fastproj.dual_oracle.agd_minimize", no_agd)
     counters = {}
     triple = approx_dual_oracle(prob, lam, 0.0, counters, basis=lanczos_basis(prob))
+    # the second proof costs no gradient: the failure shows as at least one
+    # product more than the clean query took
     assert len(proofs) == 2
-    assert counters["gradient_evals"] > clean["gradient_evals"] + 1
+    assert counters["gradient_evals"] >= clean["gradient_evals"] + 1
     g = lagrangian_gradient(prob, triple.x_lambda, lam)
     assert float(g @ g) <= 4.0 * effective_eps_tilde(prob, 0.0)
 
@@ -565,7 +642,8 @@ def test_a_non_finite_gradient_mid_basis_raises_with_the_partial_trace():
     calls = [0]
 
     def poisoned(x):
-        # call 1 is the curvature at x0, calls 2 and 3 the first products
+        # call 1 is the first product, taken by the lam = 0 query (which
+        # also gives the curvature), calls 2 and 3 the next two products
         calls[0] += 1
         return np.full(x.shape, np.nan) if calls[0] == 3 else quad.grad(x)
 

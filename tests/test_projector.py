@@ -67,14 +67,20 @@ def test_interior_point_projects_to_itself():
 
 
 def test_bisection_returns_an_interior_x0_from_its_lam_zero_round():
-    # x0 solves the inner problem at lam = 0 exactly, and is feasible
+    # x0 solves the inner problem at lam = 0 exactly, and is feasible.  The
+    # lam = 0 triple is x0 itself: a quadratic reads h(x0) off the Lanczos
+    # basis's first product, one gradient; a plain oracle with the same
+    # eval and grad takes one constraint evaluation and no gradient
     for prob in (unit_ball_problem([0.4, -0.2], R=1.0), unit_ball_problem([0.0, 0.999])):
-        res = project(prob, SolverConfig(epsilon=1e-4))
-        assert np.array_equal(res.x_hat, prob.x0)
-        assert res.lambda_bar[0] == 0.0 and res.certified
-        assert res.oracle_calls == 1 == sum(res.trace.in_box) == len(res.trace)
-        # the lam = 0 triple is x0 itself: one constraint evaluation, no gradient
-        assert res.inner_gradient_evals == 0
+        quad = prob.constraints[0]
+        plain = ConstraintOracle(quad.eval, quad.grad, quad.lipschitz_G, quad.smoothness_L)
+        for oracle, gradients in ((quad, 1), (plain, 0)):
+            solved = dataclasses.replace(prob, constraints=(oracle,))
+            res = project(solved, SolverConfig(epsilon=1e-4))
+            assert np.array_equal(res.x_hat, prob.x0)
+            assert res.lambda_bar[0] == 0.0 and res.certified
+            assert res.oracle_calls == 1 == sum(res.trace.in_box) == len(res.trace)
+            assert res.inner_gradient_evals == gradients
 
 
 def test_m1_opens_with_the_dual_newton_step():
@@ -307,6 +313,25 @@ def test_bound_r_single_examples():
     assert bound_R_single(2.0, 1.0) >= 1.0
 
 
+def test_bound_r_single_refuses_a_non_finite_q():
+    # Q = inf reads 2B/Q = 0, which the clamp would raise to R = 1
+    for Q in (math.inf, math.nan):
+        with pytest.raises(ContractViolation):
+            bound_R_single(Q, 1.0)
+
+
+def test_bound_r_single_refuses_a_non_finite_b():
+    # B = inf would read R = inf, refused only later by ProjectionProblem
+    for B in (math.inf, math.nan):
+        with pytest.raises(ContractViolation):
+            bound_R_single(1.0, B)
+
+
+def test_bound_r_quadratic_refuses_an_empty_level_array():
+    with pytest.raises(ContractViolation):
+        bound_R_quadratic(np.array([]), B=1.0, X_star=1.0)
+
+
 def test_bound_r_quadratic_examples():
     assert bound_R_quadratic(np.array([1.0, 1.0]), 2.0, 1.0) == 2.0
     assert bound_R_quadratic(np.array([4.0]), 1.0, 1.0) == 1.0  # clamped
@@ -378,13 +403,14 @@ def test_doubling_reports_the_work_of_every_round():
         assert res.doubling_rounds_used == 1
         assert res.oracle_calls > len(res.trace)
         if oracle is quad:
-            # h at lam > 0 comes from the certificate's gradient: each solve
-            # evaluates the constraint once, at its lam = 0 query
-            assert counts["eval"] == res.doubling_rounds_used + 1
+            # h comes from the stored Lanczos products, at lam = 0 as at
+            # lam > 0: the Krylov path never evaluates the constraint
+            assert counts["eval"] == 0
         else:
             assert res.oracle_calls == counts["eval"]
-        # every counted gradient calls the constraint's grad once, and the
-        # lam = 0 queries count none
+        # every counted gradient calls the constraint's grad once: on the
+        # Krylov path the Lanczos products, the first of them taken at lam =
+        # 0; on the AGD path the inner steps, none at lam = 0
         assert res.inner_gradient_evals == counts["grad"]
 
 
