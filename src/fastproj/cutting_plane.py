@@ -1,21 +1,33 @@
 """Cutting-plane maximization of a concave dual with approximate oracles.
 
-Both engines query one oracle, ``lam -> OracleTriple``, exactly once per
-in-box round; the triple's ``g`` and ``v`` are the approximate dual gradient
-and value.  Out-of-box points are never queried.  ``cutting_plane_maximize``
-first queries lam = 0, where the inner problem is solved by the query point
-itself, and then runs the engine the number of multipliers m selects.
-``round_budget`` gives each engine's round budget for a target accuracy.
+All three engines query one oracle, ``lam -> OracleTriple``, exactly once
+per in-box round; the triple's ``g`` and ``v`` are the approximate dual
+gradient and value.  Out-of-box points are never queried.
+``cutting_plane_maximize`` first queries lam = 0, where the inner problem is
+solved by the query point itself, and then runs the engine the number of
+multipliers m selects.  ``round_budget`` gives each engine's round budget
+for a target accuracy.  Every engine keeps, with each cut, the half that is
+guaranteed to contain every near-optimal dual point that has not already
+been certified by a visited iterate; without an early stop it returns the
+visited point with the best value estimate (ties broken by earliest visit),
+with its triple.
 
-For m >= 2 the localizer starts as an ellipsoid covering the dual box
+For m >= 3 the localizer starts as an ellipsoid covering the dual box
 ``[0, R]^m`` and is cut through its center every round: with the negated
 approximate gradient when the center lies in the box, with a box separation
-vector otherwise.  Either way the kept half is guaranteed to contain every
-near-optimal dual point that has not already been certified by a visited
-iterate, and the localizer volume shrinks by a fixed factor per cut, so
-logarithmically many rounds suffice.  The returned point is the visited
-in-box point with the best value estimate (ties broken by earliest visit),
-returned with its triple.
+vector otherwise.  The localizer volume shrinks by a fixed factor per cut,
+so logarithmically many rounds suffice.
+
+For m = 2 the localizer is kept exactly, as a convex polygon that starts as
+the box and is clipped every round by the cut through the point it queried,
+its centroid: the centre-of-gravity method (Levin 1965; Newman 1965).  By
+Grünbaum's theorem (Pacific J. Math. 1960) a line through the centroid
+leaves at most 5/9 of the area on either side, and the polygon never leaves
+the box, so every round is a query, and the engine can stop on a caller's
+predicate, such as a duality certificate, at any of them.  A centroid is
+never on a face of the box, so after the first centroid where the predicate
+holds, a search along the face where a slack constraint's multiplier is 0
+looks for a point where it holds with that multiplier exactly 0.
 
 For m = 1, where a central cut is interval halving, a bracketing engine
 takes its place.  It brackets the maximizer by the sign of the approximate
@@ -27,9 +39,8 @@ inverse interpolation and then to the midpoint, all under the ITP safeguard
 The lam = 0 query holds its lower bracket end from the start.  Given the
 dual's curvature there, the first bracketing query is the Newton root from
 lam = 0 when it lies inside (0, R): it depends only on the dual's slope and
-curvature at 0, not on R, so a loose box costs no deep queries.  The
-engine can stop early on a caller's predicate, such as a duality
-certificate.
+curvature at 0, not on R, so a loose box costs no deep queries.  This
+engine, too, can stop early on a caller's predicate.
 """
 
 from __future__ import annotations
@@ -50,6 +61,11 @@ _PD_CHECK_EVERY = 8
 # may leave the bracket after round t as wide as R 2^(ITP_N0 - t), so in the
 # worst case they cost ITP_N0 rounds against plain bisection.
 ITP_N0 = 3
+# Grünbaum: a cut through a polygon's centroid keeps at most 5/9 of its area.
+_CENTROID_CUT_LOG_FACTOR = math.log(5.0 / 9.0)
+# The m = 2 polygon lives in the unit square; once its area is below that of
+# a square one ulp of 1 on a side, its centroid is at float resolution.
+_AREA_FLOOR = 2.0**-104
 
 
 @dataclass(frozen=True)
@@ -86,7 +102,11 @@ class EllipsoidState:
 
 @dataclass
 class CutTrace:
-    """Per-round diagnostics of one dual maximization; round t is entry t - 1."""
+    """Per-round diagnostics of one dual maximization; round t is entry t - 1.
+
+    ``log_volume`` is the log size of the localizer when the round's point is
+    chosen: the bracket width at m = 1, the polygon's area at m = 2 and the
+    ellipsoid's volume at m >= 3."""
 
     in_box: list[bool] = field(default_factory=list)
     lam: list[Array] = field(default_factory=list)
@@ -150,19 +170,22 @@ def round_budget(m: int, R: float, eps: float, G: float, cap: int) -> int:
     interpolated queries, and with them the worst-case bracket is still
     plain bisection's ``R 2^-ceil(log2(R G / eps))``.
 
-    For m >= 2 it is the first round after which the ellipsoid's volume,
-    starting from the ball circumscribing the box and scaled by
-    ``exp(central_cut_log_factor(m))`` per cut, is below ``r^m``, at least 1.
-    The near-optimal dual set is taken to hold a cube of side r, so from
-    then on the localizer cannot contain it and some visited point is near
-    optimal.  The paper's radius is ``min(eps/bound, sqrt(eps)/G) / (2m)``,
-    the bound being one on ``|h_i|`` over the feasible set; problems carry
-    no such bound, so G stands in for it: ``r = min(eps, sqrt(eps)) / (2 m G)``.
+    For m >= 2 it is the first round after which the localizer's volume is
+    below ``r^m``, at least 1: at m = 2 the polygon's area, starting from the
+    box's ``R^2`` and scaled by at most 5/9 per centroid cut, and at m >= 3
+    the ellipsoid's volume, starting from the ball circumscribing the box
+    and scaled by ``exp(central_cut_log_factor(m))`` per cut.  The
+    near-optimal dual set is taken to hold a cube of side r, so from then on
+    the localizer cannot contain it and some visited point is near optimal.
+    The paper's radius is ``min(eps/bound, sqrt(eps)/G) / (2m)``, the bound
+    being one on ``|h_i|`` over the feasible set; problems carry no such
+    bound, so G stands in for it: ``r = min(eps, sqrt(eps)) / (2 m G)``.
 
     Both are taken in logarithms, summed so that ``R G / eps`` cannot
-    overflow.  At ``G = 0`` they take their limit: the radius is infinite,
-    so the ellipsoid needs no round after ``lam = 0``, and the bracketing
-    search ``1 + ITP_N0``.
+    overflow, and are finite for every finite R.  At ``G = 0`` they take
+    their limit: the radius is infinite, so the polygon and the ellipsoid
+    need no round after ``lam = 0``, and the bracketing search
+    ``1 + ITP_N0``.
     """
     if m == 1:
         log2_G = math.log2(G) if G > 0.0 else -math.inf
@@ -171,7 +194,11 @@ def round_budget(m: int, R: float, eps: float, G: float, cap: int) -> int:
     if G == 0.0:
         return 0
     log_r = math.log(min(eps, math.sqrt(eps)) / (2.0 * m)) - math.log(G)
-    rounds = math.floor((_log_initial_volume(m, R) - m * log_r) / -central_cut_log_factor(m)) + 1
+    if m == 2:
+        log_excess, log_cut = 2.0 * (math.log(R) - log_r), _CENTROID_CUT_LOG_FACTOR
+    else:
+        log_excess, log_cut = _log_initial_volume(m, R) - m * log_r, central_cut_log_factor(m)
+    rounds = math.floor(log_excess / -log_cut) + 1
     return min(cap, max(1, rounds))
 
 
@@ -211,6 +238,50 @@ def ellipsoid_update(state: EllipsoidState, w: Array) -> EllipsoidState:
     return EllipsoidState(center=center, factor=scale * (B - gamma * np.outer(Bp, p)))
 
 
+Point = tuple[float, float]
+
+
+def polygon_centroid(vertices: list[Point]) -> tuple[float, Point]:
+    """Area and centroid of a convex polygon, its vertices in order.
+
+    The shoelace sums run on the vertices taken relative to the first one,
+    so a small polygon far from the origin loses no digits to cancellation.
+    The area is signed: positive for counterclockwise vertices; a polygon
+    of zero area reads its first vertex as centroid.  The polygon has a
+    handful of vertices, so plain floats beat numpy here."""
+    x0, y0 = vertices[0]
+    twice_area = sx = sy = px = py = 0.0
+    for x, y in vertices[1:]:
+        x, y = x - x0, y - y0
+        cross = px * y - x * py
+        twice_area += cross
+        sx += (px + x) * cross
+        sy += (py + y) * cross
+        px, py = x, y
+    if twice_area == 0.0:
+        return 0.0, (x0, y0)
+    return 0.5 * twice_area, (x0 + sx / (3.0 * twice_area), y0 + sy / (3.0 * twice_area))
+
+
+def polygon_cut(vertices: list[Point], g, point) -> list[Point]:
+    """The part ``{mu : g . (mu - point) >= 0}`` of a convex polygon, its
+    vertices in order (Sutherland & Hodgman, CACM 1974).  Vertices on the
+    line are kept once, and an edge that crosses it contributes its
+    crossing; the result may have fewer than three vertices."""
+    gx, gy = float(g[0]), float(g[1])
+    cx, cy = float(point[0]), float(point[1])
+    s = [gx * (x - cx) + gy * (y - cy) for x, y in vertices]
+    kept = []
+    edges = zip(vertices, s, vertices[1:] + vertices[:1], s[1:] + s[:1])
+    for (x, y), s_i, (x_next, y_next), s_next in edges:
+        if s_i >= 0.0:
+            kept.append((x, y))
+        if (s_i > 0.0 > s_next) or (s_i < 0.0 < s_next):
+            t = s_i / (s_i - s_next)
+            kept.append((x + t * (x_next - x), y + t * (y_next - y)))
+    return kept
+
+
 def cutting_plane_maximize(
     oracle: Callable[[Array], OracleTriple],
     box: DualBox,
@@ -219,30 +290,44 @@ def cutting_plane_maximize(
     curvature: Callable[[], float] | None = None,
 ) -> tuple[OracleTriple, Array, CutTrace]:
     """Query ``lam = 0``, then run up to T rounds of ``bisection_maximize``
-    for m = 1 or of the ellipsoid for m >= 2; return ``(triple, lam, trace)``
-    for the returned point ``lam`` and the oracle's triple there.
+    for m = 1, of the centroid polygon for m = 2 or of the ellipsoid for
+    m >= 3; return ``(triple, lam, trace)`` for the returned point ``lam``
+    and the oracle's triple there.
 
     ``oracle`` is queried once per in-box round and never outside the box.
     The ``lam = 0`` query runs no inner solve, since x0 is the inner
     minimizer there (the oracle evaluates each constraint at x0, or on the
     Krylov path reads h(x0) off its first Lanczos product); it is round 1 of
-    the trace, ``stop`` is tested there, and it seeds both engines.  For
+    the trace, ``stop`` is tested there, and it seeds every engine.  For
     m = 1 its triple is the bisection's ``origin``, and ``curvature``, when
     given, is passed on with it for the Newton first query, so it may read
-    what the origin's query computed; the ellipsoid never calls
-    ``curvature``.  ``stop(lam, triple)`` ends the run at the first queried
-    point where it holds (the ellipsoid tests it only at ``lam = 0``) and
-    returns that point; otherwise the best visited point is returned.
-    ``round_budget`` gives the T that the target accuracy needs.  The
-    bisection bracket after T rounds is at most ``R 2^(ITP_N0 - T)`` wide.
-    The ellipsoid runs T rounds unless the approximate gradient vanishes or
-    the localizer's extent along the cut falls below the float resolution
-    of its center.
+    what the origin's query computed; at m = 2 its g makes the polygon's
+    first cut.  Only the bisection calls ``curvature``.  ``stop(lam,
+    triple)`` ends the run at the first queried point where it holds (the
+    ellipsoid tests it only at ``lam = 0``) and returns that point;
+    otherwise the best visited point is returned.  At m = 2, when a
+    component of g is negative at that point, the rounds left in the budget
+    first search the face of the box where that multiplier is 0, and the
+    first face query where ``stop`` holds is returned in its place.  ``round_budget`` gives
+    the T that the target accuracy needs.  The bisection bracket after T
+    rounds is at most ``R 2^(ITP_N0 - T)`` wide.  The polygon and the
+    ellipsoid run T rounds unless the approximate gradient vanishes or the
+    localizer reaches float resolution: for the polygon, fewer than three
+    vertices or an area below ``_AREA_FLOOR`` of the unit square it is held
+    in, and for the ellipsoid, an extent along the cut below the float
+    resolution of its center.  At m >= 2 an R whose ``m (R/2)^2``
+    overflows is refused before any query.
     """
     if T < 0:
         raise ContractViolation("T must be nonnegative")
+    # At such an R the inner solves' AGD budget, which grows as sqrt(R),
+    # would run on without end in practice.
+    if box.m > 1 and box.m * ((box.R / 2.0) * (box.R / 2.0)) == math.inf:
+        raise ContractViolation("R is too large: m (R/2)^2 overflows")
     origin = oracle(np.zeros(box.m))
-    if box.m > 1:
+    if box.m == 2:
+        return _polygon_maximize(oracle, box, T, stop, origin)
+    if box.m > 2:
         return _ellipsoid_maximize(oracle, box, T, stop, origin)
     scalar_stop = None if stop is None else lambda mid, t: stop(np.array([mid]), t)
     scalar_oracle = lambda mid: oracle(np.array([mid]))
@@ -258,8 +343,6 @@ def _ellipsoid_maximize(oracle, box, T, stop, origin):
     # The radius is sqrt(m (R/2)^2), not sqrt(m) R/2: the two can differ in
     # the last bit, and this one is the exact Cholesky factor of m (R/2)^2 I.
     radius_sq = m * ((box.R / 2.0) * (box.R / 2.0))
-    if radius_sq == math.inf:
-        raise ContractViolation("R is too large for the ellipsoid: m (R/2)^2 overflows")
     state = EllipsoidState(center=box.center(), factor=math.sqrt(radius_sq) * np.eye(m))
     log_vol_initial = _log_initial_volume(m, box.R)
     log_cut = central_cut_log_factor(m)
@@ -307,6 +390,103 @@ def _ellipsoid_maximize(oracle, box, T, stop, origin):
         err.trace = trace  # partial diagnostics travel with the failure
         raise
     return best[1], best[0], trace
+
+
+def _polygon_maximize(oracle, box, T, stop, origin):
+    # The polygon is held in unit-square coordinates mu = lam / R, where no
+    # area can overflow; a cut's sign does not change with the scale.
+    R = box.R
+    log_area_box = 2.0 * math.log(R)
+    trace = CutTrace()
+    lam_0 = np.zeros(2)
+    g = np.asarray(origin.g, dtype=float)
+    trace.append(True, lam_0, -g, origin.v, log_area_box)
+    if (stop is not None and stop(lam_0, origin)) or not np.any(g):
+        return origin, lam_0, trace
+    best_v, best = float(origin.v), (lam_0, origin)  # (lam, triple) of the best value
+    polygon = polygon_cut([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)], g, lam_0)
+    try:
+        for t in range(T):
+            if len(polygon) < 3:
+                break
+            area, centroid = polygon_centroid(polygon)
+            if area <= _AREA_FLOOR:
+                break
+            # A centroid rounded past the unit square is clipped back, so
+            # the query stays in the box.
+            mu = [min(max(c, 0.0), 1.0) for c in centroid]
+            lam_t = np.array([R * mu[0], R * mu[1]])
+            triple = oracle(lam_t)
+            g = np.asarray(triple.g, dtype=float)
+            v = float(triple.v)
+            trace.append(True, lam_t, -g, v, log_area_box + math.log(area))
+            if stop is not None and stop(lam_t, triple):
+                face = _face_search(
+                    oracle, stop, R, polygon_cut(polygon, g, mu), mu, g, T - t - 1, trace,
+                    log_area_box,
+                )
+                if face is not None:
+                    return face[1], face[0], trace
+                return triple, lam_t, trace
+            if v > best_v:
+                best_v, best = v, (lam_t, triple)
+            if not np.any(g):
+                # A vanishing approximate gradient certifies near-optimality
+                # and leaves no cut direction; stop here.
+                return triple, lam_t, trace
+            polygon = polygon_cut(polygon, g, mu)
+    except NumericalFailure as err:
+        err.trace = trace  # partial diagnostics travel with the failure
+        raise
+    return best[1], best[0], trace
+
+
+def _face_search(oracle, stop, R, polygon, mu, g, rounds, trace, log_area_box):
+    # A multiplier that is 0 at the optimum is never 0 at a centroid, which
+    # lies inside the polygon.  So after a certified centroid, the search
+    # goes on along the face mu_i = 0 of its slack constraint i (g_i < 0),
+    # the one with the smaller multiplier if both are slack, from the
+    # centroid's point there, while the polygon holds it.  Each face query
+    # cuts the polygon like any other; the next one is the secant root of
+    # the other multiplier's g through the last two face queries when it
+    # lies inside the polygon's segment on the face, else that segment's
+    # midpoint.  It gives up once constraint i is no longer slack, or the
+    # segment, the area or the rounds run out.  Returns (lam, triple) of the
+    # first face query where stop holds, or None.
+    slack = [k for k in (0, 1) if g[k] < 0.0]
+    if not slack:
+        return None
+    i = min(slack, key=lambda k: mu[k])
+    j = 1 - i
+    y, prev = mu[j], None
+    for _ in range(rounds):
+        # Cuts through a face point leave the vertices on the face at
+        # exactly mu_i = 0.
+        on_face = [p[j] for p in polygon if p[i] == 0.0]
+        if len(polygon) < 3 or not on_face or not min(on_face) < y < max(on_face):
+            return None
+        area = polygon_centroid(polygon)[0]
+        if area <= _AREA_FLOOR:
+            return None
+        mu = [0.0, 0.0]
+        mu[j] = y
+        lam = np.array([R * mu[0], R * mu[1]])
+        triple = oracle(lam)
+        g = np.asarray(triple.g, dtype=float)
+        trace.append(True, lam, -g, triple.v, log_area_box + math.log(area))
+        if stop(lam, triple):
+            return lam, triple
+        if g[i] >= 0.0:
+            return None
+        polygon = polygon_cut(polygon, g, mu)
+        on_face = [p[j] for p in polygon if p[i] == 0.0] or [y]
+        lo, hi = min(on_face), max(on_face)
+        x = None
+        if prev is not None and prev[1] != g[j]:
+            x = y - g[j] * (y - prev[0]) / (g[j] - prev[1])
+        prev = (y, g[j])
+        y = x if x is not None and lo < x < hi else 0.5 * (lo + hi)
+    return None
 
 
 def _log_bracket(width: float) -> float:

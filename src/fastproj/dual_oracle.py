@@ -332,10 +332,11 @@ def approx_dual_oracle(
             raise NumericalFailure("non-finite Lagrangian gradient norm at x0", payload=x)
 
     if grad_sq > 4.0 * eps_eff:
-        # AGD stops at the certificate at m = 1, whose search tests
-        # ``certified`` at every query; the ellipsoid does not yet (ROADMAP
-        # item 2), so at m >= 2 it stops at the float floor, the finest gap
-        # float64 resolves.
+        # AGD stops at the certificate at m = 1.  At m >= 2 it stops at the
+        # float floor, the finest gap float64 resolves: the ellipsoid does
+        # not test ``certified`` after lam = 0 (ROADMAP item 2), and the
+        # m = 2 polygon, which tests it at every query, has not been
+        # measured on a looser stop.
         tol_sq = 4.0 * (eps_eff if problem.m == 1 else float_floor(problem))
         # The cap is proven from the start's gradient g0.  The constant
         # momentum scheme has f(y_k) - f* <= (f(x) - f* + (alpha/2)||x -

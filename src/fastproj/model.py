@@ -137,10 +137,11 @@ class SolverConfig:
     floor ``1e-13 (1 + ||x0||^2)``; the override, at most eps, exposes the
     practical regime (e.g. ``500 * eps**2``, for eps <= 2e-3 only).
     ``engine`` selects nothing: the number of constraints picks the dual
-    engine, so ``"ellipsoid"`` and ``"bisection"`` both run the 1-D search
-    at m = 1, and ``"bisection"`` is refused at m >= 2.  The field goes once
-    the benchmark stops passing it.  ``max_outer_iterations`` caps the
-    rounds of the dual engine, the lam = 0 query included.
+    engine, the 1-D search at m = 1, the centroid polygon at m = 2 and the
+    ellipsoid at m >= 3, so ``"ellipsoid"`` and ``"bisection"`` both run the
+    1-D search at m = 1, and ``"bisection"`` is refused at m >= 2.  The
+    field goes once the benchmark stops passing it.  ``max_outer_iterations``
+    caps the rounds of the dual engine, the lam = 0 query included.
     ``max_doubling_rounds`` is how many times ``project`` may double R while
     the answer sits on the box boundary; 0 means one solve.
     """

@@ -9,8 +9,8 @@ except on a problem whose one constraint is a quadratic: there every query
 of a solve reads its point off one shared Lanczos basis
 (``dual_oracle.lanczos_basis``) and is proven on the products that basis
 stores, so the basis's products are the solve's only gradient calls.
-``cutting_plane.round_budget`` gives the number of rounds, for both
-engines.  With the guaranteed inner-accuracy schedule the output ``x_hat``
+``cutting_plane.round_budget`` gives the number of rounds, for every
+engine.  With the guaranteed inner-accuracy schedule the output ``x_hat``
 satisfies, against every feasible x,
 
     ||x_hat - x0||^2 <= ||x - x0||^2 + 6 eps      and      h_i(x_hat) <= eps.
@@ -20,8 +20,12 @@ interior x0 is returned unchanged after one constraint evaluation, or on a
 Lanczos basis after its first product, which also gives the m = 1 search
 the dual's curvature at lam = 0.  The search stops as soon as a queried
 point passes ``certified``, the weak-duality test that already proves the
-tighter bound ``||x_hat - x0||^2 <= ||x - x0||^2 + eps + eps_eff`` (the
-ellipsoid tests it only at lam = 0).  Every result reports the test at its own answer as
+tighter bound ``||x_hat - x0||^2 <= ||x - x0||^2 + eps + eps_eff``: the
+m = 1 search and the m = 2 polygon test it at every query, the m >= 3
+ellipsoid only at lam = 0.  At m = 2 a certified centroid with a slack
+constraint is followed by a short search on the face where that
+constraint's multiplier is 0, which returns a certified point there when it
+finds one.  Every result reports the test at its own answer as
 ``ProjectionResult.certified``.
 
 When the multiplier bound R is unknown, ``SolverConfig.max_doubling_rounds``

@@ -260,11 +260,12 @@ def test_criterion_8_linear_scaling(tmp_path):
 
 def test_criterion_8_logarithmic_accuracy_scaling():
     # The abstract's other half: cost logarithmic in 1/eps.  At m = 2 the
-    # ellipsoid's inscribed radius is linear in eps, so each decade adds
-    # 2 ln 10 / -central_cut_log_factor(2) rounds, and the default schedule
-    # sits at the float floor, so inner evals per call do not grow.
-    decade = math.ceil(2.0 * math.log(10.0) / -central_cut_log_factor(2)) + 1
-    assert decade == 19
+    # polygon's inscribed radius is linear in eps and each centroid cut keeps
+    # at most 5/9 of its area, so each decade adds 2 ln 10 / ln(9/5) rounds,
+    # and the default schedule sits at the float floor, so inner evals per
+    # call do not grow.
+    decade = math.ceil(2.0 * math.log(10.0) / math.log(9.0 / 5.0)) + 1
+    assert decade == 9
     for seed in range(7000, 7003):
         prob = random_quadratic_instance(256, 2, seed, factored=True)
         runs = [project(prob, SolverConfig(epsilon=eps)) for eps in (1e-2, 1e-3, 1e-4, 1e-5)]

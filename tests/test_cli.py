@@ -232,7 +232,7 @@ def test_non_finite_R_is_an_input_error_and_a_huge_R_never_a_traceback(tmp_path,
     inst = tmp_path / "inst.json"
     main(["gen", "--n", "6", "--m", "2", "--seed", "9", "--out", str(inst)])
     norm = ["project-norm", "--norm", "l1", "--x0", "3,1,-2", "--via-dual", "--R"]
-    # the ellipsoid refuses an R whose squared radius m (R/2)^2 overflows
+    # the m >= 2 engines refuse an R whose m (R/2)^2 overflows
     refused = [["solve", str(inst), "--R", R] for R in ("inf", "1e300", "1e200")]
     for args in refused + [norm + ["inf"]]:
         capsys.readouterr()

@@ -16,10 +16,13 @@ from fastproj.cutting_plane import (
     cutting_plane_maximize,
     ellipsoid_update,
     log_unit_ball_volume,
+    polygon_centroid,
+    polygon_cut,
+    round_budget,
     separation_oracle_box,
 )
 from fastproj.dual_oracle import OracleTriple, approx_dual_oracle
-from fastproj.model import ContractViolation
+from fastproj.model import ContractViolation, quadratic_constraint, quadratic_problem
 from fastproj.projector import certified
 
 from conftest import ball_dual_value, unit_ball_problem
@@ -147,8 +150,8 @@ def test_zero_gradient_short_circuit():
 def test_ellipsoid_opens_at_lam_zero():
     # the dual falls away from lam = 0, so no later center beats the first
     # round's value, which seeds the best value
-    box = DualBox(R=4.0, m=2)
-    target = np.array([-1.0, -0.5])
+    box = DualBox(R=4.0, m=3)
+    target = np.array([-1.0, -0.5, -0.7])
     calls = []
 
     def oracle(lam):
@@ -158,12 +161,31 @@ def test_ellipsoid_opens_at_lam_zero():
     triple, lam_bar, trace = cutting_plane_maximize(oracle, box, 30)
     assert len(trace) == 31 and len(calls) == sum(trace.in_box)
     assert not np.any(trace.lam[0]) and not np.any(lam_bar)
-    assert triple.v == oracle(np.zeros(2)).v
+    assert triple.v == oracle(np.zeros(3)).v
     # stop is tested at lam = 0, and T = 0 leaves only that round
     for T, stop in ((30, lambda lam, t: True), (0, None)):
         calls.clear()
         _, lam_bar, trace = cutting_plane_maximize(oracle, box, T, stop)
         assert len(trace) == len(calls) == 1 and not np.any(lam_bar)
+
+
+def test_polygon_opens_at_lam_zero():
+    # the dual falls away from lam = 0 into both multipliers, so the cut
+    # through lam = 0 keeps only that corner of the box and the run ends
+    # there; stop is tested at lam = 0, and T = 0 leaves only that round
+    box = DualBox(R=4.0, m=2)
+    target = np.array([-1.0, -0.5])
+    calls = []
+
+    def oracle(lam):
+        calls.append(np.array(lam))
+        return OracleTriple(lam, -2.0 * (lam - target), -float((lam - target) @ (lam - target)))
+
+    for T, stop in ((30, None), (30, lambda lam, t: True), (0, None)):
+        calls.clear()
+        triple, lam_bar, trace = cutting_plane_maximize(oracle, box, T, stop)
+        assert len(trace) == len(calls) == 1 and not np.any(lam_bar)
+        assert triple.v == oracle(np.zeros(2)).v
 
 
 def test_ellipsoid_never_calls_the_curvature():
@@ -202,10 +224,10 @@ def test_linear_objective_drives_to_corner():
 
 def test_localizer_soundness_along_a_run(rng):
     # replay a run, checking the kept half of M_t lands inside M_{t+1}
-    box = DualBox(R=2.0, m=2)
-    target = np.array([1.3, 0.4])
+    box = DualBox(R=2.0, m=3)
+    target = np.array([1.3, 0.4, 1.7])
     state = EllipsoidState(
-        center=box.center(), factor=np.linalg.cholesky(2 * (box.R / 2.0) ** 2 * np.eye(2))
+        center=box.center(), factor=np.linalg.cholesky(3 * (box.R / 2.0) ** 2 * np.eye(3))
     )
     for _ in range(30):
         lam = state.center
@@ -218,9 +240,9 @@ def test_localizer_soundness_along_a_run(rng):
         if not np.any(w):
             break
         new = ellipsoid_update(state, w)
-        u = rng.standard_normal((1000, 2))
+        u = rng.standard_normal((1000, 3))
         u /= np.linalg.norm(u, axis=1, keepdims=True)
-        u *= np.sqrt(rng.uniform(0.0, 1.0, (1000, 1)))
+        u *= rng.uniform(0.0, 1.0, (1000, 1)) ** (1.0 / 3.0)
         pts = state.center + u @ np.linalg.cholesky(shape(state)).T
         kept = pts[(pts - lam) @ w <= 0.0]
         diff = kept - new.center
@@ -230,8 +252,8 @@ def test_localizer_soundness_along_a_run(rng):
 
 
 def test_volume_decay_rate():
-    box = DualBox(R=4.0, m=2)
-    target = np.array([2.7, 1.1])
+    box = DualBox(R=4.0, m=3)
+    target = np.array([2.7, 1.1, 3.2])
     d = lambda lam: -float((lam - target) @ (lam - target))
     grad = lambda lam: -2.0 * (lam - target)
     _, trace = run_engine(d, grad, box, 60)
@@ -243,9 +265,10 @@ def test_volume_decay_rate():
 
 
 def test_triple_oracle_called_once_per_in_box_round():
-    # the m = 2 target sits near a corner, so some ellipsoid centers leave
-    # the box; m = 1 runs the bisection engine
-    for target in ([3.9, 0.2], [3.9]):
+    # the m = 3 target sits near a corner, so some ellipsoid centers leave
+    # the box; m = 2 runs the polygon, which never leaves it, and m = 1 the
+    # bisection engine
+    for target in ([3.9, 0.2, 0.1], [3.9, 0.2], [3.9]):
         target = np.array(target)
         box = DualBox(R=4.0, m=target.size)
         queried = []
@@ -259,17 +282,21 @@ def test_triple_oracle_called_once_per_in_box_round():
         in_box = [lam for lam, inside in zip(trace.lam, trace.in_box) if inside]
         assert len(queried) == len(in_box)
         assert all(np.array_equal(q, lam) for q, lam in zip(queried, in_box))
-        assert not np.any(queried[0])  # both engines open at lam = 0
-        if box.m == 2:
+        assert not np.any(queried[0])  # every engine opens at lam = 0
+        if box.m == 3:
             assert not all(trace.in_box)
+        else:
+            assert all(trace.in_box)
 
 
 def test_noisy_oracle_value_gap(rng):
-    # injected worst-case oracle noise still yields a 4 eps-optimal output
-    eps, R, m = 1e-3, 3.0, 2
-    box = DualBox(R=R, m=m)
+    # injected worst-case oracle noise still yields a 4 eps-optimal output,
+    # from the polygon (m = 2) and the ellipsoid (m = 3), each on the budget
+    # its own volume factor gives
+    eps, R = 1e-3, 3.0
     failures = 0
-    for _ in range(10):
+    for m in (2, 3) * 10:
+        box = DualBox(R=R, m=m)
         a = float(rng.uniform(0.5, 2.0))
         target = rng.uniform(0.3 * R, 0.7 * R, m)
         d_true = lambda lam: -a * float((lam - target) @ (lam - target))
@@ -281,8 +308,11 @@ def test_noisy_oracle_value_gap(rng):
         def noisy_value(lam):
             return d_true(lam) + eps_v * float(rng.choice([-1.0, 1.0]))
         side = min(math.sqrt(eps / (a * m)), 0.1 * R)
-        log_vol_initial = log_unit_ball_volume(m) + m * math.log(math.sqrt(m) * R / 2.0)
-        T = math.ceil((log_vol_initial - m * math.log(side)) / -central_cut_log_factor(m)) + 1
+        if m == 2:
+            T = math.floor(2.0 * math.log(R / side) / math.log(9.0 / 5.0)) + 1
+        else:
+            log_vol_initial = log_unit_ball_volume(m) + m * math.log(math.sqrt(m) * R / 2.0)
+            T = math.ceil((log_vol_initial - m * math.log(side)) / -central_cut_log_factor(m)) + 1
         _, lam_bar, _ = cutting_plane_maximize(
             lambda lam: OracleTriple(lam, noisy_grad(lam), noisy_value(lam)),
             box,
@@ -291,6 +321,195 @@ def test_noisy_oracle_value_gap(rng):
         if -d_true(lam_bar) > 4.0 * eps:
             failures += 1
     assert failures == 0
+
+
+# -------------------------------------------------------------------- polygon
+
+
+def _inside(polygon, point, tol=1e-12):
+    """Whether a point lies in a counterclockwise convex polygon, to tol."""
+    polygon = np.asarray(polygon)
+    edges = np.roll(polygon, -1, axis=0) - polygon
+    rel = point - polygon
+    return bool(np.all(edges[:, 0] * rel[:, 1] - edges[:, 1] * rel[:, 0] >= -tol))
+
+
+def test_polygon_cut_through_the_centroid_by_hand():
+    square = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+    area, centroid = polygon_centroid(square)
+    assert area == 1.0 and np.array_equal(centroid, [0.5, 0.5])
+    half = polygon_cut(square, np.array([1.0, 0.0]), centroid)
+    area, centroid = polygon_centroid(half)
+    assert area == 0.5 and np.array_equal(centroid, [0.75, 0.5])
+    # a diagonal cut through a corner keeps a triangle; one that misses the
+    # square keeps all of it, or only a vertex
+    triangle = polygon_cut(square, np.array([1.0, -1.0]), np.zeros(2))
+    assert len(triangle) == 3 and polygon_centroid(triangle)[0] == 0.5
+    assert np.array_equal(polygon_cut(square, np.ones(2), np.zeros(2)), square)
+    assert len(polygon_cut(square, -np.ones(2), np.zeros(2))) == 1
+    assert polygon_cut(square, np.ones(2), (3.0, 3.0)) == []
+
+
+def _exact_run(target, box, T, stop=None):
+    oracle = lambda lam: OracleTriple(
+        lam, -2.0 * (lam - target), -float((lam - target) @ (lam - target))
+    )
+    return cutting_plane_maximize(oracle, box, T, stop)
+
+
+def test_polygon_area_falls_by_grunbaum_factor_per_cut():
+    box = DualBox(R=4.0, m=2)
+    for target in ([2.7, 1.1], [3.9, 0.2], [5.0, -1.0], [0.1, 0.05]):
+        _, _, trace = _exact_run(np.array(target), box, 60)
+        # lam = 0 sees the box, R^2; the first centroid sees what the cut
+        # through lam = 0 kept, and each centroid cut after keeps <= 5/9
+        assert trace.log_volume[0] == 2.0 * math.log(box.R)
+        assert trace.log_volume[1] <= trace.log_volume[0]
+        drops = np.diff(trace.log_volume[1:])
+        assert len(drops) >= 20, target
+        assert np.all(drops <= -math.log(9.0 / 5.0) + 1e-9), target
+
+
+def test_polygon_keeps_the_maximizer_along_a_run():
+    # replay each run's cuts: with exact oracles the box's maximizer, the
+    # target clipped to the box, stays in the polygon, and every query is
+    # the polygon's centroid
+    box = DualBox(R=4.0, m=2)
+    for target in ([2.7, 1.1], [3.9, 0.2], [5.0, -1.0], [0.1, 0.05], [-1.0, 2.0]):
+        target = np.array(target)
+        maximizer = np.clip(target, 0.0, box.R) / box.R
+        _, _, trace = _exact_run(target, box, 40)
+        polygon = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+        for t, (lam, w) in enumerate(zip(trace.lam, trace.w)):
+            if t > 0:
+                area, centroid = polygon_centroid(polygon)
+                assert_allclose(lam, box.R * np.array(centroid), rtol=0.0, atol=1e-14)
+                assert trace.log_volume[t] == pytest.approx(2.0 * math.log(box.R) + math.log(area))
+            polygon = polygon_cut(polygon, -w, lam / box.R)
+            assert _inside(polygon, maximizer), (target, t)
+
+
+def test_polygon_queries_stay_in_the_box(rng):
+    # targets on, near and beyond the box's faces and corners, and a linear
+    # dual, run until the polygon reaches float resolution
+    R = 3.0
+    box = DualBox(R=R, m=2)
+    targets = [rng.uniform(-1.0, R + 1.0, 2) for _ in range(20)]
+    targets += [np.array(t) for t in ([R, R], [0.0, R], [R, 1e-300], [R + 1e-9, 0.5])]
+    for target in targets:
+        _, _, trace = _exact_run(target, box, 400)
+        assert all(trace.in_box)
+        assert all(box.contains(lam) for lam in trace.lam), target
+    a = np.array([1.0, 0.5])
+    _, lam_bar, trace = cutting_plane_maximize(lambda lam: OracleTriple(lam, a, float(a @ lam)), box, 400)
+    assert all(box.contains(lam) for lam in trace.lam)
+    assert len(trace) < 401  # the area floor ends the run
+    assert float(a @ lam_bar) >= float(a @ np.full(2, R)) - 1e-9
+
+
+def test_polygon_stops_at_the_first_certified_query():
+    # a two-constraint problem on its real oracle whose second constraint is
+    # slack at the optimum: no round before the first certified centroid
+    # passes the certificate, the rounds after it lie on the face lam_1 = 0,
+    # and the run returns the first of those that passes, with lam_1 = 0
+    eps = 1e-3
+    quads = [
+        quadratic_constraint(np.eye(2), np.zeros(2), 1.0),
+        quadratic_constraint(np.diag([1.0, 3.0]), np.array([0.4, 0.0]), 1.2),
+    ]
+    prob = quadratic_problem(np.array([2.0, 0.8]), quads, R=4.0)
+    oracle = lambda lam: approx_dual_oracle(prob, lam, 1e-12)
+    stop = lambda lam, triple: certified(lam, triple, eps)
+    triple, lam_bar, trace = cutting_plane_maximize(oracle, DualBox(R=4.0, m=2), 200, stop)
+    assert certified(lam_bar, triple, eps) and np.array_equal(lam_bar, trace.lam[-1])
+    assert lam_bar[1] == 0.0 and lam_bar[0] > 0.0
+    passes = [
+        certified(lam, OracleTriple(None, -w, 0.0), eps) for lam, w in zip(trace.lam, trace.w)
+    ]
+    first = passes.index(True)
+    assert 2 < first < len(trace) - 1 < 200 and trace.lam[first][1] > 0.0
+    assert all(lam[1] == 0.0 for lam in trace.lam[first + 1 :])
+    assert not any(passes[first + 1 : -1])
+    # a predicate that holds only at the third query: the run returns that
+    # query, and every round after it lies on a face
+    asked = []
+    stop_third = lambda lam, triple: asked.append(lam) or len(asked) == 3
+    _, lam_bar, trace = cutting_plane_maximize(oracle, DualBox(R=4.0, m=2), 200, stop_third)
+    assert np.array_equal(lam_bar, asked[2]) and np.array_equal(trace.lam[2], asked[2])
+    assert len(trace) == len(asked) and all(min(lam) == 0.0 for lam in trace.lam[3:])
+
+
+def _face_run(target, tol, T=200, coupling=0.0):
+    # exact oracles of -(lam - target) . H (lam - target) on [0, 4]^2, H
+    # with unit diagonal and the given coupling, stopping on the
+    # certificate's two tests at tolerance tol
+    H = np.array([[1.0, coupling], [coupling, 1.0]])
+    target = np.array(target)
+    oracle = lambda lam: OracleTriple(
+        lam, -2.0 * H @ (lam - target), -float((lam - target) @ H @ (lam - target))
+    )
+    stop = lambda lam, triple: max(triple.g) <= tol and -float(lam @ triple.g) <= tol
+    return cutting_plane_maximize(oracle, DualBox(R=4.0, m=2), T, stop)
+
+
+def _split_at_face(trace, i):
+    """The trace's rounds after lam = 0 before the face lam_i = 0, and on it."""
+    first = next(t for t in range(1, len(trace)) if trace.lam[t][i] == 0.0)
+    return trace.lam[1:first], trace.lam[first:]
+
+
+def test_polygon_moves_a_slack_multiplier_to_its_face():
+    # the maximizer (2, 0) sits on the face lam_1 = 0, where the second
+    # multiplier's g is -1: after the first certified centroid the run goes
+    # on along that face and returns a certified face point, lam_1 = 0;
+    # here the first face query is certified
+    for tol in (1e-2, 1e-4, 1e-6):
+        triple, lam_bar, trace = _face_run([2.0, -0.5], tol)
+        centroids, face = _split_at_face(trace, 1)
+        assert len(face) == 1 and all(lam[1] > 0.0 for lam in centroids), tol
+        assert lam_bar[1] == 0.0 and np.array_equal(lam_bar, face[-1])
+        assert max(triple.g) <= tol and -float(lam_bar @ triple.g) <= tol
+    # the same on the face lam_0 = 0
+    _, lam_bar, trace = _face_run([-0.5, 2.0], 1e-4)
+    assert lam_bar[0] == 0.0 and len(_split_at_face(trace, 0)[1]) == 1
+    # coupled multipliers: zeroing lam_1 moves lam_0's g, so the first face
+    # query is not certified; the midpoint of the polygon's segment on the
+    # face and then the secant root, exact for a linear g, follow, and each
+    # face round cuts the polygon, whose area keeps falling
+    triple, lam_bar, trace = _face_run([2.0, -0.1], 1e-2, coupling=0.5)
+    _, face = _split_at_face(trace, 1)
+    assert len(face) == 3 and all(lam[1] == 0.0 and 0.0 < lam[0] < 4.0 for lam in face)
+    assert np.array_equal(lam_bar, face[-1]) and abs(lam_bar[0] - 1.95) < 1e-2
+    assert np.all(np.diff(trace.log_volume[1:]) < 0.0)
+    # both constraints slack at the certified centroid: the search takes the
+    # face of the smaller multiplier
+    triple, lam_bar, trace = _face_run([2.0, -0.01], 1e-4, coupling=0.5)
+    centroids, face = _split_at_face(trace, 1)
+    assert np.all(trace.w[len(centroids)] > 0.0) and len(face) == 1 and lam_bar[1] == 0.0
+    # no face round is run without a round left in the budget
+    _, _, trace = _face_run([2.0, -0.5], 1e-4)
+    first = 1 + len(_split_at_face(trace, 1)[0])
+    _, lam_cut, cut = _face_run([2.0, -0.5], 1e-4, T=first - 1)
+    assert len(cut) == first and lam_cut[1] > 0.0
+
+
+def test_polygon_gives_up_a_face_whose_constraint_binds():
+    # the maximizer (2, 0.3) is inside the box: at the face point of the
+    # first certified centroid the second multiplier's g is about +0.6, so
+    # the run stops there and returns that centroid
+    triple, lam_bar, trace = _face_run([2.0, 0.3], 0.5)
+    assert trace.lam[-1][1] == 0.0 and trace.w[-1][1] < 0.0
+    assert np.array_equal(lam_bar, trace.lam[-2]) and lam_bar[1] > 0.0
+    assert max(triple.g) <= 0.5 and -float(lam_bar @ triple.g) <= 0.5
+
+
+def test_polygon_budget_is_finite_up_to_the_largest_float():
+    # the first k with R^2 (5/9)^k < r^2, r = min(eps, sqrt(eps)) / (2 m G)
+    eps, G = 1e-3, 10.0
+    r = eps / (4.0 * G)
+    for R in (4.0, 1e50, 1e200, 1e300, 1.7e308):
+        expected = math.floor(2.0 * (math.log(R) - math.log(r)) / math.log(9.0 / 5.0)) + 1
+        assert round_budget(2, R, eps, G, 10**9) == expected < 3000, R
 
 
 # ------------------------------------------------------------------ bisection

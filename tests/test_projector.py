@@ -10,6 +10,7 @@ from fastproj.agd import SmoothObjective, agd_minimize
 from fastproj.cli import random_quadratic_instance
 from fastproj.cutting_plane import ITP_N0, round_budget
 from fastproj.dual_oracle import (
+    OracleTriple,
     approx_dual_oracle,
     effective_eps_tilde,
     float_floor,
@@ -28,6 +29,7 @@ from fastproj import projector
 from fastproj.projector import (
     bound_R_quadratic,
     bound_R_single,
+    certified,
     project,
 )
 from fastproj.reference import GridSpec, brute_force_dual_grid
@@ -42,7 +44,7 @@ from conftest import (
 
 def ball_pair_problem(x0):
     """The unit ball and the inactive ``||x||^2 <= 4``: m = 2, so the
-    ellipsoid runs, with the unit ball's projection."""
+    polygon runs, with the unit ball's projection."""
     ball = unit_ball_problem(x0)
     wide = quadratic_constraint(np.eye(2), np.zeros(2), 4.0)
     return quadratic_problem(ball.x0, [ball.constraints[0], wide], R=ball.R)
@@ -208,7 +210,7 @@ def test_scaling_invariance():
 
 
 def test_monotone_best_value_in_trace():
-    # m = 2: the ellipsoid returns its best-value round
+    # m = 2: the polygon's answer carries the best value of its rounds
     prob = ball_pair_problem([3.0, 1.0])
     res = project(prob, SolverConfig(epsilon=1e-5))
     best = -np.inf
@@ -236,7 +238,7 @@ def _closed_form_rounds(m, R, G, eps):
     return math.floor(log_excess / -log_shrink) + 1
 
 
-@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("m", [3])
 def test_ellipsoid_runs_its_closed_form_budget(m):
     eps = 1e-3
     prob = random_quadratic_instance(8, m, seed=0)
@@ -245,6 +247,28 @@ def test_ellipsoid_runs_its_closed_form_budget(m):
     assert len(res.trace) == rounds + 1  # the lam = 0 round, then the budget
     capped = project(prob, SolverConfig(epsilon=eps, max_outer_iterations=rounds // 2))
     assert len(capped.trace) == rounds // 2
+
+
+def test_polygon_runs_its_closed_form_budget():
+    # m = 2: the first k centroid cuts with R^2 (5/9)^k below r^2, but the
+    # polygon tests the certificate at every query, so the solve ends at its
+    # first certified round, and a cap below that round is run exactly
+    eps = 1e-3
+    prob = random_quadratic_instance(8, 2, seed=0)
+    G = prob.max_lipschitz()
+    r = (eps / (4 * G)) * min(1.0, 1.0 / math.sqrt(eps))
+    rounds = math.floor(2.0 * math.log(prob.R / r) / math.log(9.0 / 5.0)) + 1
+    assert round_budget(2, prob.R, eps, G, 600) == rounds
+    res = project(prob, SolverConfig(epsilon=eps))
+    assert res.certified and len(res.trace) <= rounds
+    stops = [
+        certified(lam, OracleTriple(None, -w, 0.0), eps)
+        for lam, w in zip(res.trace.lam, res.trace.w)
+    ]
+    assert stops[-1] and not any(stops[:-1])
+    cap = len(res.trace) - 1
+    capped = project(prob, SolverConfig(epsilon=eps, max_outer_iterations=cap))
+    assert len(capped.trace) == cap and not capped.certified
 
 
 def test_an_uncertified_m1_solve_runs_its_whole_budget():
@@ -264,7 +288,9 @@ def test_huge_R_or_eps_overflows_neither_schedule_nor_budget():
     # schedule underflows to 0 or stops at eps, and the budgets hit the cap.
     for R in (1e50, 1e200, 1e300):
         assert projector.default_inner_accuracy(1e-3, 2, R, 10.0) < 1e-300
-        assert round_budget(2, R, 1e-3, 10.0, 600) == 600
+        assert round_budget(3, R, 1e-3, 10.0, 600) == 600
+    # the polygon's area factor 5/9 is the steeper: at R = 1e50 it needs 428
+    assert round_budget(2, 1e50, 1e-3, 10.0, 600) == 428
     # sqrt(m) R overflows at R = 1.7e308 for m >= 2
     for R in (1e200, 1e300, 1.7e308):
         for m in (1, 2, 3):
@@ -509,7 +535,7 @@ def test_bisection_matches_dual_grid_on_dense_instances():
 
 
 def test_certified_flags_an_uncertified_answer(rng):
-    # a truncated ellipsoid budget stops short of the dual optimum; the
+    # a truncated polygon budget stops short of the dual optimum; the
     # answer is still returned, and its flag says the certificate fails
     eps = 1e-4
     for seed in range(6):
@@ -554,7 +580,7 @@ def test_numerical_failure_carries_partial_trace():
             return np.full(2, np.nan)
         return 2.0 * x
 
-    # m = 1 runs the bisection engine and m = 2 the ellipsoid
+    # m = 1 runs the bisection engine and m = 2 the polygon
     for m, grad in ((1, poisoned_off_x0), (2, poisoned_grad)):
         bad = ConstraintOracle(
             eval=lambda x: float(x @ x) - 1.0,
@@ -602,8 +628,9 @@ def test_oracle_calls_count_every_inner_solve(monkeypatch, rng):
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_inner_solves_stopped_at_the_float_floor_keep_every_answer_certified(m):
-    # the ellipsoid's inner solves stop at the first AGD point at the float
-    # floor, on the default schedule and at a practical eps_tilde
+    # the polygon's and the ellipsoid's inner solves stop at the first AGD
+    # point at the float floor, on the default schedule and at a practical
+    # eps_tilde
     eps = 1e-3
     for seed in range(300, 306):
         for factored in (False, True):
