@@ -25,9 +25,13 @@ Grünbaum's theorem (Pacific J. Math. 1960) a line through the centroid
 leaves at most 5/9 of the area on either side, and the polygon never leaves
 the box, so every round is a query, and the engine can stop on a caller's
 predicate, such as a duality certificate, at any of them.  A centroid is
-never on a face of the box, so after the first centroid where the predicate
-holds, a search along the face where a slack constraint's multiplier is 0
-looks for a point where it holds with that multiplier exactly 0.
+never on a face of the box, so the first centroid where the predicate holds
+with a slack constraint is held as the answer, and the same loop's later
+rounds query the face where that constraint's multiplier is 0, looking for
+a point where the predicate holds with the multiplier exactly 0.  Each face
+query cuts the polygon like a centroid, and the next one is the bracketing
+search's interpolated root of the other multiplier's derivative, or the
+midpoint of the polygon's segment on the face.
 
 For m = 1, where a central cut is interval halving, a bracketing engine
 takes its place.  It brackets the maximizer by the sign of the approximate
@@ -306,16 +310,18 @@ def cutting_plane_maximize(
     triple)`` ends the run at the first queried point where it holds (the
     ellipsoid tests it only at ``lam = 0``) and returns that point;
     otherwise the best visited point is returned.  At m = 2, when a
-    component of g is negative at that point, the rounds left in the budget
-    first search the face of the box where that multiplier is 0, and the
-    first face query where ``stop`` holds is returned in its place.  ``round_budget`` gives
-    the T that the target accuracy needs.  The bisection bracket after T
-    rounds is at most ``R 2^(ITP_N0 - T)`` wide.  The polygon and the
-    ellipsoid run T rounds unless the approximate gradient vanishes or the
-    localizer reaches float resolution: for the polygon, fewer than three
-    vertices or an area below ``_AREA_FLOOR`` of the unit square it is held
-    in, and for the ellipsoid, an extent along the cut below the float
-    resolution of its center.  At m >= 2 an R whose ``m (R/2)^2``
+    component i of g is negative at that point, it is held in reserve and
+    the rounds left in the budget query the face ``lam_i = 0`` (see
+    ``_polygon_maximize``): the first face query where ``stop`` holds is
+    returned, and the reserved point when ``g_i >= 0`` there or when the
+    polygon's segment on the face or the rounds run out.  ``round_budget``
+    gives the T that the target accuracy needs.  The bisection bracket
+    after T rounds is at most ``R 2^(ITP_N0 - T)`` wide.  The polygon and
+    the ellipsoid run T rounds unless the approximate gradient vanishes or
+    the localizer reaches float resolution: for the polygon, fewer than
+    three vertices or an area below ``_AREA_FLOOR`` of the unit square it
+    is held in, and for the ellipsoid, an extent along the cut below the
+    float resolution of its center.  At m >= 2 an R whose ``m (R/2)^2``
     overflows is refused before any query.
     """
     if T < 0:
@@ -405,6 +411,13 @@ def _polygon_maximize(oracle, box, T, stop, origin):
         return origin, lam_0, trace
     best_v, best = float(origin.v), (lam_0, origin)  # (lam, triple) of the best value
     polygon = polygon_cut([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)], g, lam_0)
+    # A multiplier that is 0 at the optimum is never 0 at a centroid, which
+    # lies inside the polygon.  So the first certified centroid with a slack
+    # constraint i (g_i < 0; of two, the smaller multiplier) is held as the
+    # answer, and the rounds after it query the face mu_i = 0 at mu_j = y,
+    # from the centroid's point there: face = (i, j).  Face queries cut the
+    # polygon but do not compete for the best value.
+    face, face_queries = None, []
     try:
         for t in range(T):
             if len(polygon) < 3:
@@ -412,81 +425,58 @@ def _polygon_maximize(oracle, box, T, stop, origin):
             area, centroid = polygon_centroid(polygon)
             if area <= _AREA_FLOOR:
                 break
-            # A centroid rounded past the unit square is clipped back, so
-            # the query stays in the box.
-            mu = [min(max(c, 0.0), 1.0) for c in centroid]
+            if face is None:
+                # A centroid rounded past the unit square is clipped back, so
+                # the query stays in the box.
+                mu = [min(max(c, 0.0), 1.0) for c in centroid]
+            else:
+                # Cuts through face points leave the vertices on the face at
+                # exactly mu_i = 0.  Past the first face query, y is the
+                # root of g_j interpolated through the face queries when it
+                # lies inside the polygon's segment on the face, else that
+                # segment's midpoint.
+                i, j = face
+                segment = [p[j] for p in polygon if p[i] == 0.0]
+                if not segment:
+                    break
+                lo, hi = min(segment), max(segment)
+                if face_queries:
+                    x = _interpolated_root(face_queries)
+                    y = x if x is not None and lo < x < hi else 0.5 * (lo + hi)
+                if not lo < y < hi:
+                    break
+                mu = [0.0, 0.0]
+                mu[j] = y
             lam_t = np.array([R * mu[0], R * mu[1]])
             triple = oracle(lam_t)
             g = np.asarray(triple.g, dtype=float)
             v = float(triple.v)
             trace.append(True, lam_t, -g, v, log_area_box + math.log(area))
-            if stop is not None and stop(lam_t, triple):
-                face = _face_search(
-                    oracle, stop, R, polygon_cut(polygon, g, mu), mu, g, T - t - 1, trace,
-                    log_area_box,
-                )
-                if face is not None:
-                    return face[1], face[0], trace
-                return triple, lam_t, trace
-            if v > best_v:
-                best_v, best = v, (lam_t, triple)
-            if not np.any(g):
-                # A vanishing approximate gradient certifies near-optimality
-                # and leaves no cut direction; stop here.
-                return triple, lam_t, trace
+            passed = stop is not None and stop(lam_t, triple)
+            if face is not None:
+                if passed:
+                    return triple, lam_t, trace
+                if g[i] >= 0.0:
+                    break  # constraint i binds on the face
+                face_queries.append((y, g[j]))
+            elif passed:
+                slack = [k for k in (0, 1) if g[k] < 0.0]
+                if not slack:
+                    return triple, lam_t, trace
+                i = min(slack, key=lambda k: mu[k])
+                face, y, best = (i, 1 - i), mu[1 - i], (lam_t, triple)
+            else:
+                if v > best_v:
+                    best_v, best = v, (lam_t, triple)
+                if not np.any(g):
+                    # A vanishing approximate gradient certifies
+                    # near-optimality and leaves no cut direction; stop here.
+                    return triple, lam_t, trace
             polygon = polygon_cut(polygon, g, mu)
     except NumericalFailure as err:
         err.trace = trace  # partial diagnostics travel with the failure
         raise
     return best[1], best[0], trace
-
-
-def _face_search(oracle, stop, R, polygon, mu, g, rounds, trace, log_area_box):
-    # A multiplier that is 0 at the optimum is never 0 at a centroid, which
-    # lies inside the polygon.  So after a certified centroid, the search
-    # goes on along the face mu_i = 0 of its slack constraint i (g_i < 0),
-    # the one with the smaller multiplier if both are slack, from the
-    # centroid's point there, while the polygon holds it.  Each face query
-    # cuts the polygon like any other; the next one is the secant root of
-    # the other multiplier's g through the last two face queries when it
-    # lies inside the polygon's segment on the face, else that segment's
-    # midpoint.  It gives up once constraint i is no longer slack, or the
-    # segment, the area or the rounds run out.  Returns (lam, triple) of the
-    # first face query where stop holds, or None.
-    slack = [k for k in (0, 1) if g[k] < 0.0]
-    if not slack:
-        return None
-    i = min(slack, key=lambda k: mu[k])
-    j = 1 - i
-    y, prev = mu[j], None
-    for _ in range(rounds):
-        # Cuts through a face point leave the vertices on the face at
-        # exactly mu_i = 0.
-        on_face = [p[j] for p in polygon if p[i] == 0.0]
-        if len(polygon) < 3 or not on_face or not min(on_face) < y < max(on_face):
-            return None
-        area = polygon_centroid(polygon)[0]
-        if area <= _AREA_FLOOR:
-            return None
-        mu = [0.0, 0.0]
-        mu[j] = y
-        lam = np.array([R * mu[0], R * mu[1]])
-        triple = oracle(lam)
-        g = np.asarray(triple.g, dtype=float)
-        trace.append(True, lam, -g, triple.v, log_area_box + math.log(area))
-        if stop(lam, triple):
-            return lam, triple
-        if g[i] >= 0.0:
-            return None
-        polygon = polygon_cut(polygon, g, mu)
-        on_face = [p[j] for p in polygon if p[i] == 0.0] or [y]
-        lo, hi = min(on_face), max(on_face)
-        x = None
-        if prev is not None and prev[1] != g[j]:
-            x = y - g[j] * (y - prev[0]) / (g[j] - prev[1])
-        prev = (y, g[j])
-        y = x if x is not None and lo < x < hi else 0.5 * (lo + hi)
-    return None
 
 
 def _log_bracket(width: float) -> float:
@@ -497,7 +487,8 @@ def _log_bracket(width: float) -> float:
 def _interpolated_root(queries: list[tuple[float, float]]) -> float | None:
     """Root of g by inverse interpolation through the last queried
     ``(lam, g)`` pairs: inverse-quadratic through the last three, else the
-    secant through the last two (Brent, 1973, ch. 4).  Pairs are used only
+    secant through the last two (Brent, 1973, ch. 4).  The bracketing search
+    and the polygon's face rounds both take it.  Pairs are used only
     when their g values take both signs, so the estimate never extrapolates
     from one side, and are skipped when a g value is zero or repeats.  None
     when neither set qualifies."""

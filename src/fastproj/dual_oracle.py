@@ -280,20 +280,22 @@ def approx_dual_oracle(
     At ``lam = 0`` x0 itself is the minimizer: the triple is ``(copy of x0,
     h(x0), 0)``, made with one constraint evaluation and no gradient call,
     or with a ``basis`` by its ``origin``, which reads h(x0) off the first
-    Lanczos product and counts that product.  Accuracy is proven by the
-    certificate ``||grad L||^2 <= 4 eps_eff``; ``eps_eff`` is
-    ``eps_tilde`` (0 allowed) clamped to the float floor.  ``basis``, from
-    ``lanczos_basis(problem)``, serves every query at ``lam > 0``:
-    ``x_lam`` is its Krylov iterate, proven on the constraint's gradient
-    there summed from the stored products, which also gives ``g``, so the
-    query counts only the products it adds.  A query it cannot serve
-    within its vector cap continues with AGD from that iterate.
+    Lanczos product and counts that product.  Accuracy is proven by
+    ``||grad L||^2 <= tol_sq``: at m = 1 the certificate ``4 eps_eff``,
+    ``eps_eff`` being ``eps_tilde`` (0 allowed) clamped to the float floor,
+    and at m >= 2 ``4 float_floor(problem)`` whatever eps_tilde.
+    ``basis``, from ``lanczos_basis(problem)``, serves every query at
+    ``lam > 0``: ``x_lam`` is its Krylov iterate, proven on the
+    constraint's gradient there summed from the stored products, which also
+    gives ``g``, so the query counts only the products it adds.  A query it
+    cannot serve within its vector cap continues with AGD from that
+    iterate.
 
-    Every other query starts at ``x0``.  One AGD run then returns its first
-    momentum point below the stop threshold ``tol_sq``, or its last iterate
-    at the cap ``agd_iterations(2, beta, ||grad L(start)||^2, tol_sq)``, the
-    step count proven to reach ``tol_sq`` (see the comment at the call); the
-    start is kept when the run ends with no smaller gradient.
+    Every other query starts at ``x0``.  A start above ``tol_sq`` makes one
+    AGD run, which returns its first momentum point below it, or its last
+    iterate at the cap ``agd_iterations(2, beta, ||grad L(start)||^2,
+    tol_sq)``, the step count proven to reach it (see the comment at the
+    call); the start is kept when the run ends with no smaller gradient.
     ``counters['gradient_evals']`` counts the gradient calls made, Lanczos
     products included, when supplied.
     """
@@ -307,14 +309,21 @@ def approx_dual_oracle(
         triple = basis.origin()
         _count(counters, basis.products - taken)
         return triple
-    eps_eff = effective_eps_tilde(problem, eps_tilde)
+    # The stop is the certificate at m = 1.  At m >= 2 it is the float
+    # floor, the finest gap float64 resolves: the ellipsoid does not test
+    # ``certified`` after lam = 0 (ROADMAP item 2), and the m = 2 polygon,
+    # which tests it at every query, has not been measured on a looser stop.
+    if problem.m == 1:
+        tol_sq = 4.0 * effective_eps_tilde(problem, eps_tilde)
+    else:
+        tol_sq = 4.0 * float_floor(problem)
     evals = 0
     x = None  # AGD's start, with grad and grad_sq, when the basis falls short
     if basis is not None:
         taken = basis.products
-        triple, grad, grad_sq = basis.solve(float(lam[0]), 4.0 * eps_eff)
+        triple, grad, grad_sq = basis.solve(float(lam[0]), tol_sq)
         evals = basis.products - taken
-        if grad_sq <= 4.0 * eps_eff:
+        if grad_sq <= tol_sq:
             _count(counters, evals)
             return triple
         x = triple.x_lambda
@@ -331,13 +340,7 @@ def approx_dual_oracle(
         if not math.isfinite(grad_sq):
             raise NumericalFailure("non-finite Lagrangian gradient norm at x0", payload=x)
 
-    if grad_sq > 4.0 * eps_eff:
-        # AGD stops at the certificate at m = 1.  At m >= 2 it stops at the
-        # float floor, the finest gap float64 resolves: the ellipsoid does
-        # not test ``certified`` after lam = 0 (ROADMAP item 2), and the
-        # m = 2 polygon, which tests it at every query, has not been
-        # measured on a looser stop.
-        tol_sq = 4.0 * (eps_eff if problem.m == 1 else float_floor(problem))
+    if grad_sq > tol_sq:
         # The cap is proven from the start's gradient g0.  The constant
         # momentum scheme has f(y_k) - f* <= (f(x) - f* + (alpha/2)||x -
         # x*||^2)(1 - 1/sqrt(kappa))^k (Nesterov 2004, 2.2), a bracket that

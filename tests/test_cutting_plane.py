@@ -22,7 +22,12 @@ from fastproj.cutting_plane import (
     separation_oracle_box,
 )
 from fastproj.dual_oracle import OracleTriple, approx_dual_oracle
-from fastproj.model import ContractViolation, quadratic_constraint, quadratic_problem
+from fastproj.model import (
+    ContractViolation,
+    NumericalFailure,
+    quadratic_constraint,
+    quadratic_problem,
+)
 from fastproj.projector import certified
 
 from conftest import ball_dual_value, unit_ball_problem
@@ -439,15 +444,20 @@ def test_polygon_stops_at_the_first_certified_query():
     assert len(trace) == len(asked) and all(min(lam) == 0.0 for lam in trace.lam[3:])
 
 
-def _face_run(target, tol, T=200, coupling=0.0):
-    # exact oracles of -(lam - target) . H (lam - target) on [0, 4]^2, H
-    # with unit diagonal and the given coupling, stopping on the
-    # certificate's two tests at tolerance tol
+def _face_oracle(target, coupling=0.0):
+    # the exact oracle of -(lam - target) . H (lam - target) on [0, 4]^2, H
+    # with unit diagonal and the given coupling
     H = np.array([[1.0, coupling], [coupling, 1.0]])
     target = np.array(target)
-    oracle = lambda lam: OracleTriple(
+    return lambda lam: OracleTriple(
         lam, -2.0 * H @ (lam - target), -float((lam - target) @ H @ (lam - target))
     )
+
+
+def _face_run(target, tol, T=200, coupling=0.0, oracle=None):
+    # the exact oracle, or the given one, stopping on the certificate's two
+    # tests at tolerance tol
+    oracle = oracle or _face_oracle(target, coupling)
     stop = lambda lam, triple: max(triple.g) <= tol and -float(lam @ triple.g) <= tol
     return cutting_plane_maximize(oracle, DualBox(R=4.0, m=2), T, stop)
 
@@ -474,8 +484,9 @@ def test_polygon_moves_a_slack_multiplier_to_its_face():
     assert lam_bar[0] == 0.0 and len(_split_at_face(trace, 0)[1]) == 1
     # coupled multipliers: zeroing lam_1 moves lam_0's g, so the first face
     # query is not certified; the midpoint of the polygon's segment on the
-    # face and then the secant root, exact for a linear g, follow, and each
-    # face round cuts the polygon, whose area keeps falling
+    # face and then the root interpolated through the two face queries,
+    # their secant and exact for a linear g, follow, and each face round
+    # cuts the polygon, whose area keeps falling
     triple, lam_bar, trace = _face_run([2.0, -0.1], 1e-2, coupling=0.5)
     _, face = _split_at_face(trace, 1)
     assert len(face) == 3 and all(lam[1] == 0.0 and 0.0 < lam[0] < 4.0 for lam in face)
@@ -501,6 +512,30 @@ def test_polygon_gives_up_a_face_whose_constraint_binds():
     assert trace.lam[-1][1] == 0.0 and trace.w[-1][1] < 0.0
     assert np.array_equal(lam_bar, trace.lam[-2]) and lam_bar[1] > 0.0
     assert max(triple.g) <= 0.5 and -float(lam_bar @ triple.g) <= 0.5
+
+
+def test_polygon_failure_on_a_face_carries_the_certified_centroid():
+    # the coupled case above takes three face rounds; an oracle that fails
+    # at the second face query raises with the trace of every round before
+    # it: the certified centroid, held in reserve, then the first face round
+    exact = _face_oracle([2.0, -0.1], coupling=0.5)
+    face_queries = []
+
+    def oracle(lam):
+        if lam[1] == 0.0 and lam[0] > 0.0:
+            face_queries.append(lam)
+            if len(face_queries) == 2:
+                raise NumericalFailure("inner solve failed", payload=lam)
+        return exact(lam)
+
+    with pytest.raises(NumericalFailure) as info:
+        _face_run([2.0, -0.1], 1e-2, coupling=0.5, oracle=oracle)
+    trace = info.value.trace
+    centroid, face = trace.lam[-2], trace.lam[-1]
+    assert np.array_equal(face, face_queries[0]) and face[1] == 0.0
+    assert centroid[1] > 0.0 and all(lam[1] > 0.0 for lam in trace.lam[1:-1])
+    g = -trace.w[-2]
+    assert max(g) <= 1e-2 and -float(centroid @ g) <= 1e-2 and g[1] < 0.0
 
 
 def test_polygon_budget_is_finite_up_to_the_largest_float():

@@ -334,13 +334,14 @@ def test_one_agd_run_per_query_capped_at_the_proven_step_count(monkeypatch, rng)
                 runs.clear()
                 approx_dual_oracle(prob, lam, eps_tilde)
                 eps_eff = effective_eps_tilde(prob, eps_tilde)
+                expected_tol_sq = 4.0 * (eps_eff if prob.m == 1 else float_floor(prob))
                 at_x0 = lagrangian_gradient(prob, prob.x0, lam)
-                if float(at_x0 @ at_x0) <= 4.0 * eps_eff:
-                    assert not runs  # x0 itself passes the certificate
+                if float(at_x0 @ at_x0) <= expected_tol_sq:
+                    assert not runs  # x0 itself passes the stop threshold
                     continue
                 ((objective, x_init, iterations, g_init, tol_sq, run),) = runs
                 assert np.array_equal(x_init, prob.x0)
-                assert tol_sq == 4.0 * (eps_eff if prob.m == 1 else float_floor(prob))
+                assert tol_sq == expected_tol_sq
                 assert iterations == agd_iterations(2.0, beta, float(at_x0 @ at_x0), tol_sq)
                 assert run.gradient_calls <= iterations
                 full = agd_minimize(objective, x_init, iterations, g_init)
@@ -434,6 +435,26 @@ def test_an_m2_query_stops_at_its_first_point_at_the_float_floor(rng):
     triple_2e3 = approx_dual_oracle(prob, lam, 2e-3, practical)
     assert practical == counters
     assert np.array_equal(triple_2e3.x_lambda, triple.x_lambda)
+
+
+def test_an_m2_start_inside_a_practical_eps_tilde_is_refined_to_the_float_floor():
+    # At m >= 2 the start is tested against the solve's own stop, 4 floor:
+    # here x0's ||grad L||^2 is about 4e-7, inside 4 eps_tilde = 4e-3 but far
+    # above 4 floor (about 3e-12), so an override cannot return x0 unrefined,
+    # and the answer does not depend on eps_tilde.
+    prob = random_quadratic_instance(16, 2, 3)
+    lam = np.array([1e-4, 1e-4])
+    floor_sq = 4.0 * float_floor(prob)
+    at_x0 = lagrangian_gradient(prob, prob.x0, lam)
+    assert 1e4 * floor_sq < float(at_x0 @ at_x0) <= 4.0 * 1e-3
+    answers = []
+    for eps_tilde in (0.0, 1e-3):
+        counters = {}
+        triple = approx_dual_oracle(prob, lam, eps_tilde, counters)
+        grad = lagrangian_gradient(prob, triple.x_lambda, lam)
+        assert float(grad @ grad) <= floor_sq and counters["gradient_evals"] >= 2
+        answers.append(triple.x_lambda)
+    assert np.array_equal(*answers)
 
 
 def test_a_noisy_gradient_runs_once_to_its_cap_and_keeps_the_better_point(monkeypatch):
