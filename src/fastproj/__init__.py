@@ -16,7 +16,7 @@ from .cutting_plane import (
     ellipsoid_update,
     separation_oracle_box,
 )
-from .dual_oracle import OracleTriple, approx_dual_oracle
+from .dual_oracle import InnerSolves, OracleTriple, approx_dual_oracle
 from .model import (
     ConstraintOracle,
     ContractViolation,
@@ -60,6 +60,7 @@ __all__ = [
     "cutting_plane_maximize",
     "ellipsoid_update",
     "separation_oracle_box",
+    "InnerSolves",
     "OracleTriple",
     "approx_dual_oracle",
     "ConstraintOracle",

@@ -560,7 +560,8 @@ def bisection_maximize(
     1. the secular model ``_secular_root``, while the model is trusted,
        fitted to both ends once both hold data, and before that to the
        current lower end and the one before it, so that a maximizer beyond
-       the first midpoints is reached by extrapolation;
+       the first midpoints is reached by extrapolation; until a query reads
+       ``g <= 0``, a model root at or past R makes the query R itself;
     2. the inverse interpolation of g through the last queries, when their g
        values take both signs;
     3. otherwise the midpoint.
@@ -592,10 +593,13 @@ def bisection_maximize(
     Without a curvature the queries are those described above.
 
     Returns ``(triple_tau, lam_tau, trace)``.  When ``stop(lam, triple)``
-    holds at a queried point, the run ends there and tau is that round;
-    otherwise all rounds run and tau indexes the queried point with the
-    best value estimate.  A ``NumericalFailure`` raised by the oracle carries
-    the rounds completed so far as its ``trace``.
+    holds at a queried point, the run ends there and tau is that round.  A
+    query at R that reads ``g > 0`` ends the run there too, since R then
+    maximizes d over [0, R], as the origin's ``g <= 0`` does at 0: an R
+    below the maximizer costs a few rounds, not the budget.  Otherwise all
+    rounds run and tau indexes the queried point with the best value
+    estimate.  A ``NumericalFailure`` raised by the oracle carries the
+    rounds completed so far as its ``trace``.
     """
     if T < (1 if origin is None else 0):
         raise ContractViolation("T must be positive, or nonnegative with an origin")
@@ -624,17 +628,24 @@ def bisection_maximize(
             lam = mid
             fit = (ends[0], ends[1]) if ends[1] is not None else (below, ends[0])
             x = _secular_root(*fit) if trusted and None not in fit else None
-            modeled = x is not None and lo < x < hi
+            # Until a query reads g <= 0, hi is R: a model root at or past it
+            # queries R itself.
+            past = x is not None and ends[1] is None and x >= R
+            if past:
+                x = R
+            modeled = x is not None and (lo < x < hi or past)
             if not modeled:
                 # The first round has no queries to interpolate.
                 x = _interpolated_root(queries) if queries else newton
-            if x is not None and lo < x < hi:
+            if modeled or x is not None and lo < x < hi:
                 r = max(0.0, R * 2.0 ** (ITP_N0 - t) - 0.5 * (hi - lo))
                 lam = min(max(x, mid - r), mid + r)
             triple = oracle(lam)
             g = float(np.asarray(triple.g).reshape(-1)[0])
             trace.append(True, np.array([lam]), np.array([-g]), triple.v, _log_bracket(hi - lo))
             if stop is not None and stop(lam, triple):
+                return triple, lam, trace
+            if g > 0 and lam == R:  # d rises up to R: R maximizes it on [0, R]
                 return triple, lam, trace
             if best is None or triple.v > best[0].v:
                 best = (triple, lam)

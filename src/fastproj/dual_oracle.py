@@ -17,9 +17,9 @@ convexity: the value gap is at most ``||grad L||^2 / 4``, so a point with
 Two inner solvers produce that point.  A problem whose one constraint is a
 ``QuadraticConstraint`` ``(x - c)^T A (x - c) - level`` has the inner
 solution ``x = c + u`` with ``(I + lam A) u = x0 - c``, whose Krylov space
-``K(A, x0 - c)`` does not depend on lam.  ``lanczos_basis`` builds one
-Lanczos basis of it per projection, grown on demand and shared by every
-query of that projection (the shift invariance GLTR uses for the
+``K(A, x0 - c)`` does not depend on lam.  One Lanczos basis of it per
+projection, held by that projection's ``InnerSolves``, is grown on demand
+and shared by every query (the shift invariance GLTR uses for the
 trust-region subproblem: Gould, Lucidi, Roma & Toint, SIAM J. Optim.
 1999).  Its products are its only gradient calls: a query's certificate is
 tested on the gradient at its point summed from the stored products, and
@@ -29,10 +29,11 @@ Every other problem, and a query the basis cannot serve within
 ``_MAX_BASIS_VECTORS``, runs accelerated gradient descent, which converges
 at a linear rate (Nesterov, *Introductory Lectures on Convex
 Optimization*, 2004, 2.1-2.2).  A query makes one AGD run, which returns
-its first iterate below a stop threshold that ``approx_dual_oracle`` sets.
-The run is capped at the step count that this rate proves enough to bring
-the start's own gradient down to that threshold.  The certificate is
-tested on the constraint gradients that AGD computes at the returned point.
+its first iterate below a stop threshold that ``InnerSolves`` sets once
+per projection.  The run is capped at the step count that this rate proves
+enough to bring the start's own gradient down to that threshold.  The
+certificate is tested on the constraint gradients that AGD computes at the
+returned point.
 """
 
 from __future__ import annotations
@@ -259,72 +260,88 @@ class LanczosBasis:
         return triple, grad_l, grad_sq
 
 
-def lanczos_basis(problem: ProjectionProblem) -> LanczosBasis | None:
-    """A fresh ``LanczosBasis`` for ``approx_dual_oracle`` when the problem's
-    only constraint is a ``QuadraticConstraint`` (dense or WY), else None.
-    It is built for one projection's queries and holds no products yet."""
-    if problem.m != 1 or not isinstance(problem.constraints[0], QuadraticConstraint):
-        return None
-    return LanczosBasis(problem.constraints[0], problem.x0)
+class InnerSolves:
+    """The inner solves of one projection: what every ``approx_dual_oracle``
+    query of it shares.
+
+    ``eps_tilde`` (0 allowed) is checked once, and the stop ``tol_sq`` on
+    ``||grad L||^2`` is set once: at m = 1 the certificate ``4 eps_eff``,
+    ``eps_eff`` being ``eps_tilde`` clamped to the float floor, and at
+    m >= 2 ``4 float_floor(problem)`` whatever eps_tilde.  ``basis`` is a
+    ``LanczosBasis`` exactly when the problem's only constraint is a
+    ``QuadraticConstraint`` (dense or WY), else None; it holds no products
+    yet.  ``gradient_evals`` counts the constraint-gradient calls made by
+    the queries and by ``curvature``, Lanczos products included.
+    """
+
+    def __init__(self, problem: ProjectionProblem, eps_tilde: float):
+        if not eps_tilde >= 0:
+            raise ContractViolation("eps_tilde must be nonnegative")
+        self.problem = problem
+        # The stop is the certificate at m = 1.  At m >= 2 it is the float
+        # floor, the finest gap float64 resolves: the ellipsoid does not test
+        # ``certified`` after lam = 0 (ROADMAP item 2), and the m = 2 polygon,
+        # which tests it at every query, has not been measured on a looser
+        # stop.
+        if problem.m == 1:
+            self.tol_sq = 4.0 * effective_eps_tilde(problem, eps_tilde)
+        else:
+            self.tol_sq = 4.0 * float_floor(problem)
+        only = problem.constraints[0]
+        krylov = problem.m == 1 and isinstance(only, QuadraticConstraint)
+        self.basis = LanczosBasis(only, problem.x0) if krylov else None
+        self._evals = 0  # the gradient calls outside the basis
+
+    @property
+    def gradient_evals(self) -> int:
+        """The gradient calls made so far, the basis's products included."""
+        return self._evals + (0 if self.basis is None else self.basis.products)
+
+    def curvature(self) -> float:
+        """``-d''(0) = ||grad h(x0)||^2 / 2`` of a one-constraint dual, exact:
+        x0 solves the inner problem at ``lam = 0``, where the Lagrangian's
+        Hessian is 2I.  Only the m = 1 search calls it, after the ``lam = 0``
+        query; the basis reads it off the product that query took, else it
+        takes one counted gradient at x0."""
+        if self.basis is not None:
+            return self.basis.curvature()
+        self._evals += 1
+        grad = self.problem.constraints[0].grad(self.problem.x0)
+        return 0.5 * float(grad @ grad)
 
 
-def approx_dual_oracle(
-    problem: ProjectionProblem,
-    lam: Array,
-    eps_tilde: float,
-    counters: dict | None = None,
-    basis: LanczosBasis | None = None,
-) -> OracleTriple:
-    """Solve ``min_x L(x, lam)`` to ``eps_tilde`` and package (x_lam, g, v).
+def approx_dual_oracle(solves: InnerSolves, lam: Array) -> OracleTriple:
+    """Solve ``min_x L(x, lam)`` to the stop ``solves.tol_sq`` and package
+    (x_lam, g, v).
 
     At ``lam = 0`` x0 itself is the minimizer: the triple is ``(copy of x0,
     h(x0), 0)``, made with one constraint evaluation and no gradient call,
-    or with a ``basis`` by its ``origin``, which reads h(x0) off the first
-    Lanczos product and counts that product.  Accuracy is proven by
-    ``||grad L||^2 <= tol_sq``: at m = 1 the certificate ``4 eps_eff``,
-    ``eps_eff`` being ``eps_tilde`` (0 allowed) clamped to the float floor,
-    and at m >= 2 ``4 float_floor(problem)`` whatever eps_tilde.
-    ``basis``, from ``lanczos_basis(problem)``, serves every query at
+    or with a basis by its ``origin``, which reads h(x0) off the first
+    Lanczos product.  Accuracy is proven by ``||grad L||^2 <= tol_sq``.
+    ``solves.basis``, when the problem has one, serves every query at
     ``lam > 0``: ``x_lam`` is its Krylov iterate, proven on the
     constraint's gradient there summed from the stored products, which also
-    gives ``g``, so the query counts only the products it adds.  A query it
-    cannot serve within its vector cap continues with AGD from that
-    iterate.
+    gives ``g``, so the query's only gradient calls are the products it
+    adds.  A query it cannot serve within its vector cap continues with AGD
+    from that iterate.
 
     Every other query starts at ``x0``.  A start above ``tol_sq`` makes one
     AGD run, which returns its first momentum point below it, or its last
     iterate at the cap ``agd_iterations(2, beta, ||grad L(start)||^2,
     tol_sq)``, the step count proven to reach it (see the comment at the
     call); the start is kept when the run ends with no smaller gradient.
-    ``counters['gradient_evals']`` counts the gradient calls made, Lanczos
-    products included, when supplied.
+    ``solves.gradient_evals`` counts every gradient call made.
     """
-    if not eps_tilde >= 0:
-        raise ContractViolation("eps_tilde must be nonnegative")
+    problem, basis, tol_sq = solves.problem, solves.basis, solves.tol_sq
     lam = _check_multipliers(problem, lam)
     if not lam.any():
         if basis is None:
             return OracleTriple(problem.x0.copy(), eval_constraints(problem, problem.x0), 0.0)
-        taken = basis.products
-        triple = basis.origin()
-        _count(counters, basis.products - taken)
-        return triple
-    # The stop is the certificate at m = 1.  At m >= 2 it is the float
-    # floor, the finest gap float64 resolves: the ellipsoid does not test
-    # ``certified`` after lam = 0 (ROADMAP item 2), and the m = 2 polygon,
-    # which tests it at every query, has not been measured on a looser stop.
-    if problem.m == 1:
-        tol_sq = 4.0 * effective_eps_tilde(problem, eps_tilde)
-    else:
-        tol_sq = 4.0 * float_floor(problem)
-    evals = 0
+        return basis.origin()
     x = None  # AGD's start, with grad and grad_sq, when the basis falls short
     if basis is not None:
-        taken = basis.products
         triple, grad, grad_sq = basis.solve(float(lam[0]), tol_sq)
-        evals = basis.products - taken
         if grad_sq <= tol_sq:
-            _count(counters, evals)
             return triple
         x = triple.x_lambda
 
@@ -335,7 +352,7 @@ def approx_dual_oracle(
     if x is None:
         x = np.array(problem.x0)
         grad = objective.gradient(x)
-        evals += 1
+        solves._evals += 1
         grad_sq = float(grad @ grad)
         if not math.isfinite(grad_sq):
             raise NumericalFailure("non-finite Lagrangian gradient norm at x0", payload=x)
@@ -352,19 +369,13 @@ def approx_dual_oracle(
         # which AGD's first step reuses.
         cap = agd_iterations(2.0, beta, grad_sq, tol_sq)
         y, grad_y, calls = agd_minimize(objective, x, cap, grad, tol_sq)
-        evals += calls
+        solves._evals += calls
         if float(grad_y @ grad_y) < grad_sq:
             x = y
 
-    _count(counters, evals)
     # v is model.lagrangian_value's arithmetic on the same g: each constraint
     # is evaluated once.
     g = eval_constraints(problem, x)
     d = x - problem.x0
     v = float(d @ d + lam @ g)
     return OracleTriple(x_lambda=x, g=g, v=v)
-
-
-def _count(counters: dict | None, evals: int) -> None:
-    if counters is not None:
-        counters["gradient_evals"] = counters.get("gradient_evals", 0) + evals

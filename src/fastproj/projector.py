@@ -4,11 +4,13 @@
 ``[0, R]^m`` with ``cutting_plane_maximize``, whose oracle, one approximate
 minimization of the Lagrangian in the primal, yields the primal point, dual
 gradient and dual value together; the primal solution is the oracle's point
-at the dual point the engine returns.  The inner solves run AGD from x0,
-except on a problem whose one constraint is a quadratic: there every query
-of a solve reads its point off one shared Lanczos basis
-(``dual_oracle.lanczos_basis``) and is proven on the products that basis
-stores, so the basis's products are the solve's only gradient calls.
+at the dual point the engine returns.  Each solve's inner solves are one
+``dual_oracle.InnerSolves``, which fixes their stop, counts their gradient
+calls and gives the m = 1 search the dual's curvature.  They run AGD from
+x0, except on a problem whose one constraint is a quadratic: there every
+query of a solve reads its point off the object's one Lanczos basis and is
+proven on the products that basis stores, so the basis's products are the
+solve's only gradient calls.
 ``cutting_plane.round_budget`` gives the number of rounds, for every
 engine.  With the guaranteed inner-accuracy schedule the output ``x_hat``
 satisfies, against every feasible x,
@@ -42,7 +44,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cutting_plane import CutTrace, DualBox, cutting_plane_maximize, round_budget
-from .dual_oracle import OracleTriple, approx_dual_oracle, lanczos_basis
+from .dual_oracle import InnerSolves, OracleTriple, approx_dual_oracle
 from .model import (
     Array,
     ContractViolation,
@@ -132,12 +134,13 @@ def default_inner_accuracy(eps: float, m: int, R: float, G: float) -> float:
 def project(problem: ProjectionProblem, config: SolverConfig) -> ProjectionResult:
     """Compute an eps-approximate projection of ``problem.x0``.
 
-    Each solve builds its own Lanczos basis when ``lanczos_basis`` applies,
-    and every AGD inner solve starts cold at ``x0``.  The answer is the
-    engine's own triple at ``lambda_bar``; no inner solve is repeated, so
-    without doubling ``oracle_calls`` is the number of in-box rounds.  The
-    result's ``certified`` says whether that triple passes the ``certified``
-    duality test, which proves its guarantee a posteriori.
+    Each solve builds its own ``InnerSolves``, with a Lanczos basis when the
+    one constraint is a quadratic, and every AGD inner solve starts cold at
+    ``x0``.  The answer is the engine's own triple at ``lambda_bar``; no
+    inner solve is repeated, so without doubling ``oracle_calls`` is the
+    number of in-box rounds.  The result's ``certified`` says whether that
+    triple passes the ``certified`` duality test, which proves its guarantee
+    a posteriori.
 
     While a multiplier of the answer is at or above 0.9 R, the solve is
     repeated on a copy of ``problem`` with R doubled, at most
@@ -175,33 +178,15 @@ def _solve(problem: ProjectionProblem, config: SolverConfig) -> ProjectionResult
     if eps_tilde is None:
         eps_tilde = default_inner_accuracy(eps, m, R, G)
 
-    counters = {"gradient_evals": 0}
-    basis = lanczos_basis(problem)
-
-    def oracle(lam: Array) -> OracleTriple:
-        return approx_dual_oracle(problem, lam, eps_tilde, counters=counters, basis=basis)
-
     # The lam = 0 query is one of the capped rounds.
     T = round_budget(m, R, eps, G, config.max_outer_iterations - 1)
-
-    def curvature() -> float:
-        # -d''(0) of a one-constraint dual, exact: x0 solves the inner
-        # problem at lam = 0 and the Lagrangian's Hessian there is 2I.  Only
-        # the m = 1 search calls it, after the lam = 0 query; a basis reads
-        # it off the product that query took and counted, else its one
-        # gradient is counted here.
-        if basis is not None:
-            return basis.curvature()
-        counters["gradient_evals"] += 1
-        grad = problem.constraints[0].grad(problem.x0)
-        return 0.5 * float(grad @ grad)
-
+    solves = InnerSolves(problem, eps_tilde)
     final, lam_bar, trace = cutting_plane_maximize(
-        oracle=oracle,
+        oracle=lambda lam: approx_dual_oracle(solves, lam),
         box=DualBox(R=R, m=m),
         T=T,
         stop=lambda lam, triple: certified(lam, triple, eps),
-        curvature=curvature,
+        curvature=solves.curvature,
     )
 
     x_hat = final.x_lambda
@@ -212,7 +197,7 @@ def _solve(problem: ProjectionProblem, config: SolverConfig) -> ProjectionResult
         max_violation=float(final.g.max()),
         dual_value=final.v,
         oracle_calls=sum(trace.in_box),
-        inner_gradient_evals=counters["gradient_evals"],
+        inner_gradient_evals=solves.gradient_evals,
         doubling_rounds_used=0,
         trace=trace,
         certified=certified(lam_bar, final, eps),

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual_oracle import approx_dual_oracle
+from .dual_oracle import InnerSolves, approx_dual_oracle
 from .model import Array, ContractViolation, ProjectionProblem, QuadraticConstraint
 
 
@@ -148,8 +148,9 @@ def _dual_values_quadratic(problem, quad, lams: Array) -> tuple[Array, Array]:
 def _dual_values_generic(problem, lams: Array) -> tuple[Array, Array]:
     vals = np.empty(lams.shape[0])
     xs = np.empty((lams.shape[0], problem.n))
+    solves = InnerSolves(problem, EPS_REF)
     for i, lam in enumerate(lams):
-        triple = approx_dual_oracle(problem, lam, EPS_REF)
+        triple = approx_dual_oracle(solves, lam)
         vals[i] = triple.v
         xs[i] = triple.x_lambda
     return vals, xs

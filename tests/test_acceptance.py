@@ -7,6 +7,7 @@ lines as they complete.
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,8 +22,8 @@ from fastproj.cutting_plane import (
     ellipsoid_update,
     log_unit_ball_volume,
 )
-from fastproj.dual_oracle import OracleTriple, approx_dual_oracle
-from fastproj.model import SolverConfig
+from fastproj.dual_oracle import InnerSolves, OracleTriple, approx_dual_oracle
+from fastproj.model import ConstraintOracle, SolverConfig
 from fastproj.norm_duality import DualBallProjector, project_norm_ball_via_dual
 from fastproj.projector import project
 from fastproj.reference import (
@@ -92,21 +93,25 @@ def test_criterion_3_oracle_accuracy():
         u = rng.standard_normal(n)
         u /= np.linalg.norm(u)
         x0 = u * rng.uniform(1.2, 3.5)
-        prob = unit_ball_problem(x0)
-        G = prob.max_lipschitz()
-        lam = float(rng.uniform(0.0, prob.R))
+        ball = unit_ball_problem(x0)
+        quad = ball.constraints[0]
+        plain = ConstraintOracle(quad.eval, quad.grad, quad.lipschitz_G, quad.smoothness_L)
+        G = ball.max_lipschitz()
+        lam = float(rng.uniform(0.0, ball.R))
         eps_tilde = float(10.0 ** rng.uniform(-10, -4))
-        triple = approx_dual_oracle(prob, np.array([lam]), eps_tilde)
         x_star = ball_primal_minimizer(x0, lam)
-        if float(np.sum((triple.x_lambda - x_star) ** 2)) > eps_tilde:
-            violations += 1
-        if abs(triple.v - ball_dual_value(x0, lam)) > eps_tilde:
-            violations += 1
-        if abs(triple.g[0] - ball_dual_gradient(x0, lam)) > math.sqrt(G * G * eps_tilde):
-            violations += 1
+        # the Krylov path, and AGD on the same ball as a plain constraint
+        for prob in (ball, replace(ball, constraints=(plain,))):
+            triple = approx_dual_oracle(InnerSolves(prob, eps_tilde), np.array([lam]))
+            if float(np.sum((triple.x_lambda - x_star) ** 2)) > eps_tilde:
+                violations += 1
+            if abs(triple.v - ball_dual_value(x0, lam)) > eps_tilde:
+                violations += 1
+            if abs(triple.g[0] - ball_dual_gradient(x0, lam)) > math.sqrt(G * G * eps_tilde):
+                violations += 1
         pairs += 1
     assert violations == 0
-    report(3, "50 (lambda, eps~) pairs meet all three oracle accuracy bounds")
+    report(3, "50 (lambda, eps~) pairs meet all three oracle accuracy bounds on both inner solvers")
 
 
 def test_criterion_4_dual_gradient_and_smoothness():
@@ -116,18 +121,19 @@ def test_criterion_4_dual_gradient_and_smoothness():
     m = prob.m
     eps_ref = 1e-12
     step = 1e-4
+    solves = InnerSolves(prob, eps_ref)
     grads = []
     lams = []
     for _ in range(50):
         lam = rng.uniform(0.0, prob.R, 2)
-        triple = approx_dual_oracle(prob, lam, eps_ref)
+        triple = approx_dual_oracle(solves, lam)
         fd = np.empty(2)
         for i in range(2):
             e = np.zeros(2)
             e[i] = step
             fd[i] = (
-                approx_dual_oracle(prob, lam + e, eps_ref).v
-                - approx_dual_oracle(prob, np.maximum(lam - e, 0.0), eps_ref).v
+                approx_dual_oracle(solves, lam + e).v
+                - approx_dual_oracle(solves, np.maximum(lam - e, 0.0)).v
             ) / (step + min(lam[i], step))
         rel = np.linalg.norm(triple.g - fd) / max(1.0, np.linalg.norm(fd))
         assert rel <= 1e-4, f"relative FD error {rel:.2e}"

@@ -21,7 +21,7 @@ from fastproj.cutting_plane import (
     round_budget,
     separation_oracle_box,
 )
-from fastproj.dual_oracle import OracleTriple, approx_dual_oracle
+from fastproj.dual_oracle import InnerSolves, OracleTriple, approx_dual_oracle
 from fastproj.model import (
     ContractViolation,
     NumericalFailure,
@@ -423,7 +423,8 @@ def test_polygon_stops_at_the_first_certified_query():
         quadratic_constraint(np.diag([1.0, 3.0]), np.array([0.4, 0.0]), 1.2),
     ]
     prob = quadratic_problem(np.array([2.0, 0.8]), quads, R=4.0)
-    oracle = lambda lam: approx_dual_oracle(prob, lam, 1e-12)
+    solves = InnerSolves(prob, 1e-12)
+    oracle = lambda lam: approx_dual_oracle(solves, lam)
     stop = lambda lam, triple: certified(lam, triple, eps)
     triple, lam_bar, trace = cutting_plane_maximize(oracle, DualBox(R=4.0, m=2), 200, stop)
     assert certified(lam_bar, triple, eps) and np.array_equal(lam_bar, trace.lam[-1])
@@ -553,7 +554,8 @@ def test_polygon_budget_is_finite_up_to_the_largest_float():
 def test_bisection_converges_to_ball_multiplier():
     prob = unit_ball_problem([2.0, 0.0], R=4.0)
     T = 30
-    oracle = lambda lam: approx_dual_oracle(prob, np.array([lam]), 1e-12)
+    solves = InnerSolves(prob, 1e-12)
+    oracle = lambda lam: approx_dual_oracle(solves, np.array([lam]))
     triple_tau, lam_tau, trace = bisection_maximize(oracle, 4.0, T)
     assert abs(lam_tau - 1.0) <= 4.0 * 2.0**-T + 1e-6
     assert_allclose(triple_tau.x_lambda, [1.0, 0.0], atol=1e-4)
@@ -562,7 +564,8 @@ def test_bisection_converges_to_ball_multiplier():
 
 def test_bisection_feasible_point_drives_lambda_to_zero():
     prob = unit_ball_problem([0.3, 0.1], R=2.0)
-    oracle = lambda lam: approx_dual_oracle(prob, np.array([lam]), 1e-12)
+    solves = InnerSolves(prob, 1e-12)
+    oracle = lambda lam: approx_dual_oracle(solves, np.array([lam]))
     triple_tau, lam_tau, _ = bisection_maximize(oracle, 2.0, 25)
     assert lam_tau <= 2.0 * 2.0**-24
     assert_allclose(triple_tau.x_lambda, prob.x0, atol=1e-5)
@@ -571,7 +574,8 @@ def test_bisection_feasible_point_drives_lambda_to_zero():
 def test_bisection_value_trace_is_unimodal_on_ball():
     x0 = np.array([2.0, 0.0])
     prob = unit_ball_problem(x0, R=4.0)
-    oracle = lambda lam: approx_dual_oracle(prob, np.array([lam]), 1e-12)
+    solves = InnerSolves(prob, 1e-12)
+    oracle = lambda lam: approx_dual_oracle(solves, np.array([lam]))
     _, _, trace = bisection_maximize(oracle, 4.0, 20)
     lams = np.array([l[0] for l in trace.lam])
     assert np.allclose(
@@ -586,7 +590,8 @@ def test_bisection_value_trace_is_unimodal_on_ball():
 
 def test_bisection_stops_where_the_predicate_holds():
     prob = unit_ball_problem([2.0, 0.0], R=4.0)
-    oracle = lambda lam: approx_dual_oracle(prob, np.array([lam]), 1e-12)
+    solves = InnerSolves(prob, 1e-12)
+    oracle = lambda lam: approx_dual_oracle(solves, np.array([lam]))
     asked = []
 
     def stop(mid, triple):
@@ -748,6 +753,24 @@ def test_bisection_opens_with_the_newton_step_of_its_curvature():
         asked.clear()
         _, lam, trace = bisection_maximize(oracle, R, 30, stop_at, start, curvature)
         assert lam == 0.0 and len(trace) == 1 and not asked
+
+
+def test_bisection_queries_R_when_the_model_root_lies_past_it():
+    # R = 1.2 is below the ball's lam_star (about 1.62): the model fitted to
+    # 0 and the midpoint 0.6 extrapolates past R, so round 3 queries R
+    # itself, and g > 0 there ends the run at R, which maximizes d on [0, R]
+    origin_end, _, lam_star = _ball_ends(0.0, 1.0)
+
+    def oracle(lam):
+        _, (_, v, g), _ = _ball_ends(0.0, lam)
+        return OracleTriple(np.array([lam]), np.array([g]), v)
+
+    origin = OracleTriple(np.array([0.0]), np.array([origin_end[2]]), origin_end[1])
+    R = 1.2
+    triple, lam, trace = bisection_maximize(oracle, R, 30, origin=origin)
+    assert R < lam_star
+    assert [l[0] for l in trace.lam] == [0.0, R / 2, R]
+    assert lam == R and triple.g[0] > 0.0
 
 
 def test_trace_csv_layout():

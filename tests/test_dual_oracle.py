@@ -9,11 +9,11 @@ from fastproj.agd import SmoothObjective, agd_iterations, agd_minimize
 from fastproj.cli import random_quadratic_instance
 from fastproj.dual_oracle import (
     _MAX_BASIS_VECTORS,
+    InnerSolves,
     LanczosBasis,
     approx_dual_oracle,
     effective_eps_tilde,
     float_floor,
-    lanczos_basis,
 )
 from fastproj.model import (
     ConstraintOracle,
@@ -39,6 +39,24 @@ from conftest import (
 )
 
 
+def query(prob, lam, eps_tilde):
+    """One query on a fresh ``InnerSolves``: its own basis, when the problem
+    has one, and its own count."""
+    return approx_dual_oracle(InnerSolves(prob, eps_tilde), np.asarray(lam, dtype=float))
+
+
+def plain(prob):
+    """``prob`` with every constraint as a plain ``ConstraintOracle``, so that
+    a single quadratic's inner solves run AGD, not the Krylov path."""
+    return replace(
+        prob,
+        constraints=tuple(
+            ConstraintOracle(c.eval, c.grad, c.lipschitz_G, c.smoothness_L)
+            for c in prob.constraints
+        ),
+    )
+
+
 def two_quadratics_problem(rng, n=6):
     quads = [
         quadratic_constraint(random_psd(rng, n), rng.standard_normal(n) * 0.3, 1.0),
@@ -51,9 +69,10 @@ def two_quadratics_problem(rng, n=6):
 
 def test_zero_multiplier_returns_query_point(monkeypatch, rng):
     # x0 minimizes L(., 0) exactly: the triple is read off x0 with no
-    # objective or AGD run.  Without a basis (m = 1 and m = 2) it takes one
-    # evaluation per constraint and no gradient; a Lanczos basis reads h(x0)
-    # off its first product, one counted gradient and no evaluation
+    # objective or AGD run.  Without a basis (a plain constraint at m = 1,
+    # and m = 2) it takes one evaluation per constraint and no gradient; a
+    # Lanczos basis reads h(x0) off its first product, one counted gradient
+    # and no evaluation
     def refused(*args, **kwargs):
         raise AssertionError("inner solver used at lam = 0")
 
@@ -68,33 +87,43 @@ def test_zero_multiplier_returns_query_point(monkeypatch, rng):
         return replace(c, eval=count("eval", c.eval), grad=count("grad", c.grad))
 
     ball = unit_ball_problem([2.0, 0.0])
-    for prob, with_basis in ((ball, False), (ball, True), (two_quadratics_problem(rng), False)):
+    for prob, with_basis in ((plain(ball), False), (ball, True), (two_quadratics_problem(rng), False)):
         prob = replace(prob, constraints=tuple(counted(c) for c in prob.constraints))
-        basis = lanczos_basis(prob) if with_basis else None
+        solves = InnerSolves(prob, 1e-8)
+        assert (solves.basis is not None) == with_basis
         calls.update(eval=0, grad=0)
-        counters = {}
-        triple = approx_dual_oracle(prob, np.zeros(prob.m), 1e-8, counters, basis=basis)
+        triple = approx_dual_oracle(solves, np.zeros(prob.m))
         if with_basis:
-            assert calls == {"eval": 0, "grad": 1} and counters == {"gradient_evals": 1}
+            assert calls == {"eval": 0, "grad": 1} and solves.gradient_evals == 1
         else:
-            assert calls == {"eval": prob.m, "grad": 0} and counters == {}
+            assert calls == {"eval": prob.m, "grad": 0} and solves.gradient_evals == 0
         assert triple.v == 0.0
         assert np.array_equal(triple.x_lambda, prob.x0) and triple.x_lambda is not prob.x0
         assert np.array_equal(triple.g, eval_constraints(prob, prob.x0))
 
 
 def test_ball_optimum_closed_form():
-    prob = unit_ball_problem([2.0, 0.0])
-    triple = approx_dual_oracle(prob, np.array([1.0]), 1e-10)
-    assert_allclose(triple.x_lambda, [1.0, 0.0], atol=1e-5)
-    assert triple.v == pytest.approx(1.0, abs=1e-9)
-    assert triple.g[0] == pytest.approx(0.0, abs=1e-5)
+    # the Krylov path and AGD
+    ball = unit_ball_problem([2.0, 0.0])
+    for prob in (ball, plain(ball)):
+        triple = query(prob, [1.0], 1e-10)
+        assert_allclose(triple.x_lambda, [1.0, 0.0], atol=1e-5)
+        assert triple.v == pytest.approx(1.0, abs=1e-9)
+        assert triple.g[0] == pytest.approx(0.0, abs=1e-5)
 
 
 def test_rejects_negative_multiplier():
-    prob = unit_ball_problem([2.0, 0.0])
-    with pytest.raises(ContractViolation):
-        approx_dual_oracle(prob, np.array([-1.0]), 1e-8)
+    ball = unit_ball_problem([2.0, 0.0])
+    for prob in (ball, plain(ball)):
+        with pytest.raises(ContractViolation):
+            query(prob, [-1.0], 1e-8)
+
+
+def test_rejects_a_negative_or_nan_eps_tilde_once_per_projection():
+    # checked when the inner solves are set up, before any query
+    for eps_tilde in (-1e-8, math.nan):
+        with pytest.raises(ContractViolation):
+            InnerSolves(unit_ball_problem([2.0, 0.0]), eps_tilde)
 
 
 def test_rejects_non_finite_multipliers(rng):
@@ -102,13 +131,11 @@ def test_rejects_non_finite_multipliers(rng):
     ball = unit_ball_problem([2.0, 0.0])
     pair = two_quadratics_problem(rng)
     for bad in (math.nan, math.inf):
-        for prob, lam in ((ball, [bad]), (pair, [bad, 0.5]), (pair, [0.0, bad])):
+        for prob, lam in ((ball, [bad]), (plain(ball), [bad]), (pair, [bad, 0.5]), (pair, [0.0, bad])):
             with pytest.raises(ContractViolation):
-                approx_dual_oracle(prob, np.array(lam), 1e-8)
+                query(prob, lam, 1e-8)
             with pytest.raises(ContractViolation):
                 lagrangian_value(prob, prob.x0, lam)
-        with pytest.raises(ContractViolation):
-            approx_dual_oracle(ball, np.array([bad]), 1e-8, basis=lanczos_basis(ball))
 
 
 def test_an_agd_query_checks_its_multipliers_once(monkeypatch, rng):
@@ -127,7 +154,7 @@ def test_an_agd_query_checks_its_multipliers_once(monkeypatch, rng):
     monkeypatch.setattr("fastproj.dual_oracle._check_multipliers", counted)
     monkeypatch.setattr(model, "_check_multipliers", counted)
     prob = two_quadratics_problem(rng)
-    approx_dual_oracle(prob, np.array([0.3, 0.7]), 1e-8)
+    query(prob, [0.3, 0.7], 1e-8)
     assert checks[0] == 1
     lagrangian_gradient_fn(prob, np.array([0.3, 0.7]))
     assert checks[0] == 2
@@ -136,7 +163,7 @@ def test_an_agd_query_checks_its_multipliers_once(monkeypatch, rng):
 def test_triple_recomputation_identities(rng):
     prob = two_quadratics_problem(rng)
     lam = np.array([0.3, 0.7])
-    triple = approx_dual_oracle(prob, lam, 1e-8)
+    triple = query(prob, lam, 1e-8)
     assert triple.v == lagrangian_value(prob, triple.x_lambda, lam)
     assert np.array_equal(triple.g, eval_constraints(prob, triple.x_lambda))
 
@@ -156,31 +183,34 @@ def test_each_constraint_evaluated_once_per_call(rng):
         prob, constraints=tuple(counted(i, c) for i, c in enumerate(prob.constraints))
     )
     lam = np.array([0.3, 0.7])
-    triple = approx_dual_oracle(counted_prob, lam, 1e-8)
+    triple = query(counted_prob, lam, 1e-8)
     assert calls == [1] * prob.m
     assert triple.v == lagrangian_value(prob, triple.x_lambda, lam)
 
 
 def test_high_accuracy_dual_values_ball():
-    prob = unit_ball_problem([2.0, 0.0])
-    assert approx_dual_oracle(prob, np.zeros(1), 1e-12).v == 0.0
-    assert approx_dual_oracle(prob, np.array([1.0]), 1e-12).v == pytest.approx(1.0, abs=1e-10)
-    # closed form d(0.5) = 4/3 - 1/2 = 5/6
-    assert approx_dual_oracle(prob, np.array([0.5]), 1e-12).v == pytest.approx(5.0 / 6.0, abs=1e-10)
+    ball = unit_ball_problem([2.0, 0.0])
+    for prob in (ball, plain(ball)):
+        assert query(prob, [0.0], 1e-12).v == 0.0
+        assert query(prob, [1.0], 1e-12).v == pytest.approx(1.0, abs=1e-10)
+        # closed form d(0.5) = 4/3 - 1/2 = 5/6
+        assert query(prob, [0.5], 1e-12).v == pytest.approx(5.0 / 6.0, abs=1e-10)
 
 
 def test_oracle_accuracy_bounds_on_ball(rng):
-    # closed-form x*_lam makes all three accuracy contracts checkable
+    # closed-form x*_lam makes all three accuracy contracts checkable, on
+    # the Krylov path and on AGD
     x0 = np.array([2.0, 0.0, 0.0])
-    prob = unit_ball_problem(x0)
-    G = prob.max_lipschitz()
-    for lam in (0.0, 0.3, 1.0, 2.2, 3.7):
-        for eps_tilde in (1e-4, 1e-6, 1e-8, 1e-10):
-            triple = approx_dual_oracle(prob, np.array([lam]), eps_tilde)
-            x_star = ball_primal_minimizer(x0, lam)
-            assert float(np.sum((triple.x_lambda - x_star) ** 2)) <= eps_tilde
-            assert abs(triple.v - ball_dual_value(x0, lam)) <= eps_tilde
-            assert abs(triple.g[0] - ball_dual_gradient(x0, lam)) <= np.sqrt(G * G * eps_tilde)
+    ball = unit_ball_problem(x0)
+    G = ball.max_lipschitz()
+    for prob in (ball, plain(ball)):
+        for lam in (0.0, 0.3, 1.0, 2.2, 3.7):
+            for eps_tilde in (1e-4, 1e-6, 1e-8, 1e-10):
+                triple = query(prob, [lam], eps_tilde)
+                x_star = ball_primal_minimizer(x0, lam)
+                assert float(np.sum((triple.x_lambda - x_star) ** 2)) <= eps_tilde
+                assert abs(triple.v - ball_dual_value(x0, lam)) <= eps_tilde
+                assert abs(triple.g[0] - ball_dual_gradient(x0, lam)) <= np.sqrt(G * G * eps_tilde)
 
 
 def test_gradient_matches_finite_differences_of_dual(rng):
@@ -188,14 +218,11 @@ def test_gradient_matches_finite_differences_of_dual(rng):
     step = 1e-5
     for _ in range(5):
         lam = rng.uniform(0.2, 2.0, 2)
-        triple = approx_dual_oracle(prob, lam, 1e-12)
+        triple = query(prob, lam, 1e-12)
         for i in range(2):
             e = np.zeros(2)
             e[i] = step
-            num = (
-                approx_dual_oracle(prob, lam + e, 1e-12).v
-                - approx_dual_oracle(prob, lam - e, 1e-12).v
-            ) / (2.0 * step)
+            num = (query(prob, lam + e, 1e-12).v - query(prob, lam - e, 1e-12).v) / (2.0 * step)
             assert triple.g[i] == pytest.approx(num, abs=1e-5)
 
 
@@ -206,8 +233,8 @@ def test_dual_smoothness_and_minimizer_lipschitz(rng):
     for _ in range(10):
         lam1 = rng.uniform(0.0, 3.0, 2)
         lam2 = rng.uniform(0.0, 3.0, 2)
-        t1 = approx_dual_oracle(prob, lam1, 1e-12)
-        t2 = approx_dual_oracle(prob, lam2, 1e-12)
+        t1 = query(prob, lam1, 1e-12)
+        t2 = query(prob, lam2, 1e-12)
         dlam = float(np.linalg.norm(lam1 - lam2))
         assert np.linalg.norm(t1.g - t2.g) <= m * G * G * dlam + 1e-6
         assert np.linalg.norm(t1.x_lambda - t2.x_lambda) <= np.sqrt(m) * G * dlam + 1e-6
@@ -215,13 +242,14 @@ def test_dual_smoothness_and_minimizer_lipschitz(rng):
 
 def test_weak_duality_against_feasible_points(rng):
     x0 = np.array([2.0, 1.0, -0.5])
-    prob = unit_ball_problem(x0)
+    ball = unit_ball_problem(x0)
     x_f = project_l2_ball(x0)
     obj_f = float(np.sum((x_f - x0) ** 2))
-    for lam in (0.1, 0.7, 1.5, 3.0):
-        eps_tilde = 1e-9
-        triple = approx_dual_oracle(prob, np.array([lam]), eps_tilde)
-        assert triple.v - eps_tilde <= obj_f + 1e-12
+    for prob in (ball, plain(ball)):
+        for lam in (0.1, 0.7, 1.5, 3.0):
+            eps_tilde = 1e-9
+            triple = query(prob, [lam], eps_tilde)
+            assert triple.v - eps_tilde <= obj_f + 1e-12
 
 
 def test_dual_concavity_sampled(rng):
@@ -232,19 +260,20 @@ def test_dual_concavity_sampled(rng):
         lam2 = rng.uniform(0.0, 3.0, 2)
         theta = float(rng.uniform(0.1, 0.9))
         mid = theta * lam1 + (1.0 - theta) * lam2
-        v_mid = approx_dual_oracle(prob, mid, eps_tilde).v
-        v1 = approx_dual_oracle(prob, lam1, eps_tilde).v
-        v2 = approx_dual_oracle(prob, lam2, eps_tilde).v
+        v_mid = query(prob, mid, eps_tilde).v
+        v1 = query(prob, lam1, eps_tilde).v
+        v2 = query(prob, lam2, eps_tilde).v
         assert v_mid >= theta * v1 + (1.0 - theta) * v2 - 3.0 * eps_tilde
 
 
 def test_gradient_counter_matches_real_calls(rng):
-    # m = 1 with lam > 0: each Lagrangian gradient calls the constraint's
-    # grad once.  AGD starts from the gradient the oracle already took at
-    # the start point, so the second call is at a new point.
+    # AGD at m = 1 with lam > 0, on a plain constraint: each Lagrangian
+    # gradient calls the constraint's grad once.  AGD starts from the
+    # gradient the oracle already took at the start point, so the second
+    # call is at a new point.
     n = 6
     quad = quadratic_constraint(random_psd(rng, n), rng.standard_normal(n) * 0.3, 1.0)
-    prob = quadratic_problem(rng.standard_normal(n) * 3.0, [quad], R=4.0)
+    prob = plain(quadratic_problem(rng.standard_normal(n) * 3.0, [quad], R=4.0))
     points = []
 
     def grad(x, inner=prob.constraints[0].grad):
@@ -254,22 +283,22 @@ def test_gradient_counter_matches_real_calls(rng):
     prob = replace(prob, constraints=(replace(prob.constraints[0], grad=grad),))
     for eps_tilde in (1e-4, 1e-12):
         points.clear()
-        counters = {}
-        approx_dual_oracle(prob, np.array([0.7]), eps_tilde, counters=counters)
-        assert counters["gradient_evals"] == len(points) > 1
+        solves = InnerSolves(prob, eps_tilde)
+        approx_dual_oracle(solves, np.array([0.7]))
+        assert solves.gradient_evals == len(points) > 1
         assert points[0] == prob.x0.tobytes() != points[1]
 
 
 def test_an_m1_query_returns_a_certified_point_within_the_first_budget(rng):
-    # at m = 1 AGD stops at its first momentum point that passes the
-    # certificate 4 eps_eff: the point and count of the same AGD run made
-    # directly, its x0 gradient included
+    # at m = 1 AGD, here on a plain constraint, stops at its first momentum
+    # point that passes the certificate 4 eps_eff: the point and count of
+    # the same AGD run made directly, its x0 gradient included
     n = 12
     points = [0]
 
     for _ in range(4):
         quad = quadratic_constraint(random_psd(rng, n), rng.standard_normal(n) * 0.3, 1.0)
-        prob = quadratic_problem(rng.standard_normal(n) * 3.0, [quad], R=4.0)
+        prob = plain(quadratic_problem(rng.standard_normal(n) * 3.0, [quad], R=4.0))
 
         def grad(x, inner=prob.constraints[0].grad):
             points[0] += 1
@@ -284,9 +313,9 @@ def test_an_m1_query_returns_a_certified_point_within_the_first_budget(rng):
             objective = SmoothObjective(lagrangian_gradient_fn(prob, lam), 2.0, beta)
             run = agd_minimize(objective, prob.x0, budget, tol_sq=4.0 * eps_eff)
             points[0] = 0
-            counters = {}
-            triple = approx_dual_oracle(prob, lam, eps_tilde, counters=counters)
-            assert counters["gradient_evals"] == points[0] == run.gradient_calls < 1 + budget
+            solves = InnerSolves(prob, eps_tilde)
+            triple = approx_dual_oracle(solves, lam)
+            assert solves.gradient_evals == points[0] == run.gradient_calls < 1 + budget
             assert np.array_equal(triple.x_lambda, run.point)
             g = lagrangian_gradient(prob, triple.x_lambda, lam)
             assert float(g @ g) <= 4.0 * eps_eff
@@ -321,10 +350,12 @@ def test_one_agd_run_per_query_capped_at_the_proven_step_count(monkeypatch, rng)
     # agd_iterations(2, beta, ||grad L(x0)||^2, tol_sq): the steps that
     # Nesterov's linear rate proves enough to bring the start's gradient to
     # the stop threshold.  A rerun of exactly that many steps with no stop
-    # ends at or below tol_sq on every query.
+    # ends at or below tol_sq on every query.  Plain constraints keep the
+    # m = 1 queries off the Krylov path.
     runs = _recorded_agd(monkeypatch)
     problems = [random_quadratic_instance(n, m, 400 + n + m) for n in (8, 32) for m in (1, 2, 3)]
     problems += [_wide_spectrum_problem(rng, n, m, 1e-5) for n in (8, 32) for m in (1, 2, 3)]
+    problems = [plain(prob) for prob in problems]
     queries = 0
     for prob in problems:
         for scale in (1e-2, 1.0, 1e2):
@@ -332,9 +363,11 @@ def test_one_agd_run_per_query_capped_at_the_proven_step_count(monkeypatch, rng)
             beta = 2.0 + lam.sum() * prob.max_smoothness()
             for eps_tilde in (0.0, 1e-8, 1e-5, 5e-4, 2e-3):
                 runs.clear()
-                approx_dual_oracle(prob, lam, eps_tilde)
+                solves = InnerSolves(prob, eps_tilde)
+                approx_dual_oracle(solves, lam)
                 eps_eff = effective_eps_tilde(prob, eps_tilde)
                 expected_tol_sq = 4.0 * (eps_eff if prob.m == 1 else float_floor(prob))
+                assert solves.tol_sq == expected_tol_sq
                 at_x0 = lagrangian_gradient(prob, prob.x0, lam)
                 if float(at_x0 @ at_x0) <= expected_tol_sq:
                     assert not runs  # x0 itself passes the stop threshold
@@ -363,12 +396,12 @@ def test_a_non_finite_gradient_closing_a_capped_run_raises(monkeypatch, rng):
     lam, cap = np.array([0.7, 0.7]), 5
     monkeypatch.setattr("fastproj.dual_oracle.agd_iterations", lambda *args: cap)
     runs = _recorded_agd(monkeypatch)
-    clean = {}
-    approx_dual_oracle(prob, lam, 0.0, clean)
+    clean = InnerSolves(prob, 0.0)
+    approx_dual_oracle(clean, lam)
     ((*_, iterations, _, tol_sq, run),) = runs
     assert iterations == run.gradient_calls == cap
     assert float(run.gradient @ run.gradient) > tol_sq
-    assert clean["gradient_evals"] == 1 + cap
+    assert clean.gradient_evals == 1 + cap
     calls = [0]
     first, second = prob.constraints
 
@@ -381,7 +414,7 @@ def test_a_non_finite_gradient_closing_a_capped_run_raises(monkeypatch, rng):
 
     bad = replace(prob, constraints=(replace(first, grad=grad), second))
     with pytest.raises(NumericalFailure):
-        approx_dual_oracle(bad, lam, 0.0)
+        query(bad, lam, 0.0)
     assert calls[0] == cap + 1
 
 
@@ -398,7 +431,7 @@ def test_a_non_finite_gradient_at_x0_raises():
         )
         prob = replace(unit_ball_problem(x0), constraints=(oracle, oracle))
         with pytest.raises(NumericalFailure):
-            approx_dual_oracle(prob, np.array([0.5, 0.5]), 1e-8)
+            query(prob, [0.5, 0.5], 1e-8)
 
 
 def test_an_m2_query_stops_at_its_first_point_at_the_float_floor(rng):
@@ -424,16 +457,17 @@ def test_an_m2_query_stops_at_its_first_point_at_the_float_floor(rng):
         return inner(x)
 
     counted = replace(prob, constraints=(replace(first, grad=grad), second))
-    counters = {}
-    triple = approx_dual_oracle(counted, lam, 0.0, counters)
+    exact = InnerSolves(counted, 0.0)
+    triple = approx_dual_oracle(exact, lam)
     grad_sq = [float(g @ g) for g in (lagrangian_gradient(prob, x, lam) for x in points)]
-    assert counters["gradient_evals"] == len(points)
+    assert exact.gradient_evals == len(points)
     assert np.array_equal(triple.x_lambda, points[-1])
     assert grad_sq[-1] <= floor_sq < min(grad_sq[:-1])
 
-    practical = {}
-    triple_2e3 = approx_dual_oracle(prob, lam, 2e-3, practical)
-    assert practical == counters
+    practical = InnerSolves(prob, 2e-3)
+    triple_2e3 = approx_dual_oracle(practical, lam)
+    assert practical.tol_sq == exact.tol_sq == floor_sq
+    assert practical.gradient_evals == exact.gradient_evals
     assert np.array_equal(triple_2e3.x_lambda, triple.x_lambda)
 
 
@@ -449,10 +483,10 @@ def test_an_m2_start_inside_a_practical_eps_tilde_is_refined_to_the_float_floor(
     assert 1e4 * floor_sq < float(at_x0 @ at_x0) <= 4.0 * 1e-3
     answers = []
     for eps_tilde in (0.0, 1e-3):
-        counters = {}
-        triple = approx_dual_oracle(prob, lam, eps_tilde, counters)
+        solves = InnerSolves(prob, eps_tilde)
+        triple = approx_dual_oracle(solves, lam)
         grad = lagrangian_gradient(prob, triple.x_lambda, lam)
-        assert float(grad @ grad) <= floor_sq and counters["gradient_evals"] >= 2
+        assert float(grad @ grad) <= floor_sq and solves.gradient_evals >= 2
         answers.append(triple.x_lambda)
     assert np.array_equal(*answers)
 
@@ -471,13 +505,13 @@ def test_a_noisy_gradient_runs_once_to_its_cap_and_keeps_the_better_point(monkey
 
     noisy = replace(prob, constraints=(replace(first, grad=grad), second))
     runs = _recorded_agd(monkeypatch)
-    counters = {}
-    triple = approx_dual_oracle(noisy, lam, 0.0, counters)
+    solves = InnerSolves(noisy, 0.0)
+    triple = approx_dual_oracle(solves, lam)
     ((objective, x_init, cap, g_init, tol_sq, run),) = runs
     start_sq = float(g_init @ g_init)
     assert cap == agd_iterations(2.0, objective.beta, start_sq, tol_sq)
     assert run.gradient_calls == cap
-    assert counters["gradient_evals"] == 1 + cap
+    assert solves.gradient_evals == 1 + cap
     end_sq = float(run.gradient @ run.gradient)
     assert end_sq > tol_sq
     better = run.point if end_sq < start_sq else x_init
@@ -510,12 +544,10 @@ def _exact_inner_solution(prob, lam):
 def test_a_basis_applies_only_to_a_single_quadratic(rng):
     dense = random_quadratic_instance(16, 1, 2)
     factored = random_quadratic_instance(64, 1, 2, factored=True)
-    assert isinstance(lanczos_basis(dense), LanczosBasis)
-    assert isinstance(lanczos_basis(factored), LanczosBasis)
-    quad = dense.constraints[0]
-    plain = ConstraintOracle(quad.eval, quad.grad, quad.lipschitz_G, quad.smoothness_L)
-    assert lanczos_basis(replace(dense, constraints=(plain,))) is None
-    assert lanczos_basis(two_quadratics_problem(rng)) is None
+    assert isinstance(InnerSolves(dense, 0.0).basis, LanczosBasis)
+    assert isinstance(InnerSolves(factored, 0.0).basis, LanczosBasis)
+    assert InnerSolves(plain(dense), 0.0).basis is None
+    assert InnerSolves(two_quadratics_problem(rng), 0.0).basis is None
 
 
 def test_a_ball_basis_breaks_down_after_one_product_and_is_exact():
@@ -524,12 +556,12 @@ def test_a_ball_basis_breaks_down_after_one_product_and_is_exact():
     # with no gradient call
     calls = [0]
     prob = _counted_grad(unit_ball_problem([2.0, -1.0, 0.5]), calls)
-    basis = lanczos_basis(prob)
+    solves = InnerSolves(prob, 0.0)
     for lam, expected_calls in ((1.0, 1), (0.3, 0), (7.5, 0)):
         calls[0] = 0
-        counters = {}
-        triple = approx_dual_oracle(prob, np.array([lam]), 0.0, counters, basis=basis)
-        assert counters["gradient_evals"] == calls[0] == expected_calls
+        taken = solves.gradient_evals
+        triple = approx_dual_oracle(solves, np.array([lam]))
+        assert solves.gradient_evals - taken == calls[0] == expected_calls
         assert_allclose(triple.x_lambda, prob.x0 / (1.0 + lam), rtol=1e-15)
         assert triple.v == pytest.approx(ball_dual_value(prob.x0, lam), abs=1e-14)
 
@@ -541,11 +573,11 @@ def test_a_rank_r_basis_is_exact_after_r_plus_one_products(rng):
     quad = quadratic_constraint(0.5 * (A + A.T), rng.standard_normal(n) * 0.2, 1.0)
     calls = [0]
     prob = _counted_grad(quadratic_problem(rng.standard_normal(n) * 3.0, [quad], R=8.0), calls)
-    basis = lanczos_basis(prob)
+    solves = InnerSolves(prob, 0.0)
     evals = []
     for lam in (0.5, 3.0, 6.0):
         calls[0] = 0
-        triple = approx_dual_oracle(prob, np.array([lam]), 0.0, basis=basis)
+        triple = approx_dual_oracle(solves, np.array([lam]))
         evals.append(calls[0])
         assert_allclose(triple.x_lambda, _exact_inner_solution(prob, lam), atol=1e-12)
     # x0 - c has components outside A's range, so K(A, x0 - c) has
@@ -568,12 +600,12 @@ def test_the_residual_estimate_predicts_the_certificate(monkeypatch):
     monkeypatch.setattr(LanczosBasis, "_iterate", counted)
     for seed, factored in ((0, False), (1, False), (2, True)):
         prob = random_quadratic_instance(64, 1, seed, factored=factored)
-        basis = lanczos_basis(prob)
+        solves = InnerSolves(prob, 0.0)
         eps_eff = effective_eps_tilde(prob, 0.0)
         for lam in (0.5, 2.0, 5.0, 20.0):
             lam = np.array([lam])
             proofs[0] = 0
-            triple = approx_dual_oracle(prob, lam, 0.0, basis=basis)
+            triple = approx_dual_oracle(solves, lam)
             assert proofs[0] == 1, (seed, lam)
             g = lagrangian_gradient(prob, triple.x_lambda, lam)
             assert float(g @ g) <= 4.0 * eps_eff
@@ -592,12 +624,12 @@ def test_a_krylov_answer_is_proven_on_its_stored_products(monkeypatch):
     for seed, factored in ((0, False), (1, False), (2, False), (3, True), (4, True), (5, True)):
         prob = random_quadratic_instance(256 if factored else 128, 1, seed, factored=factored)
         quad = prob.constraints[0]
-        basis = lanczos_basis(prob)
         for eps_tilde in (0.0, 1e-6):
+            solves = InnerSolves(prob, eps_tilde)
             eps_eff = effective_eps_tilde(prob, eps_tilde)
             for lam in (0.1, 0.4, 1.0, 2.5, 8.0, 30.0):
                 lam = np.array([lam])
-                triple = approx_dual_oracle(prob, lam, eps_tilde, basis=basis)
+                triple = approx_dual_oracle(solves, lam)
                 h = float(quad.eval(triple.x_lambda))
                 assert abs(triple.g[0] - h) <= 1e-12 * (quad.c + abs(h)), (seed, lam)
                 g = lagrangian_gradient(prob, triple.x_lambda, lam)
@@ -613,18 +645,18 @@ def test_the_lam_zero_query_and_the_curvature_come_off_the_first_product():
         quad = prob.constraints[0]
         calls = [0]
         counted = _counted_grad(prob, calls)
-        basis = lanczos_basis(counted)
-        counters = {}
-        triple = approx_dual_oracle(counted, np.zeros(1), 0.0, counters, basis=basis)
-        assert calls[0] == counters["gradient_evals"] == basis.products == 1
+        solves = InnerSolves(counted, 0.0)
+        triple = approx_dual_oracle(solves, np.zeros(1))
+        assert calls[0] == solves.gradient_evals == solves.basis.products == 1
         assert triple.g[0] == pytest.approx(float(quad.eval(prob.x0)), rel=1e-12)
         assert np.array_equal(triple.x_lambda, prob.x0) and triple.v == 0.0
         grad = quad.grad(prob.x0)
-        assert basis.curvature() == pytest.approx(0.5 * float(grad @ grad), rel=1e-12)
-        assert calls[0] == 1
-        at_center = lanczos_basis(replace(counted, x0=quad.center))
-        assert at_center.origin().g[0] == -quad.c and at_center.curvature() == 0.0
-        assert calls[0] == 1 and at_center.products == 0
+        assert solves.curvature() == pytest.approx(0.5 * float(grad @ grad), rel=1e-12)
+        assert calls[0] == solves.gradient_evals == 1
+        at_center = InnerSolves(replace(counted, x0=quad.center), 0.0)
+        assert approx_dual_oracle(at_center, np.zeros(1)).g[0] == -quad.c
+        assert at_center.curvature() == 0.0
+        assert calls[0] == 1 and at_center.gradient_evals == 0
 
 
 def test_a_failed_proof_grows_the_basis_and_proves_again(monkeypatch):
@@ -632,8 +664,8 @@ def test_a_failed_proof_grows_the_basis_and_proves_again(monkeypatch):
     # grow the basis past the estimate's stop, not fall back to AGD
     prob = random_quadratic_instance(64, 1, 3)
     lam = np.array([2.0])
-    clean = {}
-    approx_dual_oracle(prob, lam, 0.0, clean, basis=lanczos_basis(prob))
+    clean = InnerSolves(prob, 0.0)
+    approx_dual_oracle(clean, lam)
     iterate = LanczosBasis._iterate
     proofs = []
 
@@ -647,12 +679,12 @@ def test_a_failed_proof_grows_the_basis_and_proves_again(monkeypatch):
 
     monkeypatch.setattr(LanczosBasis, "_iterate", first_fails)
     monkeypatch.setattr("fastproj.dual_oracle.agd_minimize", no_agd)
-    counters = {}
-    triple = approx_dual_oracle(prob, lam, 0.0, counters, basis=lanczos_basis(prob))
+    solves = InnerSolves(prob, 0.0)
+    triple = approx_dual_oracle(solves, lam)
     # the second proof costs no gradient: the failure shows as at least one
     # product more than the clean query took
     assert len(proofs) == 2
-    assert counters["gradient_evals"] >= clean["gradient_evals"] + 1
+    assert solves.gradient_evals >= clean.gradient_evals + 1
     g = lagrangian_gradient(prob, triple.x_lambda, lam)
     assert float(g @ g) <= 4.0 * effective_eps_tilde(prob, 0.0)
 
@@ -691,9 +723,9 @@ def test_a_query_past_the_vector_cap_continues_with_agd_and_certifies(monkeypatc
 
     monkeypatch.setattr("fastproj.dual_oracle.agd_minimize", counted)
     lam = np.array([1e4])
-    counters = {}
-    triple = approx_dual_oracle(prob, lam, 0.0, counters, basis=lanczos_basis(prob))
-    assert runs and counters["gradient_evals"] > _MAX_BASIS_VECTORS
+    solves = InnerSolves(prob, 0.0)
+    triple = approx_dual_oracle(solves, lam)
+    assert runs and solves.gradient_evals > _MAX_BASIS_VECTORS
     # AGD starts from the Krylov iterate, not from x0
     assert not np.array_equal(runs[0], prob.x0)
     g = lagrangian_gradient(prob, triple.x_lambda, lam)

@@ -10,11 +10,11 @@ from fastproj.agd import SmoothObjective, agd_minimize
 from fastproj.cli import random_quadratic_instance
 from fastproj.cutting_plane import ITP_N0, round_budget
 from fastproj.dual_oracle import (
+    InnerSolves,
     OracleTriple,
     approx_dual_oracle,
     effective_eps_tilde,
     float_floor,
-    lanczos_basis,
 )
 from fastproj.model import (
     ConstraintOracle,
@@ -186,7 +186,7 @@ def test_primal_recovery_at_exact_multiplier():
     x0 = np.array([2.0, 1.0, 2.0])
     prob = unit_ball_problem(x0)
     lam_star = float(np.linalg.norm(x0)) - 1.0
-    triple = approx_dual_oracle(prob, np.array([lam_star]), 1e-12)
+    triple = approx_dual_oracle(InnerSolves(prob, 1e-12), np.array([lam_star]))
     assert_allclose(triple.x_lambda, x0 / np.linalg.norm(x0), atol=1e-6)
 
 
@@ -271,16 +271,23 @@ def test_polygon_runs_its_closed_form_budget():
     assert len(capped.trace) == cap and not capped.certified
 
 
-def test_an_uncertified_m1_solve_runs_its_whole_budget():
-    # lam* = 3 lies beyond R = 1, so no query certifies: the search runs the
-    # lam = 0 round and then every round of its budget
+def test_an_m1_solve_with_R_below_its_multiplier_stops_at_R():
+    # lam* = 3 lies beyond R = 1, so no query certifies.  After the lam = 0
+    # round and the dual Newton step 15/32, the secular model's root lies
+    # past R, so the third round queries R itself; h > 0 there proves that
+    # R maximizes the dual over [0, R], and the search ends at R,
+    # uncertified, 3 rounds into its budget of 1 + T
     prob = unit_ball_problem([4.0, 0.0], R=1.0)
     config = SolverConfig(epsilon=1e-4)
     res = project(prob, config)
-    assert not res.certified
+    assert not res.certified and res.trace.boundary_hit
     cap = config.max_outer_iterations - 1
     T = round_budget(1, prob.R, config.epsilon, prob.max_lipschitz(), cap)
-    assert len(res.trace) == res.oracle_calls == 1 + T
+    assert len(res.trace) == res.oracle_calls == 3 < 1 + T
+    assert [lam[0] for lam in res.trace.lam] == [0.0, 15.0 / 32.0, 1.0]
+    assert res.lambda_bar[0] == res.trace.lam[-1][0] == prob.R
+    assert res.max_violation > 0.0
+    assert_allclose(res.x_hat, prob.x0 / (1.0 + prob.R), rtol=1e-12)
 
 
 def test_huge_R_or_eps_overflows_neither_schedule_nor_budget():
@@ -611,9 +618,9 @@ def test_oracle_calls_count_every_inner_solve(monkeypatch, rng):
     ]
     solves = []  # lam of every inner solve, in order
 
-    def counted(problem, lam, *args, **kwargs):
+    def counted(inner, lam):
         solves.append(np.array(lam))
-        return approx_dual_oracle(problem, lam, *args, **kwargs)
+        return approx_dual_oracle(inner, lam)
 
     monkeypatch.setattr("fastproj.projector.approx_dual_oracle", counted)
     eps = 1e-4
@@ -708,7 +715,7 @@ def test_the_krylov_and_agd_m1_paths_agree(factored):
     quad = prob.constraints[0]
     plain = ConstraintOracle(quad.eval, quad.grad, quad.lipschitz_G, quad.smoothness_L)
     agd_prob = dataclasses.replace(prob, constraints=(plain,))
-    assert lanczos_basis(prob) is not None and lanczos_basis(agd_prob) is None
+    assert InnerSolves(prob, 0.0).basis is not None and InnerSolves(agd_prob, 0.0).basis is None
     eps_eff = effective_eps_tilde(
         prob, projector.default_inner_accuracy(eps, 1, prob.R, prob.max_lipschitz())
     )
@@ -719,6 +726,51 @@ def test_the_krylov_and_agd_m1_paths_agree(factored):
         assert krylov.certified and agd.certified
         assert abs(krylov.objective - agd.objective) <= eps + eps_eff
         assert krylov.inner_gradient_evals < agd.inner_gradient_evals
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_gradient_count_is_exact_on_both_m1_paths(seed):
+    # every constraint-gradient call of a solve is counted once, on the
+    # Krylov path (the Lanczos products) and on AGD (its runs, their start
+    # gradients and the curvature's one gradient at x0)
+    prob = random_quadratic_instance(64, 1, seed)
+    quad = prob.constraints[0]
+    calls = [0]
+
+    def grad(x):
+        calls[0] += 1
+        return quad.grad(x)
+
+    krylov = dataclasses.replace(prob, constraints=(dataclasses.replace(quad, grad=grad),))
+    plain = ConstraintOracle(quad.eval, grad, quad.lipschitz_G, quad.smoothness_L)
+    agd = dataclasses.replace(prob, constraints=(plain,))
+    evals = []
+    for counted in (krylov, agd):
+        calls[0] = 0
+        res = project(counted, SolverConfig(epsilon=1e-3))
+        assert res.certified
+        assert res.inner_gradient_evals == calls[0] > 0
+        evals.append(calls[0])
+    assert evals[0] < evals[1]
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_the_float_floor_is_computed_once_per_projection(monkeypatch, m):
+    # the inner solves' stop is set once, when the projection's InnerSolves
+    # is built, not on every query
+    from fastproj import dual_oracle
+
+    calls = [0]
+    real = dual_oracle.float_floor
+
+    def counted(problem):
+        calls[0] += 1
+        return real(problem)
+
+    monkeypatch.setattr(dual_oracle, "float_floor", counted)
+    res = project(random_quadratic_instance(32, m, 5), SolverConfig(epsilon=1e-3))
+    assert res.certified and res.oracle_calls > 2
+    assert calls[0] == 1
 
 
 def test_the_ci_m1_instance_takes_at_most_22_inner_gradients():
