@@ -19,19 +19,25 @@ vector otherwise.  The localizer volume shrinks by a fixed factor per cut,
 so logarithmically many rounds suffice.
 
 For m = 2 the localizer is kept exactly, as a convex polygon that starts as
-the box and is clipped every round by the cut through the point it queried,
-its centroid: the centre-of-gravity method (Levin 1965; Newman 1965).  By
-Grünbaum's theorem (Pacific J. Math. 1960) a line through the centroid
-leaves at most 5/9 of the area on either side, and the polygon never leaves
-the box, so every round is a query, and the engine can stop on a caller's
-predicate, such as a duality certificate, at any of them.  A centroid is
-never on a face of the box, so the first centroid where the predicate holds
-with a slack constraint is held as the answer, and the same loop's later
-rounds query the face where that constraint's multiplier is 0, looking for
-a point where the predicate holds with the multiplier exactly 0.  Each face
-query cuts the polygon like a centroid, and the next one is the bracketing
-search's interpolated root of the other multiplier's derivative, or the
-midpoint of the polygon's segment on the face.
+the box and is clipped every round by the cut through the point it queried.
+That point is the box maximizer of a concave quadratic model of the dual
+around the last query, started from the dual's exact curvature at lam = 0
+and updated by BFGS, or along the last step's line the root of a secular
+model, when the point lies in the polygon and the polygon's area is within
+a schedule; otherwise it is the centroid: the centre-of-gravity method
+(Levin 1965; Newman 1965).  By Grünbaum's theorem (Pacific J. Math. 1960) a
+line through the centroid leaves at most 5/9 of the area on either side, so
+the schedule keeps the centroid-only bound at ``ITP_N0 + 1`` extra rounds
+(see ``round_budget``).  The polygon never leaves the box, so every round
+is a query, and the engine can stop on a caller's predicate, such as a
+duality certificate, at any of them.  The first query where the predicate
+holds with a slack constraint at a positive multiplier is held as the
+answer, and the same loop's later rounds query the face where that
+constraint's multiplier is 0, looking for a point where the predicate holds
+with the multiplier exactly 0.  Each face query cuts the polygon like any
+other, and the next one is the bracketing search's interpolated root of the
+other multiplier's derivative, or the midpoint of the polygon's segment on
+the face.
 
 For m = 1, where a central cut is interval halving, a bracketing engine
 takes its place.  It brackets the maximizer by the sign of the approximate
@@ -70,6 +76,9 @@ _CENTROID_CUT_LOG_FACTOR = math.log(5.0 / 9.0)
 # The m = 2 polygon lives in the unit square; once its area is below that of
 # a square one ulp of 1 on a side, its centroid is at float resolution.
 _AREA_FLOOR = 2.0**-104
+# The m = 2 model steps along the line of its last step, to the secular
+# root there, when the two steps' cosine is at least this.
+_COLLINEAR_COS = 0.9
 
 
 @dataclass(frozen=True)
@@ -181,6 +190,14 @@ def round_budget(m: int, R: float, eps: float, G: float, cap: int) -> int:
     and scaled by ``exp(central_cut_log_factor(m))`` per cut.  The
     near-optimal dual set is taken to hold a cube of side r, so from then on
     the localizer cannot contain it and some visited point is near optimal.
+    At m = 2 ``ITP_N0 + 1`` rounds are added for the model queries (see
+    ``_polygon_maximize``): round t, from 0, queries a point other than the
+    centroid only while the polygon's area in unit-square coordinates is at
+    most ``(5/9)^(t - ITP_N0)``.  By induction the area before round t is
+    at most ``(5/9)^(t - ITP_N0 - 1)``: at t = 0 it is at most 1, and a
+    round either queries under that schedule, after which no cut has raised
+    the area, or cuts through the centroid, which keeps at most 5/9 of it.
+    So ``k + ITP_N0 + 1`` rounds leave the area of k centroid cuts.
     The paper's radius is ``min(eps/bound, sqrt(eps)/G) / (2m)``, the bound
     being one on ``|h_i|`` over the feasible set; problems carry no such
     bound, so G stands in for it: ``r = min(eps, sqrt(eps)) / (2 m G)``.
@@ -199,10 +216,11 @@ def round_budget(m: int, R: float, eps: float, G: float, cap: int) -> int:
         return 0
     log_r = math.log(min(eps, math.sqrt(eps)) / (2.0 * m)) - math.log(G)
     if m == 2:
-        log_excess, log_cut = 2.0 * (math.log(R) - log_r), _CENTROID_CUT_LOG_FACTOR
-    else:
-        log_excess, log_cut = _log_initial_volume(m, R) - m * log_r, central_cut_log_factor(m)
-    rounds = math.floor(log_excess / -log_cut) + 1
+        log_excess = 2.0 * (math.log(R) - log_r)
+        rounds = math.floor(log_excess / -_CENTROID_CUT_LOG_FACTOR) + 1
+        return min(cap, max(1, rounds) + ITP_N0 + 1)
+    log_excess = _log_initial_volume(m, R) - m * log_r
+    rounds = math.floor(log_excess / -central_cut_log_factor(m)) + 1
     return min(cap, max(1, rounds))
 
 
@@ -286,17 +304,125 @@ def polygon_cut(vertices: list[Point], g, point) -> list[Point]:
     return kept
 
 
+def _in_polygon(vertices: list[Point], point: Point) -> bool:
+    """Whether a point lies in a convex polygon, its vertices in
+    counterclockwise order, boundary included; False for a NaN point."""
+    px, py = point
+    for (x, y), (x_next, y_next) in zip(vertices, vertices[1:] + vertices[:1]):
+        if not (x_next - x) * (py - y) - (y_next - y) * (px - x) >= 0.0:
+            return False
+    return True
+
+
+class _DualModel:
+    """Concave quadratic model ``v + g . (lam - lam_t) - (lam - lam_t)^T H
+    (lam - lam_t) / 2`` of the m = 2 dual around its last query lam_t, with
+    that query's g and v, in plain floats: at two multipliers they beat
+    numpy, as in ``polygon_centroid``.
+
+    H starts as the dual's exact curvature at lam = 0, ``-Hess d(0)``, and
+    each later query pair ``s = lam_t - lam_prev``, ``y = g_prev - g_t``
+    with ``s . y > 0`` gives it a self-scaling BFGS update (Oren &
+    Luenberger, Management Sci. 1974): H is scaled by ``s . y / s . H s``
+    before the BFGS update, which keeps it positive definite.  The dual's
+    curvature falls as the multipliers grow, since the inner Hessian
+    ``2I + sum_i lam_i Hess h_i`` grows with them, so the scaling carries
+    what the pair measured along s to the direction it does not see; plain
+    BFGS kept the curvature at lam = 0 there and crept to the maximizer.
+    An update needs ``s . H s > 0`` as well, so a singular H, as when a
+    constraint's gradient vanishes at x0, stays singular and gives no query:
+    every round then queries the centroid.  ``query`` returns the model's
+    maximizer over the box, or along the last step's line a secular step
+    (see there)."""
+
+    def __init__(self, H, lam: Point, triple: OracleTriple):
+        self.h = (float(H[0][0]), float(H[0][1]), float(H[1][1]))  # H's 3 entries
+        self.prev = None
+        self.last = _model_point(lam, triple)
+
+    def update(self, lam: Point, triple: OracleTriple) -> None:
+        new = _model_point(lam, triple)
+        (l1, l2), _, (g1, g2) = self.last
+        s1, s2 = lam[0] - l1, lam[1] - l2
+        y1, y2 = g1 - new[2][0], g2 - new[2][1]
+        sy = s1 * y1 + s2 * y2
+        a, b, c = self.h
+        hs1, hs2 = a * s1 + b * s2, b * s1 + c * s2
+        shs = s1 * hs1 + s2 * hs2
+        if sy > 0.0 and shs > 0.0:
+            f = sy / shs  # the self-scaling: f H matches y along s
+            self.h = (
+                f * (a - hs1 * hs1 / shs) + y1 * y1 / sy,
+                f * (b - hs1 * hs2 / shs) + y1 * y2 / sy,
+                f * (c - hs2 * hs2 / shs) + y2 * y2 / sy,
+            )
+        self.prev, self.last = self.last, new
+
+    def query(self, R: float, polygon: list[Point]) -> list[float] | None:
+        """The model's next query in unit-square coordinates, when it lies
+        in the polygon and is not the last query; else None.
+
+        It is the model's maximizer over ``[0, R]^2``: the Newton point
+        ``lam_t + H^-1 g`` when that lies in the box, else the best of the
+        four edges' clipped 1-D maximizers, which is the box maximizer of a
+        concave model whose maximizer lies outside.  When that step and the
+        last one have a cosine of at least ``_COLLINEAR_COS`` in absolute
+        value, the dual along the line through the last two queries is a
+        secular function that H, a quadratic, undershoots, so the step goes
+        to that line's ``_secular_root`` through the two queries' values and
+        slopes instead, when the root lies in the box."""
+        a, b, c = self.h
+        (l1, l2), v, (g1, g2) = self.last
+        det = a * c - b * b
+        if not (a > 0.0 and det > 0.0):
+            return None
+        p1, p2 = l1 + (c * g1 - b * g2) / det, l2 + (a * g2 - b * g1) / det
+        if not (0.0 <= p1 <= R and 0.0 <= p2 <= R):
+            lam, g, diag = (l1, l2), (g1, g2), (a, c)
+            best_q = -math.inf
+            for i in (0, 1):
+                j = 1 - i
+                for edge in (0.0, R):
+                    di = edge - lam[i]
+                    p_j = min(max(lam[j] + (g[j] - b * di) / diag[j], 0.0), R)
+                    dj = p_j - lam[j]
+                    q = g[i] * di + g[j] * dj
+                    q -= 0.5 * (diag[i] * di * di + 2.0 * b * di * dj + diag[j] * dj * dj)
+                    if q > best_q:
+                        best_q, (p1, p2) = q, ((edge, p_j) if i == 0 else (p_j, edge))
+        if self.prev is not None:
+            (k1, k2), v_prev, (f1, f2) = self.prev
+            s1, s2, d1, d2 = l1 - k1, l2 - k2, p1 - l1, p2 - l2
+            s, d = math.hypot(s1, s2), math.hypot(d1, d2)
+            if s > 0.0 and abs(s1 * d1 + s2 * d2) >= _COLLINEAR_COS * s * d > 0.0:
+                u1, u2 = s1 / s, s2 / s
+                tau = _secular_root((0.0, v_prev, f1 * u1 + f2 * u2), (s, v, g1 * u1 + g2 * u2))
+                if tau is not None:
+                    q1, q2 = k1 + tau * u1, k2 + tau * u2
+                    if 0.0 <= q1 <= R and 0.0 <= q2 <= R:
+                        p1, p2 = q1, q2
+        if (p1, p2) == (l1, l2):
+            return None
+        mu = [p1 / R, p2 / R]
+        return mu if _in_polygon(polygon, mu) else None
+
+
+def _model_point(lam: Point, triple: OracleTriple):
+    """``(lam, v, g)`` of one query, in floats."""
+    return lam, float(triple.v), (float(triple.g[0]), float(triple.g[1]))
+
+
 def cutting_plane_maximize(
     oracle: Callable[[Array], OracleTriple],
     box: DualBox,
     T: int,
     stop: Callable[[Array, OracleTriple], bool] | None = None,
-    curvature: Callable[[], float] | None = None,
+    curvature: Callable[[], float | Array] | None = None,
 ) -> tuple[OracleTriple, Array, CutTrace]:
     """Query ``lam = 0``, then run up to T rounds of ``bisection_maximize``
-    for m = 1, of the centroid polygon for m = 2 or of the ellipsoid for
-    m >= 3; return ``(triple, lam, trace)`` for the returned point ``lam``
-    and the oracle's triple there.
+    for m = 1, of the polygon for m = 2 or of the ellipsoid for m >= 3;
+    return ``(triple, lam, trace)`` for the returned point ``lam`` and the
+    oracle's triple there.
 
     ``oracle`` is queried once per in-box round and never outside the box.
     The ``lam = 0`` query runs no inner solve, since x0 is the inner
@@ -306,17 +432,22 @@ def cutting_plane_maximize(
     m = 1 its triple is the bisection's ``origin``, and ``curvature``, when
     given, is passed on with it for the Newton first query, so it may read
     what the origin's query computed; at m = 2 its g makes the polygon's
-    first cut.  Only the bisection calls ``curvature``.  ``stop(lam,
-    triple)`` ends the run at the first queried point where it holds (the
-    ellipsoid tests it only at ``lam = 0``) and returns that point;
-    otherwise the best visited point is returned.  At m = 2, when a
-    component i of g is negative at that point, it is held in reserve and
+    first cut, and ``curvature``, when given, returns the dual's 2 x 2
+    curvature ``-Hess d(0)`` there, which starts the polygon's model;
+    without it every polygon round queries the centroid.  The bisection
+    and the polygon call ``curvature`` once, and only when the run goes on
+    past ``lam = 0``; the ellipsoid never does.  ``stop(lam, triple)`` ends
+    the run at the first queried point where it holds (the ellipsoid tests
+    it only at ``lam = 0``) and returns that point; otherwise the best
+    visited point is returned.  At m = 2, when a component i of g is
+    negative at that point and lam_i > 0, the point is held in reserve and
     the rounds left in the budget query the face ``lam_i = 0`` (see
     ``_polygon_maximize``): the first face query where ``stop`` holds is
     returned, and the reserved point when ``g_i >= 0`` there or when the
     polygon's segment on the face or the rounds run out.  ``round_budget``
     gives the T that the target accuracy needs.  The bisection bracket
-    after T rounds is at most ``R 2^(ITP_N0 - T)`` wide.  The polygon and
+    after T rounds is at most ``R 2^(ITP_N0 - T)`` wide, and the polygon's
+    area at most ``(5/9)^(T - ITP_N0 - 1)`` of the box's.  The polygon and
     the ellipsoid run T rounds unless the approximate gradient vanishes or
     the localizer reaches float resolution: for the polygon, fewer than
     three vertices or an area below ``_AREA_FLOOR`` of the unit square it
@@ -332,7 +463,7 @@ def cutting_plane_maximize(
         raise ContractViolation("R is too large: m (R/2)^2 overflows")
     origin = oracle(np.zeros(box.m))
     if box.m == 2:
-        return _polygon_maximize(oracle, box, T, stop, origin)
+        return _polygon_maximize(oracle, box, T, stop, origin, curvature)
     if box.m > 2:
         return _ellipsoid_maximize(oracle, box, T, stop, origin)
     scalar_stop = None if stop is None else lambda mid, t: stop(np.array([mid]), t)
@@ -398,7 +529,7 @@ def _ellipsoid_maximize(oracle, box, T, stop, origin):
     return best[1], best[0], trace
 
 
-def _polygon_maximize(oracle, box, T, stop, origin):
+def _polygon_maximize(oracle, box, T, stop, origin, curvature):
     # The polygon is held in unit-square coordinates mu = lam / R, where no
     # area can overflow; a cut's sign does not change with the scale.
     R = box.R
@@ -407,16 +538,20 @@ def _polygon_maximize(oracle, box, T, stop, origin):
     lam_0 = np.zeros(2)
     g = np.asarray(origin.g, dtype=float)
     trace.append(True, lam_0, -g, origin.v, log_area_box)
-    if (stop is not None and stop(lam_0, origin)) or not np.any(g):
+    if (stop is not None and stop(lam_0, origin)) or not g.any():
         return origin, lam_0, trace
     best_v, best = float(origin.v), (lam_0, origin)  # (lam, triple) of the best value
     polygon = polygon_cut([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)], g, lam_0)
+    model = None
+    if curvature is not None and T > 0:
+        model = _DualModel(curvature(), (0.0, 0.0), origin)
     # A multiplier that is 0 at the optimum is never 0 at a centroid, which
-    # lies inside the polygon.  So the first certified centroid with a slack
-    # constraint i (g_i < 0; of two, the smaller multiplier) is held as the
-    # answer, and the rounds after it query the face mu_i = 0 at mu_j = y,
-    # from the centroid's point there: face = (i, j).  Face queries cut the
-    # polygon but do not compete for the best value.
+    # lies inside the polygon, and need not be at a model point.  So the
+    # first certified query with a constraint i slack (g_i < 0) at a positive
+    # multiplier (of two, the smaller) is held as the answer, and the rounds
+    # after it query the face mu_i = 0 at mu_j = y, from that query's point
+    # there: face = (i, j).  Face queries cut the polygon but do not compete
+    # for the best value, and the model does not see them.
     face, face_queries = None, []
     try:
         for t in range(T):
@@ -425,10 +560,18 @@ def _polygon_maximize(oracle, box, T, stop, origin):
             area, centroid = polygon_centroid(polygon)
             if area <= _AREA_FLOOR:
                 break
+            log_area = math.log(area)
             if face is None:
-                # A centroid rounded past the unit square is clipped back, so
-                # the query stays in the box.
-                mu = [min(max(c, 0.0), 1.0) for c in centroid]
+                # The model's maximizer is queried while it lies in the
+                # polygon and the area is within the schedule that
+                # round_budget's proof needs; otherwise the centroid, which
+                # is clipped back when rounded past the unit square, so the
+                # query stays in the box.
+                mu = None
+                if model is not None and log_area <= (t - ITP_N0) * _CENTROID_CUT_LOG_FACTOR:
+                    mu = model.query(R, polygon)
+                if mu is None:
+                    mu = [min(max(c, 0.0), 1.0) for c in centroid]
             else:
                 # Cuts through face points leave the vertices on the face at
                 # exactly mu_i = 0.  Past the first face query, y is the
@@ -451,7 +594,7 @@ def _polygon_maximize(oracle, box, T, stop, origin):
             triple = oracle(lam_t)
             g = np.asarray(triple.g, dtype=float)
             v = float(triple.v)
-            trace.append(True, lam_t, -g, v, log_area_box + math.log(area))
+            trace.append(True, lam_t, -g, v, log_area_box + log_area)
             passed = stop is not None and stop(lam_t, triple)
             if face is not None:
                 if passed:
@@ -460,7 +603,7 @@ def _polygon_maximize(oracle, box, T, stop, origin):
                     break  # constraint i binds on the face
                 face_queries.append((y, g[j]))
             elif passed:
-                slack = [k for k in (0, 1) if g[k] < 0.0]
+                slack = [k for k in (0, 1) if g[k] < 0.0 and mu[k] > 0.0]
                 if not slack:
                     return triple, lam_t, trace
                 i = min(slack, key=lambda k: mu[k])
@@ -468,10 +611,14 @@ def _polygon_maximize(oracle, box, T, stop, origin):
             else:
                 if v > best_v:
                     best_v, best = v, (lam_t, triple)
-                if not np.any(g):
+                # g.any(), not np.any(g): at n = 256 the wrapper's dispatch
+                # costs about 2 % of a solve.
+                if not g.any():
                     # A vanishing approximate gradient certifies
                     # near-optimality and leaves no cut direction; stop here.
                     return triple, lam_t, trace
+                if model is not None:
+                    model.update((float(lam_t[0]), float(lam_t[1])), triple)
             polygon = polygon_cut(polygon, g, mu)
     except NumericalFailure as err:
         err.trace = trace  # partial diagnostics travel with the failure

@@ -28,12 +28,14 @@ the ``lam = 0`` query and the dual's curvature there come from the first.
 Every other problem, and a query the basis cannot serve within
 ``_MAX_BASIS_VECTORS``, runs accelerated gradient descent, which converges
 at a linear rate (Nesterov, *Introductory Lectures on Convex
-Optimization*, 2004, 2.1-2.2).  A query makes one AGD run, which returns
-its first iterate below a stop threshold that ``InnerSolves`` sets once
-per projection.  The run is capped at the step count that this rate proves
-enough to bring the start's own gradient down to that threshold.  The
-certificate is tested on the constraint gradients that AGD computes at the
-returned point.
+Optimization*, 2004, 2.1-2.2).  At x0 the Lagrangian gradient is
+``sum_i lam_i grad h_i(x0)``, so once the m = 2 dual's curvature has taken
+the constraint gradients there, every AGD start has its gradient for
+free.  A query makes one AGD run, which returns its first iterate below a
+stop threshold that ``InnerSolves`` sets once per projection.  The run is
+capped at the step count that this rate proves enough to bring the start's
+own gradient down to that threshold.  The certificate is tested on the
+constraint gradients that AGD computes at the returned point.
 """
 
 from __future__ import annotations
@@ -270,8 +272,12 @@ class InnerSolves:
     m >= 2 ``4 float_floor(problem)`` whatever eps_tilde.  ``basis`` is a
     ``LanczosBasis`` exactly when the problem's only constraint is a
     ``QuadraticConstraint`` (dense or WY), else None; it holds no products
-    yet.  ``gradient_evals`` counts the constraint-gradient calls made by
-    the queries and by ``curvature``, Lanczos products included.
+    yet.  ``smoothness`` is the largest constraint smoothness L, which sets
+    each AGD run's ``beta``.  ``gradient_evals`` counts the constraint
+    gradient calls made by the queries and by ``curvature``, Lanczos
+    products included.
+    ``jacobian`` is None until an m = 2 ``curvature`` sets it to the
+    constraint gradients at x0, one per row.
     """
 
     def __init__(self, problem: ProjectionProblem, eps_tilde: float):
@@ -290,6 +296,8 @@ class InnerSolves:
         only = problem.constraints[0]
         krylov = problem.m == 1 and isinstance(only, QuadraticConstraint)
         self.basis = LanczosBasis(only, problem.x0) if krylov else None
+        self.smoothness = problem.max_smoothness()
+        self.jacobian: Array | None = None
         self._evals = 0  # the gradient calls outside the basis
 
     @property
@@ -297,17 +305,30 @@ class InnerSolves:
         """The gradient calls made so far, the basis's products included."""
         return self._evals + (0 if self.basis is None else self.basis.products)
 
-    def curvature(self) -> float:
-        """``-d''(0) = ||grad h(x0)||^2 / 2`` of a one-constraint dual, exact:
-        x0 solves the inner problem at ``lam = 0``, where the Lagrangian's
-        Hessian is 2I.  Only the m = 1 search calls it, after the ``lam = 0``
-        query; the basis reads it off the product that query took, else it
-        takes one counted gradient at x0."""
+    def curvature(self) -> float | Array:
+        """The dual's curvature ``-Hess d(0) = J J^T / 2`` at ``lam = 0``,
+        exact: x0 solves the inner problem there, where the Lagrangian's
+        Hessian is 2I, so ``x_lam`` moves as ``-J^T lam / 2`` with J the
+        constraint gradients at x0, one per row.
+
+        At m = 1 it is the float ``||grad h(x0)||^2 / 2``, which the basis
+        reads off the product the ``lam = 0`` query took; else J costs one
+        counted gradient.  At m = 2 it is the 2 x 2 array ``J J^T / 2``, and
+        J, whose m gradients count as one eval like one Lagrangian gradient,
+        is kept as ``jacobian``: every later AGD start at x0 then reads its
+        gradient ``sum_i lam_i grad h_i(x0) = lam . J`` off it, exact and
+        uncounted.  The m = 1 search and the m = 2 polygon call it once,
+        after the ``lam = 0`` query; the ellipsoid never does."""
         if self.basis is not None:
             return self.basis.curvature()
         self._evals += 1
-        grad = self.problem.constraints[0].grad(self.problem.x0)
-        return 0.5 * float(grad @ grad)
+        x0 = self.problem.x0
+        if self.problem.m == 1:
+            grad = self.problem.constraints[0].grad(x0)
+            return 0.5 * float(grad @ grad)
+        J = np.array([c.grad(x0) for c in self.problem.constraints])
+        self.jacobian = J
+        return 0.5 * (J @ J.T)
 
 
 def approx_dual_oracle(solves: InnerSolves, lam: Array) -> OracleTriple:
@@ -325,11 +346,14 @@ def approx_dual_oracle(solves: InnerSolves, lam: Array) -> OracleTriple:
     adds.  A query it cannot serve within its vector cap continues with AGD
     from that iterate.
 
-    Every other query starts at ``x0``.  A start above ``tol_sq`` makes one
-    AGD run, which returns its first momentum point below it, or its last
-    iterate at the cap ``agd_iterations(2, beta, ||grad L(start)||^2,
-    tol_sq)``, the step count proven to reach it (see the comment at the
-    call); the start is kept when the run ends with no smaller gradient.
+    Every other query starts at ``x0``, with the Lagrangian gradient there
+    computed and counted, or once an m = 2 ``curvature`` has set
+    ``solves.jacobian`` read off it as ``lam . J``, exact and uncounted.  A
+    start above ``tol_sq`` makes one AGD run, which returns its first
+    momentum point below it, or its last iterate at the cap
+    ``agd_iterations(2, beta, ||grad L(start)||^2, tol_sq)``, the step count
+    proven to reach it (see the comment at the call); the start is kept
+    when the run ends with no smaller gradient.
     ``solves.gradient_evals`` counts every gradient call made.
     """
     problem, basis, tol_sq = solves.problem, solves.basis, solves.tol_sq
@@ -346,13 +370,16 @@ def approx_dual_oracle(solves: InnerSolves, lam: Array) -> OracleTriple:
         x = triple.x_lambda
 
     gradient = _lagrangian_gradient_fn(problem, lam)
-    beta = 2.0 + float(np.sum(lam)) * problem.max_smoothness()
+    beta = 2.0 + float(lam.sum()) * solves.smoothness
     objective = SmoothObjective(gradient=gradient, alpha=2.0, beta=beta)
 
     if x is None:
         x = np.array(problem.x0)
-        grad = objective.gradient(x)
-        solves._evals += 1
+        if solves.jacobian is None:
+            grad = objective.gradient(x)
+            solves._evals += 1
+        else:
+            grad = lam @ solves.jacobian  # grad L(x0, lam): the x - x0 term is 0
         grad_sq = float(grad @ grad)
         if not math.isfinite(grad_sq):
             raise NumericalFailure("non-finite Lagrangian gradient norm at x0", payload=x)

@@ -6,8 +6,10 @@ minimization of the Lagrangian in the primal, yields the primal point, dual
 gradient and dual value together; the primal solution is the oracle's point
 at the dual point the engine returns.  Each solve's inner solves are one
 ``dual_oracle.InnerSolves``, which fixes their stop, counts their gradient
-calls and gives the m = 1 search the dual's curvature.  They run AGD from
-x0, except on a problem whose one constraint is a quadratic: there every
+calls and gives the m = 1 search and the m = 2 polygon the dual's
+curvature at lam = 0.  They run AGD from x0, at m = 2 from the start
+gradient that the curvature's constraint gradients at x0 give for free,
+except on a problem whose one constraint is a quadratic: there every
 query of a solve reads its point off the object's one Lanczos basis and is
 proven on the products that basis stores, so the basis's products are the
 solve's only gradient calls.
@@ -24,10 +26,10 @@ the dual's curvature at lam = 0.  The search stops as soon as a queried
 point passes ``certified``, the weak-duality test that already proves the
 tighter bound ``||x_hat - x0||^2 <= ||x - x0||^2 + eps + eps_eff``: the
 m = 1 search and the m = 2 polygon test it at every query, the m >= 3
-ellipsoid only at lam = 0.  At m = 2 a certified centroid with a slack
-constraint is followed by a short search on the face where that
-constraint's multiplier is 0, which returns a certified point there when it
-finds one.  Every result reports the test at its own answer as
+ellipsoid only at lam = 0.  At m = 2 a certified query with a slack
+constraint at a positive multiplier is followed by a short search on the
+face where that constraint's multiplier is 0, which returns a certified
+point there when it finds one.  Every result reports the test at its own answer as
 ``ProjectionResult.certified``.
 
 When the multiplier bound R is unknown, ``SolverConfig.max_doubling_rounds``
@@ -136,7 +138,7 @@ def project(problem: ProjectionProblem, config: SolverConfig) -> ProjectionResul
 
     Each solve builds its own ``InnerSolves``, with a Lanczos basis when the
     one constraint is a quadratic, and every AGD inner solve starts cold at
-    ``x0``.  The answer is the engine's own triple at ``lambda_bar``; no
+    ``x0``; at m = 2 its start gradient comes from the curvature's.  The answer is the engine's own triple at ``lambda_bar``; no
     inner solve is repeated, so without doubling ``oracle_calls`` is the
     number of in-box rounds.  The result's ``certified`` says whether that
     triple passes the ``certified`` duality test, which proves its guarantee

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from fastproj import cutting_plane
 from fastproj.cutting_plane import (
     ITP_N0,
     CutTrace,
@@ -194,21 +195,39 @@ def test_polygon_opens_at_lam_zero():
 
 
 def test_ellipsoid_never_calls_the_curvature():
-    # project passes its m = 1 curvature at every m; only the bisection
-    # may call it
+    # project passes its curvature at every m; the ellipsoid never calls it
     def curvature():
         pytest.fail("the ellipsoid called curvature")
 
-    for m in (2, 3):
-        target = np.linspace(0.7, 1.9, m)
-        oracle = lambda lam: OracleTriple(
-            lam, -2.0 * (lam - target), -float((lam - target) @ (lam - target))
-        )
-        _, lam_bar, trace = cutting_plane_maximize(
-            oracle, DualBox(R=4.0, m=m), 40, curvature=curvature
-        )
-        assert len(trace) == 41
-        assert_allclose(lam_bar, target, atol=0.1)
+    target = np.linspace(0.7, 1.9, 3)
+    oracle = lambda lam: OracleTriple(
+        lam, -2.0 * (lam - target), -float((lam - target) @ (lam - target))
+    )
+    _, lam_bar, trace = cutting_plane_maximize(oracle, DualBox(R=4.0, m=3), 40, curvature=curvature)
+    assert len(trace) == 41
+    assert_allclose(lam_bar, target, atol=0.1)
+
+
+def test_polygon_calls_the_curvature_once_after_lam_zero():
+    # the dual -||lam - target||^2 has curvature 2I, so the model's first
+    # query, the Newton step from lam = 0, is the maximizer itself, where g
+    # vanishes and the run ends
+    target = np.array([0.7, 1.9])
+    calls = []
+    oracle = lambda lam: calls.append(np.array(lam)) or OracleTriple(
+        lam, -2.0 * (lam - target), -float((lam - target) @ (lam - target))
+    )
+    curvature = lambda: calls.append("curvature") or 2.0 * np.eye(2)
+    _, lam_bar, trace = cutting_plane_maximize(oracle, DualBox(R=4.0, m=2), 40, curvature=curvature)
+    assert calls[1] == "curvature" and not np.any(calls[0]) and len(calls) == 3
+    assert len(trace) == 2 and np.array_equal(lam_bar, target)
+    # not when lam = 0 ends the run: on a stop there, a vanishing gradient,
+    # or no rounds
+    at_zero = lambda lam: OracleTriple(lam, np.zeros(2), 0.0)
+    for oracle, T, stop in ((oracle, 40, lambda lam, t: True), (at_zero, 40, None), (oracle, 0, None)):
+        calls.clear()
+        cutting_plane_maximize(oracle, DualBox(R=4.0, m=2), T, stop, curvature)
+        assert not any(isinstance(call, str) for call in calls)
 
 
 def test_linear_objective_drives_to_corner():
@@ -539,12 +558,58 @@ def test_polygon_failure_on_a_face_carries_the_certified_centroid():
     assert max(g) <= 1e-2 and -float(centroid @ g) <= 1e-2 and g[1] < 0.0
 
 
+def test_polygon_with_a_singular_curvature_queries_centroids():
+    # a curvature without full rank, or not finite, gives the model no
+    # maximizer: the run is the centroid run, round for round
+    target = np.array([2.7, 1.1])
+    oracle = _face_oracle(target, coupling=0.3)
+    box = DualBox(R=4.0, m=2)
+    _, lam_c, centroids = cutting_plane_maximize(oracle, box, 30)
+    for H in ([[1.0, 1.0], [1.0, 1.0]], np.zeros((2, 2)), [[math.nan, 0.0], [0.0, 1.0]]):
+        _, lam_bar, trace = cutting_plane_maximize(oracle, box, 30, curvature=lambda: H)
+        assert np.array_equal(lam_bar, lam_c) and len(trace) == len(centroids)
+        assert all(np.array_equal(a, b) for a, b in zip(trace.lam, centroids.lam))
+
+
+def test_polygon_area_schedule_survives_a_model_that_cuts_nothing(monkeypatch):
+    # an adversarial model whose every point is the polygon's vertex lowest
+    # along the last query's g, so a cut through it keeps the whole polygon:
+    # the area schedule still forces enough centroid cuts that each round
+    # sees an area within (5/9)^(t - ITP_N0 - 1), and round_budget's rounds
+    # leave an area below r^2
+    def hug(self, R, polygon):
+        (_, _), _, (g1, g2) = self.last
+        return list(min(polygon, key=lambda p: g1 * p[0] + g2 * p[1]))
+
+    monkeypatch.setattr(cutting_plane._DualModel, "query", hug)
+    R, eps, G = 4.0, 1e-3, 1.0
+    r = min(eps, math.sqrt(eps)) / (2 * 2 * G)
+    T = round_budget(2, R, eps, G, 10**6)
+    for target in ([2.7, 1.1], [3.9, 0.2], [0.1, 0.05]):
+        oracle = _face_oracle(target, coupling=0.3)
+        curvature = lambda: 2.0 * np.eye(2)
+        _, _, trace = cutting_plane_maximize(oracle, DualBox(R=R, m=2), T, curvature=curvature)
+        assert len(trace) == T + 1, target
+        log_cut = math.log(5.0 / 9.0)
+        unit_areas = [lv - 2.0 * math.log(R) for lv in trace.log_volume[1:]]
+        assert all(a <= (t - ITP_N0 - 1) * log_cut + 1e-9 for t, a in enumerate(unit_areas))
+        polygon = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+        vertex_queries = 0
+        for lam, w in zip(trace.lam, trace.w):
+            vertex_queries += any(np.array_equal(lam / R, p) for p in polygon)
+            polygon = polygon_cut(polygon, -w, lam / R)
+        assert vertex_queries > ITP_N0, target  # the adversary was let in
+        assert polygon_centroid(polygon)[0] * R * R <= r * r, target
+
+
 def test_polygon_budget_is_finite_up_to_the_largest_float():
-    # the first k with R^2 (5/9)^k < r^2, r = min(eps, sqrt(eps)) / (2 m G)
+    # the first k with R^2 (5/9)^k < r^2, r = min(eps, sqrt(eps)) / (2 m G),
+    # and ITP_N0 + 1 rounds for the model queries the area schedule allows
     eps, G = 1e-3, 10.0
     r = eps / (4.0 * G)
     for R in (4.0, 1e50, 1e200, 1e300, 1.7e308):
         expected = math.floor(2.0 * (math.log(R) - math.log(r)) / math.log(9.0 / 5.0)) + 1
+        expected += ITP_N0 + 1
         assert round_budget(2, R, eps, G, 10**9) == expected < 3000, R
 
 

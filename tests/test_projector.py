@@ -250,14 +250,16 @@ def test_ellipsoid_runs_its_closed_form_budget(m):
 
 
 def test_polygon_runs_its_closed_form_budget():
-    # m = 2: the first k centroid cuts with R^2 (5/9)^k below r^2, but the
-    # polygon tests the certificate at every query, so the solve ends at its
-    # first certified round, and a cap below that round is run exactly
+    # m = 2: the first k centroid cuts with R^2 (5/9)^k below r^2, and
+    # ITP_N0 + 1 rounds for the model queries its area schedule allows (see
+    # cutting_plane.round_budget for the proof), but the polygon tests the
+    # certificate at every query, so the solve ends at its first certified
+    # round, and a cap below that round is run exactly
     eps = 1e-3
     prob = random_quadratic_instance(8, 2, seed=0)
     G = prob.max_lipschitz()
     r = (eps / (4 * G)) * min(1.0, 1.0 / math.sqrt(eps))
-    rounds = math.floor(2.0 * math.log(prob.R / r) / math.log(9.0 / 5.0)) + 1
+    rounds = math.floor(2.0 * math.log(prob.R / r) / math.log(9.0 / 5.0)) + 1 + ITP_N0 + 1
     assert round_budget(2, prob.R, eps, G, 600) == rounds
     res = project(prob, SolverConfig(epsilon=eps))
     assert res.certified and len(res.trace) <= rounds
@@ -297,7 +299,8 @@ def test_huge_R_or_eps_overflows_neither_schedule_nor_budget():
         assert projector.default_inner_accuracy(1e-3, 2, R, 10.0) < 1e-300
         assert round_budget(3, R, 1e-3, 10.0, 600) == 600
     # the polygon's area factor 5/9 is the steeper: at R = 1e50 it needs 428
-    assert round_budget(2, 1e50, 1e-3, 10.0, 600) == 428
+    # centroid cuts, and ITP_N0 + 1 rounds for its model queries
+    assert round_budget(2, 1e50, 1e-3, 10.0, 600) == 428 + ITP_N0 + 1
     # sqrt(m) R overflows at R = 1.7e308 for m >= 2
     for R in (1e200, 1e300, 1.7e308):
         for m in (1, 2, 3):
@@ -544,10 +547,11 @@ def test_bisection_matches_dual_grid_on_dense_instances():
 def test_certified_flags_an_uncertified_answer(rng):
     # a truncated polygon budget stops short of the dual optimum; the
     # answer is still returned, and its flag says the certificate fails
+    # (the model queries certify seed 1 from 4 rounds on)
     eps = 1e-4
     for seed in range(6):
         truncated = random_quadratic_instance(8, 2, seed)
-        for rounds in (1, 2, 5):
+        for rounds in (1, 2, 3):
             res = project(truncated, SolverConfig(epsilon=eps, max_outer_iterations=rounds))
             h = eval_constraints(truncated, res.x_hat)
             assert float(np.max(h)) > eps or -float(res.lambda_bar @ h) > eps
@@ -752,6 +756,40 @@ def test_the_gradient_count_is_exact_on_both_m1_paths(seed):
         assert res.inner_gradient_evals == calls[0] > 0
         evals.append(calls[0])
     assert evals[0] < evals[1]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_m2_agd_starts_read_their_gradient_off_the_curvature(monkeypatch, seed):
+    # at m = 2 the polygon's one curvature call takes both constraint
+    # gradients at x0, counted as one eval; every AGD run then starts at x0
+    # with the gradient lam . J read off them, so the solve's count is 1
+    # plus AGD's own calls, and no constraint gradient is taken at x0 again
+    prob = random_quadratic_instance(32, 2, seed)
+    at_x0 = [0]
+
+    def counted(quad):
+        def grad(x):
+            at_x0[0] += np.array_equal(x, prob.x0)
+            return quad.grad(x)
+
+        return ConstraintOracle(quad.eval, grad, quad.lipschitz_G, quad.smoothness_L)
+
+    wrapped = dataclasses.replace(prob, constraints=tuple(map(counted, prob.constraints)))
+    runs = []
+
+    def recorded(objective, x_init, iterations, g_init, tol_sq):
+        run = agd_minimize(objective, x_init, iterations, g_init, tol_sq)
+        runs.append((objective, np.array(x_init), g_init.copy(), run.gradient_calls))
+        return run
+
+    monkeypatch.setattr("fastproj.dual_oracle.agd_minimize", recorded)
+    res = project(wrapped, SolverConfig(epsilon=1e-3))
+    assert res.certified and runs
+    assert res.inner_gradient_evals == 1 + sum(calls for *_, calls in runs)
+    assert at_x0[0] == 2
+    for objective, x_init, g_init, _ in runs:
+        assert np.array_equal(x_init, prob.x0)
+        assert_allclose(g_init, objective.gradient(x_init), rtol=1e-12, atol=1e-14)
 
 
 @pytest.mark.parametrize("m", [1, 2])
