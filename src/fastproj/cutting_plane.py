@@ -30,14 +30,10 @@ line through the centroid leaves at most 5/9 of the area on either side, so
 the schedule keeps the centroid-only bound at ``ITP_N0 + 1`` extra rounds
 (see ``round_budget``).  The polygon never leaves the box, so every round
 is a query, and the engine can stop on a caller's predicate, such as a
-duality certificate, at any of them.  The first query where the predicate
-holds with a slack constraint at a positive multiplier is held as the
-answer, and the same loop's later rounds query the face where that
-constraint's multiplier is 0, looking for a point where the predicate holds
-with the multiplier exactly 0.  Each face query cuts the polygon like any
-other, and the next one is the bracketing search's interpolated root of the
-other multiplier's derivative, or the midpoint of the polygon's segment on
-the face.
+duality certificate, at any of them: it returns the first query where the
+predicate holds.  When the model's Newton point leaves the box, its box
+maximizer lies on an edge of the box, where one multiplier is exactly 0 or
+R: that is how a slack constraint's multiplier comes out exactly 0.
 
 For m = 1, where a central cut is interval halving, a bracketing engine
 takes its place.  It brackets the maximizer by the sign of the approximate
@@ -439,21 +435,16 @@ def cutting_plane_maximize(
     past ``lam = 0``; the ellipsoid never does.  ``stop(lam, triple)`` ends
     the run at the first queried point where it holds (the ellipsoid tests
     it only at ``lam = 0``) and returns that point; otherwise the best
-    visited point is returned.  At m = 2, when a component i of g is
-    negative at that point and lam_i > 0, the point is held in reserve and
-    the rounds left in the budget query the face ``lam_i = 0`` (see
-    ``_polygon_maximize``): the first face query where ``stop`` holds is
-    returned, and the reserved point when ``g_i >= 0`` there or when the
-    polygon's segment on the face or the rounds run out.  ``round_budget``
-    gives the T that the target accuracy needs.  The bisection bracket
-    after T rounds is at most ``R 2^(ITP_N0 - T)`` wide, and the polygon's
-    area at most ``(5/9)^(T - ITP_N0 - 1)`` of the box's.  The polygon and
-    the ellipsoid run T rounds unless the approximate gradient vanishes or
-    the localizer reaches float resolution: for the polygon, fewer than
-    three vertices or an area below ``_AREA_FLOOR`` of the unit square it
-    is held in, and for the ellipsoid, an extent along the cut below the
-    float resolution of its center.  At m >= 2 an R whose ``m (R/2)^2``
-    overflows is refused before any query.
+    visited point is returned.  ``round_budget`` gives the T that the target
+    accuracy needs.  The bisection bracket after T rounds is at most
+    ``R 2^(ITP_N0 - T)`` wide, and the polygon's area at most
+    ``(5/9)^(T - ITP_N0 - 1)`` of the box's.  The polygon and the ellipsoid
+    run T rounds unless the approximate gradient vanishes or the localizer
+    reaches float resolution: for the polygon, fewer than three vertices or
+    an area below ``_AREA_FLOOR`` of the unit square it is held in, and for
+    the ellipsoid, an extent along the cut below the float resolution of its
+    center.  At m >= 2 an R whose ``m (R/2)^2`` overflows is refused before
+    any query.
     """
     if T < 0:
         raise ContractViolation("T must be nonnegative")
@@ -545,14 +536,6 @@ def _polygon_maximize(oracle, box, T, stop, origin, curvature):
     model = None
     if curvature is not None and T > 0:
         model = _DualModel(curvature(), (0.0, 0.0), origin)
-    # A multiplier that is 0 at the optimum is never 0 at a centroid, which
-    # lies inside the polygon, and need not be at a model point.  So the
-    # first certified query with a constraint i slack (g_i < 0) at a positive
-    # multiplier (of two, the smaller) is held as the answer, and the rounds
-    # after it query the face mu_i = 0 at mu_j = y, from that query's point
-    # there: face = (i, j).  Face queries cut the polygon but do not compete
-    # for the best value, and the model does not see them.
-    face, face_queries = None, []
     try:
         for t in range(T):
             if len(polygon) < 3:
@@ -561,64 +544,32 @@ def _polygon_maximize(oracle, box, T, stop, origin, curvature):
             if area <= _AREA_FLOOR:
                 break
             log_area = math.log(area)
-            if face is None:
-                # The model's maximizer is queried while it lies in the
-                # polygon and the area is within the schedule that
-                # round_budget's proof needs; otherwise the centroid, which
-                # is clipped back when rounded past the unit square, so the
-                # query stays in the box.
-                mu = None
-                if model is not None and log_area <= (t - ITP_N0) * _CENTROID_CUT_LOG_FACTOR:
-                    mu = model.query(R, polygon)
-                if mu is None:
-                    mu = [min(max(c, 0.0), 1.0) for c in centroid]
-            else:
-                # Cuts through face points leave the vertices on the face at
-                # exactly mu_i = 0.  Past the first face query, y is the
-                # root of g_j interpolated through the face queries when it
-                # lies inside the polygon's segment on the face, else that
-                # segment's midpoint.
-                i, j = face
-                segment = [p[j] for p in polygon if p[i] == 0.0]
-                if not segment:
-                    break
-                lo, hi = min(segment), max(segment)
-                if face_queries:
-                    x = _interpolated_root(face_queries)
-                    y = x if x is not None and lo < x < hi else 0.5 * (lo + hi)
-                if not lo < y < hi:
-                    break
-                mu = [0.0, 0.0]
-                mu[j] = y
+            # The model's maximizer is queried while it lies in the polygon
+            # and the area is within the schedule that round_budget's proof
+            # needs; otherwise the centroid, which is clipped back when
+            # rounded past the unit square, so the query stays in the box.
+            mu = None
+            if model is not None and log_area <= (t - ITP_N0) * _CENTROID_CUT_LOG_FACTOR:
+                mu = model.query(R, polygon)
+            if mu is None:
+                mu = [min(max(c, 0.0), 1.0) for c in centroid]
             lam_t = np.array([R * mu[0], R * mu[1]])
             triple = oracle(lam_t)
             g = np.asarray(triple.g, dtype=float)
             v = float(triple.v)
             trace.append(True, lam_t, -g, v, log_area_box + log_area)
-            passed = stop is not None and stop(lam_t, triple)
-            if face is not None:
-                if passed:
-                    return triple, lam_t, trace
-                if g[i] >= 0.0:
-                    break  # constraint i binds on the face
-                face_queries.append((y, g[j]))
-            elif passed:
-                slack = [k for k in (0, 1) if g[k] < 0.0 and mu[k] > 0.0]
-                if not slack:
-                    return triple, lam_t, trace
-                i = min(slack, key=lambda k: mu[k])
-                face, y, best = (i, 1 - i), mu[1 - i], (lam_t, triple)
-            else:
-                if v > best_v:
-                    best_v, best = v, (lam_t, triple)
-                # g.any(), not np.any(g): at n = 256 the wrapper's dispatch
-                # costs about 2 % of a solve.
-                if not g.any():
-                    # A vanishing approximate gradient certifies
-                    # near-optimality and leaves no cut direction; stop here.
-                    return triple, lam_t, trace
-                if model is not None:
-                    model.update((float(lam_t[0]), float(lam_t[1])), triple)
+            if stop is not None and stop(lam_t, triple):
+                return triple, lam_t, trace
+            if v > best_v:
+                best_v, best = v, (lam_t, triple)
+            # g.any(), not np.any(g): at n = 256 the wrapper's dispatch costs
+            # about 2 % of a solve.
+            if not g.any():
+                # A vanishing approximate gradient certifies near-optimality
+                # and leaves no cut direction; stop here.
+                return triple, lam_t, trace
+            if model is not None:
+                model.update((float(lam_t[0]), float(lam_t[1])), triple)
             polygon = polygon_cut(polygon, g, mu)
     except NumericalFailure as err:
         err.trace = trace  # partial diagnostics travel with the failure
@@ -634,8 +585,7 @@ def _log_bracket(width: float) -> float:
 def _interpolated_root(queries: list[tuple[float, float]]) -> float | None:
     """Root of g by inverse interpolation through the last queried
     ``(lam, g)`` pairs: inverse-quadratic through the last three, else the
-    secant through the last two (Brent, 1973, ch. 4).  The bracketing search
-    and the polygon's face rounds both take it.  Pairs are used only
+    secant through the last two (Brent, 1973, ch. 4).  Pairs are used only
     when their g values take both signs, so the estimate never extrapolates
     from one side, and are skipped when a g value is zero or repeats.  None
     when neither set qualifies."""

@@ -286,7 +286,7 @@ class InnerSolves:
         self.problem = problem
         # The stop is the certificate at m = 1.  At m >= 2 it is the float
         # floor, the finest gap float64 resolves: the ellipsoid does not test
-        # ``certified`` after lam = 0 (ROADMAP item 2), and the m = 2 polygon,
+        # ``certified`` after lam = 0 (ROADMAP item 3), and the m = 2 polygon,
         # which tests it at every query, has not been measured on a looser
         # stop.
         if problem.m == 1:

@@ -26,11 +26,8 @@ the dual's curvature at lam = 0.  The search stops as soon as a queried
 point passes ``certified``, the weak-duality test that already proves the
 tighter bound ``||x_hat - x0||^2 <= ||x - x0||^2 + eps + eps_eff``: the
 m = 1 search and the m = 2 polygon test it at every query, the m >= 3
-ellipsoid only at lam = 0.  At m = 2 a certified query with a slack
-constraint at a positive multiplier is followed by a short search on the
-face where that constraint's multiplier is 0, which returns a certified
-point there when it finds one.  Every result reports the test at its own answer as
-``ProjectionResult.certified``.
+ellipsoid only at lam = 0.  Every result reports the test at its own
+answer as ``ProjectionResult.certified``.
 
 When the multiplier bound R is unknown, ``SolverConfig.max_doubling_rounds``
 lets ``project`` restart with a doubled R while the answer's multipliers sit
@@ -138,11 +135,12 @@ def project(problem: ProjectionProblem, config: SolverConfig) -> ProjectionResul
 
     Each solve builds its own ``InnerSolves``, with a Lanczos basis when the
     one constraint is a quadratic, and every AGD inner solve starts cold at
-    ``x0``; at m = 2 its start gradient comes from the curvature's.  The answer is the engine's own triple at ``lambda_bar``; no
-    inner solve is repeated, so without doubling ``oracle_calls`` is the
-    number of in-box rounds.  The result's ``certified`` says whether that
-    triple passes the ``certified`` duality test, which proves its guarantee
-    a posteriori.
+    ``x0``; at m = 2 its start gradient is read off the constraint gradients
+    at x0 that the curvature took.  The answer is the engine's own triple at
+    ``lambda_bar``; no inner solve is repeated, so without doubling
+    ``oracle_calls`` is the number of in-box rounds.  The result's
+    ``certified`` says whether that triple passes the ``certified`` duality
+    test, which proves its guarantee a posteriori.
 
     While a multiplier of the answer is at or above 0.9 R, the solve is
     repeated on a copy of ``problem`` with R doubled, at most

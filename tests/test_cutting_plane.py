@@ -434,8 +434,7 @@ def test_polygon_queries_stay_in_the_box(rng):
 def test_polygon_stops_at_the_first_certified_query():
     # a two-constraint problem on its real oracle whose second constraint is
     # slack at the optimum: no round before the first certified centroid
-    # passes the certificate, the rounds after it lie on the face lam_1 = 0,
-    # and the run returns the first of those that passes, with lam_1 = 0
+    # passes the certificate, and the run returns that centroid and ends
     eps = 1e-3
     quads = [
         quadratic_constraint(np.eye(2), np.zeros(2), 1.0),
@@ -446,22 +445,19 @@ def test_polygon_stops_at_the_first_certified_query():
     oracle = lambda lam: approx_dual_oracle(solves, lam)
     stop = lambda lam, triple: certified(lam, triple, eps)
     triple, lam_bar, trace = cutting_plane_maximize(oracle, DualBox(R=4.0, m=2), 200, stop)
-    assert certified(lam_bar, triple, eps) and np.array_equal(lam_bar, trace.lam[-1])
-    assert lam_bar[1] == 0.0 and lam_bar[0] > 0.0
     passes = [
         certified(lam, OracleTriple(None, -w, 0.0), eps) for lam, w in zip(trace.lam, trace.w)
     ]
     first = passes.index(True)
-    assert 2 < first < len(trace) - 1 < 200 and trace.lam[first][1] > 0.0
-    assert all(lam[1] == 0.0 for lam in trace.lam[first + 1 :])
-    assert not any(passes[first + 1 : -1])
+    assert 2 < first and len(trace) == first + 1
+    assert certified(lam_bar, triple, eps) and np.array_equal(lam_bar, trace.lam[first])
     # a predicate that holds only at the third query: the run returns that
-    # query, and every round after it lies on a face
+    # query, and no round comes after it
     asked = []
     stop_third = lambda lam, triple: asked.append(lam) or len(asked) == 3
     _, lam_bar, trace = cutting_plane_maximize(oracle, DualBox(R=4.0, m=2), 200, stop_third)
     assert np.array_equal(lam_bar, asked[2]) and np.array_equal(trace.lam[2], asked[2])
-    assert len(trace) == len(asked) and all(min(lam) == 0.0 for lam in trace.lam[3:])
+    assert len(trace) == len(asked) == 3
 
 
 def _face_oracle(target, coupling=0.0):
@@ -474,88 +470,47 @@ def _face_oracle(target, coupling=0.0):
     )
 
 
-def _face_run(target, tol, T=200, coupling=0.0, oracle=None):
-    # the exact oracle, or the given one, stopping on the certificate's two
-    # tests at tolerance tol
-    oracle = oracle or _face_oracle(target, coupling)
-    stop = lambda lam, triple: max(triple.g) <= tol and -float(lam @ triple.g) <= tol
-    return cutting_plane_maximize(oracle, DualBox(R=4.0, m=2), T, stop)
+def test_polygon_model_puts_a_slack_multiplier_at_exactly_zero():
+    # given the exact curvature -Hess d = 2 H, the model is the dual itself:
+    # its first query is the box maximizer, on the face where the slack
+    # constraint's multiplier is exactly 0, and that query is certified
+    stop = lambda lam, triple: max(triple.g) <= 1e-9 and -float(lam @ triple.g) <= 1e-9
+    for target, coupling, expected in (
+        ([2.0, -0.5], 0.0, [2.0, 0.0]),
+        ([-0.5, 2.0], 0.0, [0.0, 2.0]),
+        ([2.0, -0.1], 0.5, [1.95, 0.0]),
+    ):
+        H = np.array([[1.0, coupling], [coupling, 1.0]])
+        oracle = _face_oracle(target, coupling)
+        _, lam_bar, trace = cutting_plane_maximize(
+            oracle, DualBox(R=4.0, m=2), 200, stop, curvature=lambda: 2.0 * H
+        )
+        assert len(trace) == 2 and np.array_equal(lam_bar, trace.lam[-1]), target
+        assert_allclose(lam_bar, expected, rtol=1e-12, atol=0.0)
+        assert min(lam_bar) == 0.0, target
 
 
-def _split_at_face(trace, i):
-    """The trace's rounds after lam = 0 before the face lam_i = 0, and on it."""
-    first = next(t for t in range(1, len(trace)) if trace.lam[t][i] == 0.0)
-    return trace.lam[1:first], trace.lam[first:]
+def test_polygon_failure_carries_the_rounds_before_it():
+    # an oracle that fails at its k-th query past lam = 0 raises with the
+    # trace of the k rounds before it, lam = 0 among them, on a centroid run
+    # and on a model run, whose curvature misses the coupling so that it
+    # takes six rounds
+    exact = _face_oracle([2.7, 1.1], coupling=0.3)
+    for curvature in (None, lambda: 2.0 * np.eye(2)):
+        for k in (1, 2, 5):
+            queries = []
 
+            def oracle(lam):
+                if len(queries) == k:
+                    raise NumericalFailure("inner solve failed", payload=lam)
+                queries.append(lam)
+                return exact(lam)
 
-def test_polygon_moves_a_slack_multiplier_to_its_face():
-    # the maximizer (2, 0) sits on the face lam_1 = 0, where the second
-    # multiplier's g is -1: after the first certified centroid the run goes
-    # on along that face and returns a certified face point, lam_1 = 0;
-    # here the first face query is certified
-    for tol in (1e-2, 1e-4, 1e-6):
-        triple, lam_bar, trace = _face_run([2.0, -0.5], tol)
-        centroids, face = _split_at_face(trace, 1)
-        assert len(face) == 1 and all(lam[1] > 0.0 for lam in centroids), tol
-        assert lam_bar[1] == 0.0 and np.array_equal(lam_bar, face[-1])
-        assert max(triple.g) <= tol and -float(lam_bar @ triple.g) <= tol
-    # the same on the face lam_0 = 0
-    _, lam_bar, trace = _face_run([-0.5, 2.0], 1e-4)
-    assert lam_bar[0] == 0.0 and len(_split_at_face(trace, 0)[1]) == 1
-    # coupled multipliers: zeroing lam_1 moves lam_0's g, so the first face
-    # query is not certified; the midpoint of the polygon's segment on the
-    # face and then the root interpolated through the two face queries,
-    # their secant and exact for a linear g, follow, and each face round
-    # cuts the polygon, whose area keeps falling
-    triple, lam_bar, trace = _face_run([2.0, -0.1], 1e-2, coupling=0.5)
-    _, face = _split_at_face(trace, 1)
-    assert len(face) == 3 and all(lam[1] == 0.0 and 0.0 < lam[0] < 4.0 for lam in face)
-    assert np.array_equal(lam_bar, face[-1]) and abs(lam_bar[0] - 1.95) < 1e-2
-    assert np.all(np.diff(trace.log_volume[1:]) < 0.0)
-    # both constraints slack at the certified centroid: the search takes the
-    # face of the smaller multiplier
-    triple, lam_bar, trace = _face_run([2.0, -0.01], 1e-4, coupling=0.5)
-    centroids, face = _split_at_face(trace, 1)
-    assert np.all(trace.w[len(centroids)] > 0.0) and len(face) == 1 and lam_bar[1] == 0.0
-    # no face round is run without a round left in the budget
-    _, _, trace = _face_run([2.0, -0.5], 1e-4)
-    first = 1 + len(_split_at_face(trace, 1)[0])
-    _, lam_cut, cut = _face_run([2.0, -0.5], 1e-4, T=first - 1)
-    assert len(cut) == first and lam_cut[1] > 0.0
-
-
-def test_polygon_gives_up_a_face_whose_constraint_binds():
-    # the maximizer (2, 0.3) is inside the box: at the face point of the
-    # first certified centroid the second multiplier's g is about +0.6, so
-    # the run stops there and returns that centroid
-    triple, lam_bar, trace = _face_run([2.0, 0.3], 0.5)
-    assert trace.lam[-1][1] == 0.0 and trace.w[-1][1] < 0.0
-    assert np.array_equal(lam_bar, trace.lam[-2]) and lam_bar[1] > 0.0
-    assert max(triple.g) <= 0.5 and -float(lam_bar @ triple.g) <= 0.5
-
-
-def test_polygon_failure_on_a_face_carries_the_certified_centroid():
-    # the coupled case above takes three face rounds; an oracle that fails
-    # at the second face query raises with the trace of every round before
-    # it: the certified centroid, held in reserve, then the first face round
-    exact = _face_oracle([2.0, -0.1], coupling=0.5)
-    face_queries = []
-
-    def oracle(lam):
-        if lam[1] == 0.0 and lam[0] > 0.0:
-            face_queries.append(lam)
-            if len(face_queries) == 2:
-                raise NumericalFailure("inner solve failed", payload=lam)
-        return exact(lam)
-
-    with pytest.raises(NumericalFailure) as info:
-        _face_run([2.0, -0.1], 1e-2, coupling=0.5, oracle=oracle)
-    trace = info.value.trace
-    centroid, face = trace.lam[-2], trace.lam[-1]
-    assert np.array_equal(face, face_queries[0]) and face[1] == 0.0
-    assert centroid[1] > 0.0 and all(lam[1] > 0.0 for lam in trace.lam[1:-1])
-    g = -trace.w[-2]
-    assert max(g) <= 1e-2 and -float(centroid @ g) <= 1e-2 and g[1] < 0.0
+            with pytest.raises(NumericalFailure) as info:
+                cutting_plane_maximize(oracle, DualBox(R=4.0, m=2), 30, curvature=curvature)
+            trace = info.value.trace
+            assert len(trace) == k and np.array_equal(trace.lam[0], [0.0, 0.0]), k
+            assert all(np.array_equal(a, b) for a, b in zip(trace.lam, queries[:k])), k
 
 
 def test_polygon_with_a_singular_curvature_queries_centroids():

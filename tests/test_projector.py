@@ -792,6 +792,17 @@ def test_m2_agd_starts_read_their_gradient_off_the_curvature(monkeypatch, seed):
         assert_allclose(g_init, objective.gradient(x_init), rtol=1e-12, atol=1e-14)
 
 
+@pytest.mark.parametrize("seed", [1, 4, 5, 8])
+def test_m2_slack_multipliers_come_out_exactly_zero(seed):
+    # each of these instances has a constraint slack at the optimum: the
+    # polygon's model queries its box maximizer, which puts that
+    # constraint's multiplier at exactly 0, and the first certified query
+    # is returned
+    res = project(random_quadratic_instance(40, 2, seed), SolverConfig(epsilon=1e-3))
+    assert res.certified and 0.0 in res.lambda_bar
+    assert res.oracle_calls <= 10
+
+
 @pytest.mark.parametrize("m", [1, 2])
 def test_the_float_floor_is_computed_once_per_projection(monkeypatch, m):
     # the inner solves' stop is set once, when the projection's InnerSolves
