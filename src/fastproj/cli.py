@@ -218,6 +218,8 @@ def cmd_bench(args) -> int:
     n_list = [int(tok) for tok in args.n_list.split(",") if tok]
     if not n_list:
         raise ContractViolation("n-list must not be empty")
+    if args.repeats < 1:
+        raise ContractViolation("repeats must be at least 1")
     records: list[BenchRecord] = []
     config = SolverConfig(epsilon=args.eps, epsilon_tilde_override=args.eps_tilde)
     # Untimed warmup primes allocator and BLAS state.

@@ -29,9 +29,10 @@ Every other problem, and a query the basis cannot serve within
 ``_MAX_BASIS_VECTORS``, runs accelerated gradient descent, which converges
 at a linear rate (Nesterov, *Introductory Lectures on Convex
 Optimization*, 2004, 2.1-2.2).  At x0 the Lagrangian gradient is
-``sum_i lam_i grad h_i(x0)``, so once the m = 2 dual's curvature has taken
-the constraint gradients there, every AGD start has its gradient for
-free.  A query makes one AGD run, which returns its first iterate below a
+``sum_i lam_i grad h_i(x0) = lam . J``, with J the constraint gradients
+there, so ``InnerSolves`` takes J once per projection, on first use, and
+every AGD start from x0, at every m, reads its gradient off it.  A query
+makes one AGD run, which returns its first iterate below a
 stop threshold that ``InnerSolves`` sets once per projection.  The run is
 capped at the step count that this rate proves enough to bring the start's
 own gradient down to that threshold.  The certificate is tested on the
@@ -275,9 +276,9 @@ class InnerSolves:
     yet.  ``smoothness`` is the largest constraint smoothness L, which sets
     each AGD run's ``beta``.  ``gradient_evals`` counts the constraint
     gradient calls made by the queries and by ``curvature``, Lanczos
-    products included.
-    ``jacobian`` is None until an m = 2 ``curvature`` sets it to the
-    constraint gradients at x0, one per row.
+    products included.  ``jacobian`` gives J, the constraint gradients at
+    x0, one per row, which the curvature without a basis and every AGD start
+    from x0 read.
     """
 
     def __init__(self, problem: ProjectionProblem, eps_tilde: float):
@@ -286,9 +287,9 @@ class InnerSolves:
         self.problem = problem
         # The stop is the certificate at m = 1.  At m >= 2 it is the float
         # floor, the finest gap float64 resolves: the ellipsoid does not test
-        # ``certified`` after lam = 0 (ROADMAP item 3), and the m = 2 polygon,
-        # which tests it at every query, has not been measured on a looser
-        # stop.
+        # ``certified`` after lam = 0 (ROADMAP item 3).  The m = 2 polygon,
+        # which tests it at every query, was measured on looser stops in
+        # ROADMAP item 4, which moves both.
         if problem.m == 1:
             self.tol_sq = 4.0 * effective_eps_tilde(problem, eps_tilde)
         else:
@@ -297,7 +298,7 @@ class InnerSolves:
         krylov = problem.m == 1 and isinstance(only, QuadraticConstraint)
         self.basis = LanczosBasis(only, problem.x0) if krylov else None
         self.smoothness = problem.max_smoothness()
-        self.jacobian: Array | None = None
+        self._jacobian: Array | None = None
         self._evals = 0  # the gradient calls outside the basis
 
     @property
@@ -305,30 +306,34 @@ class InnerSolves:
         """The gradient calls made so far, the basis's products included."""
         return self._evals + (0 if self.basis is None else self.basis.products)
 
+    def jacobian(self) -> Array:
+        """J, the constraint gradients at x0, one per row, taken on first use
+        and kept.  Its m gradients count as one eval, like one Lagrangian
+        gradient: every AGD start at x0 reads its gradient ``sum_i lam_i
+        grad h_i(x0) = lam . J`` off it, exact and uncounted."""
+        if self._jacobian is None:
+            x0 = self.problem.x0
+            self._jacobian = np.array([c.grad(x0) for c in self.problem.constraints])
+            self._evals += 1
+        return self._jacobian
+
     def curvature(self) -> float | Array:
         """The dual's curvature ``-Hess d(0) = J J^T / 2`` at ``lam = 0``,
         exact: x0 solves the inner problem there, where the Lagrangian's
         Hessian is 2I, so ``x_lam`` moves as ``-J^T lam / 2`` with J the
         constraint gradients at x0, one per row.
 
-        At m = 1 it is the float ``||grad h(x0)||^2 / 2``, which the basis
-        reads off the product the ``lam = 0`` query took; else J costs one
-        counted gradient.  At m = 2 it is the 2 x 2 array ``J J^T / 2``, and
-        J, whose m gradients count as one eval like one Lagrangian gradient,
-        is kept as ``jacobian``: every later AGD start at x0 then reads its
-        gradient ``sum_i lam_i grad h_i(x0) = lam . J`` off it, exact and
-        uncounted.  The m = 1 search and the m = 2 polygon call it once,
-        after the ``lam = 0`` query; the ellipsoid never does."""
+        With a basis it is the float ``||grad h(x0)||^2 / 2``, read off the
+        product the ``lam = 0`` query took.  Without one it is ``J J^T / 2``
+        on ``jacobian``'s J, at m = 1 the float of its one entry.  The m = 1
+        search and the m = 2 polygon call it once, after the ``lam = 0``
+        query, and so take J; the ellipsoid never does, so at m >= 3 the
+        first AGD start takes it."""
         if self.basis is not None:
             return self.basis.curvature()
-        self._evals += 1
-        x0 = self.problem.x0
-        if self.problem.m == 1:
-            grad = self.problem.constraints[0].grad(x0)
-            return 0.5 * float(grad @ grad)
-        J = np.array([c.grad(x0) for c in self.problem.constraints])
-        self.jacobian = J
-        return 0.5 * (J @ J.T)
+        J = self.jacobian()
+        H = 0.5 * (J @ J.T)
+        return float(H[0, 0]) if self.problem.m == 1 else H
 
 
 def approx_dual_oracle(solves: InnerSolves, lam: Array) -> OracleTriple:
@@ -347,13 +352,12 @@ def approx_dual_oracle(solves: InnerSolves, lam: Array) -> OracleTriple:
     from that iterate.
 
     Every other query starts at ``x0``, with the Lagrangian gradient there
-    computed and counted, or once an m = 2 ``curvature`` has set
-    ``solves.jacobian`` read off it as ``lam . J``, exact and uncounted.  A
-    start above ``tol_sq`` makes one AGD run, which returns its first
-    momentum point below it, or its last iterate at the cap
-    ``agd_iterations(2, beta, ||grad L(start)||^2, tol_sq)``, the step count
-    proven to reach it (see the comment at the call); the start is kept
-    when the run ends with no smaller gradient.
+    read off ``solves.jacobian()`` as ``lam . J``, exact and uncounted: J
+    costs one eval per projection.  A start above ``tol_sq`` makes one AGD
+    run, which returns its first momentum point below it, or its last
+    iterate at the cap ``agd_iterations(2, beta, ||grad L(start)||^2,
+    tol_sq)``, the step count proven to reach it (see the comment at the
+    call); the start is kept when the run ends with no smaller gradient.
     ``solves.gradient_evals`` counts every gradient call made.
     """
     problem, basis, tol_sq = solves.problem, solves.basis, solves.tol_sq
@@ -375,11 +379,7 @@ def approx_dual_oracle(solves: InnerSolves, lam: Array) -> OracleTriple:
 
     if x is None:
         x = np.array(problem.x0)
-        if solves.jacobian is None:
-            grad = objective.gradient(x)
-            solves._evals += 1
-        else:
-            grad = lam @ solves.jacobian  # grad L(x0, lam): the x - x0 term is 0
+        grad = lam @ solves.jacobian()  # grad L(x0, lam): the x - x0 term is 0
         grad_sq = float(grad @ grad)
         if not math.isfinite(grad_sq):
             raise NumericalFailure("non-finite Lagrangian gradient norm at x0", payload=x)

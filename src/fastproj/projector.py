@@ -7,12 +7,12 @@ gradient and dual value together; the primal solution is the oracle's point
 at the dual point the engine returns.  Each solve's inner solves are one
 ``dual_oracle.InnerSolves``, which fixes their stop, counts their gradient
 calls and gives the m = 1 search and the m = 2 polygon the dual's
-curvature at lam = 0.  They run AGD from x0, at m = 2 from the start
-gradient that the curvature's constraint gradients at x0 give for free,
-except on a problem whose one constraint is a quadratic: there every
-query of a solve reads its point off the object's one Lanczos basis and is
-proven on the products that basis stores, so the basis's products are the
-solve's only gradient calls.
+curvature at lam = 0.  They run AGD from x0, at every m from the start
+gradient ``lam . J`` read off the constraint gradients J at x0, taken once
+per solve, except on a problem whose one constraint is a quadratic: there
+every query of a solve reads its point off the object's one Lanczos basis
+and is proven on the products that basis stores, so the basis's products
+are the solve's only gradient calls.
 ``cutting_plane.round_budget`` gives the number of rounds, for every
 engine.  With the guaranteed inner-accuracy schedule the output ``x_hat``
 satisfies, against every feasible x,
@@ -135,8 +135,8 @@ def project(problem: ProjectionProblem, config: SolverConfig) -> ProjectionResul
 
     Each solve builds its own ``InnerSolves``, with a Lanczos basis when the
     one constraint is a quadratic, and every AGD inner solve starts cold at
-    ``x0``; at m = 2 its start gradient is read off the constraint gradients
-    at x0 that the curvature took.  The answer is the engine's own triple at
+    ``x0``, its start gradient read off the constraint gradients at x0 that
+    the solve takes once.  The answer is the engine's own triple at
     ``lambda_bar``; no inner solve is repeated, so without doubling
     ``oracle_calls`` is the number of in-box rounds.  The result's
     ``certified`` says whether that triple passes the ``certified`` duality

@@ -214,6 +214,17 @@ def test_bench_non_time_columns_deterministic(tmp_path):
     assert strip(a) == strip(b)
 
 
+def test_bench_refuses_fewer_than_one_repeat(monkeypatch, capsys):
+    # no repeat leaves no time to take a median of: an input error, raised
+    # before the warm-up solve
+    monkeypatch.setattr(cli, "project", lambda *a: pytest.fail("bench solved"))
+    for repeats in ("0", "-2"):
+        assert main(["bench", "--n-list", "8,16", "--repeats", repeats]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "repeats" in captured.err
+        assert captured.out == ""
+
+
 def test_project_norm_cli(capsys):
     assert main(["project-norm", "--norm", "l1", "--x0", "1,1", "--via-dual"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -735,8 +735,8 @@ def test_the_krylov_and_agd_m1_paths_agree(factored):
 @pytest.mark.parametrize("seed", range(4))
 def test_the_gradient_count_is_exact_on_both_m1_paths(seed):
     # every constraint-gradient call of a solve is counted once, on the
-    # Krylov path (the Lanczos products) and on AGD (its runs, their start
-    # gradients and the curvature's one gradient at x0)
+    # Krylov path (the Lanczos products) and on AGD (its runs and the one
+    # gradient at x0 that the curvature takes and every AGD start reads)
     prob = random_quadratic_instance(64, 1, seed)
     quad = prob.constraints[0]
     calls = [0]
@@ -759,12 +759,15 @@ def test_the_gradient_count_is_exact_on_both_m1_paths(seed):
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_m2_agd_starts_read_their_gradient_off_the_curvature(monkeypatch, seed):
-    # at m = 2 the polygon's one curvature call takes both constraint
-    # gradients at x0, counted as one eval; every AGD run then starts at x0
-    # with the gradient lam . J read off them, so the solve's count is 1
-    # plus AGD's own calls, and no constraint gradient is taken at x0 again
-    prob = random_quadratic_instance(32, 2, seed)
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_agd_starts_read_their_gradient_off_one_jacobian(monkeypatch, m, seed):
+    # J, the m constraint gradients at x0, is taken once per projection and
+    # counted as one eval: by the curvature at m = 1 and 2, by the first AGD
+    # start at m = 3, where the ellipsoid asks for no curvature.  Every AGD
+    # run then starts at x0 with the gradient lam . J read off it, so the
+    # solve's count is 1 plus AGD's own calls, and no constraint gradient is
+    # taken at x0 again
+    prob = random_quadratic_instance(32, m, seed)
     at_x0 = [0]
 
     def counted(quad):
@@ -786,7 +789,7 @@ def test_m2_agd_starts_read_their_gradient_off_the_curvature(monkeypatch, seed):
     res = project(wrapped, SolverConfig(epsilon=1e-3))
     assert res.certified and runs
     assert res.inner_gradient_evals == 1 + sum(calls for *_, calls in runs)
-    assert at_x0[0] == 2
+    assert at_x0[0] == m
     for objective, x_init, g_init, _ in runs:
         assert np.array_equal(x_init, prob.x0)
         assert_allclose(g_init, objective.gradient(x_init), rtol=1e-12, atol=1e-14)
