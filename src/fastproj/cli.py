@@ -1,7 +1,9 @@
 """Command-line front end: instance generation, solving, verification,
 dimension-sweep benchmarking and trace export.
 
-Exit codes: 0 success, 1 input error, 2 accuracy failure.
+Exit codes: 0 success, 1 input error, 2 accuracy failure.  A reader that
+closes the output pipe early (say ``| head``) ends the command with exit
+code 1 and no traceback.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import astuple, dataclass, fields, replace
@@ -246,11 +249,24 @@ def cmd_bench(args) -> int:
                     seed=seed,
                 )
             )
+    # Per size, the median time splits into the two headline units: inner
+    # gradient evals per solve ("fewer steps") and time per eval ("cheaper
+    # steps").
     medians = {}
     for n in n_list:
-        times = [r.wall_time_seconds for r in records if r.n == n]
-        medians[n] = float(np.median(times))
-        print(f"n={n:6d}  median {medians[n]:.4f}s over {args.repeats} runs")
+        runs = [r for r in records if r.n == n]
+        medians[n] = float(np.median([r.wall_time_seconds for r in runs]))
+        evals = float(np.median([r.inner_gradient_evals for r in runs]))
+        per_eval = [
+            1e6 * r.wall_time_seconds / r.inner_gradient_evals
+            for r in runs
+            if r.inner_gradient_evals
+        ]
+        us_per_eval = float(np.median(per_eval)) if per_eval else math.nan
+        print(
+            f"n={n:6d}  median {medians[n]:.4f}s over {args.repeats} runs"
+            f"  {evals:.1f} evals per solve  {us_per_eval:.1f} us per eval"
+        )
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(f.name for f in fields(BenchRecord))
@@ -386,9 +402,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
     except ContractViolation as err:
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader is gone: point stdout at devnull so that the
+        # interpreter's final flush cannot raise again (the SIGPIPE note in
+        # the Python docs for ``signal``).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
         return 1
 
 

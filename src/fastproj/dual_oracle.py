@@ -37,6 +37,12 @@ stop threshold that ``InnerSolves`` sets once per projection.  The run is
 capped at the step count that this rate proves enough to bring the start's
 own gradient down to that threshold.  The certificate is tested on the
 constraint gradients that AGD computes at the returned point.
+
+The threshold is the accuracy the outer method needs (Devolder, Glineur &
+Nesterov, Math. Program. 2014).  At m = 1 it is ``eps_tilde``.  At m = 2
+it is a value gap of ``eps^2 / 10``, so the dual-gradient error
+``sqrt(m G^2 eps_tilde)`` stays a fixed fraction of the eps at which the
+polygon tests ``certified``.  At m >= 3 it is the float floor.
 """
 
 from __future__ import annotations
@@ -59,10 +65,19 @@ from .model import (
 )
 
 # Value gaps below roughly 1e-13 times the problem scale are not resolvable
-# in float64; requested accuracies below that are clamped, and at m >= 2
+# in float64; requested accuracies below that are clamped, and at m >= 3
 # AGD runs stop there whatever the accuracy.  The clamped accuracy still
 # certifies iterates far tighter than any end-to-end tolerance.
 _FLOAT_GAP_REL = 1e-13
+
+# At m = 2 the inner solves stop at the value gap ``_M2_GAP_PER_EPS_SQ eps^2``
+# (at least the float floor), far inside the ``eps_eff <= 5 eps`` that
+# ``certified`` needs to prove 6 eps.  Measured margin on 64 of the
+# benchmark's wy-4096-m2 instances (n = 4096, eps = 1e-3): gaps of 10 eps^2
+# and 100 eps^2 stayed certified but took 7 % and 22 % more oracle calls
+# than eps^2 / 10, which was certified on all of 486 solves (n = 40 to
+# 4096, eps = 1e-2 to 1e-4).
+_M2_GAP_PER_EPS_SQ = 0.1
 
 # A Lanczos basis holds at most this many vectors, about the memory of one
 # 56-column WY factor; a query that needs more continues with AGD.
@@ -267,32 +282,41 @@ class InnerSolves:
     """The inner solves of one projection: what every ``approx_dual_oracle``
     query of it shares.
 
-    ``eps_tilde`` (0 allowed) is checked once, and the stop ``tol_sq`` on
-    ``||grad L||^2`` is set once: at m = 1 the certificate ``4 eps_eff``,
-    ``eps_eff`` being ``eps_tilde`` clamped to the float floor, and at
-    m >= 2 ``4 float_floor(problem)`` whatever eps_tilde.  ``basis`` is a
-    ``LanczosBasis`` exactly when the problem's only constraint is a
-    ``QuadraticConstraint`` (dense or WY), else None; it holds no products
-    yet.  ``smoothness`` is the largest constraint smoothness L, which sets
-    each AGD run's ``beta``.  ``gradient_evals`` counts the constraint
-    gradient calls made by the queries and by ``curvature``, Lanczos
-    products included.  ``jacobian`` gives J, the constraint gradients at
-    x0, one per row, which the curvature without a basis and every AGD start
-    from x0 read.
+    ``eps``, the projection's accuracy, and ``eps_tilde``, the inner
+    accuracy asked for (0 allowed for both), are checked once, and the stop
+    ``tol_sq`` on ``||grad L||^2`` is set once from them:
+
+    - m = 1: the certificate ``4 eps_eff``, ``eps_eff`` being ``eps_tilde``
+      clamped to the float floor;
+    - m = 2: ``4 max(eps^2 / 10, float_floor(problem))`` whatever
+      ``eps_tilde``, the accuracy the polygon's ``certified`` test needs;
+    - m >= 3: ``4 float_floor(problem)`` whatever either accuracy.
+
+    ``basis`` is a ``LanczosBasis`` exactly when the problem's only
+    constraint is a ``QuadraticConstraint`` (dense or WY), else None; it
+    holds no products yet.  ``smoothness`` is the largest constraint
+    smoothness L, which sets each AGD run's ``beta``.  ``gradient_evals``
+    counts the constraint gradient calls made by the queries and by
+    ``curvature``, Lanczos products included.  ``jacobian`` gives J, the
+    constraint gradients at x0, one per row, which the curvature without a
+    basis and every AGD start from x0 read.
     """
 
-    def __init__(self, problem: ProjectionProblem, eps_tilde: float):
+    def __init__(self, problem: ProjectionProblem, eps: float, eps_tilde: float):
+        if not 0 <= eps < math.inf:
+            raise ContractViolation("eps must be nonnegative and finite")
         if not eps_tilde >= 0:
             raise ContractViolation("eps_tilde must be nonnegative")
         self.problem = problem
-        # The stop is the certificate at m = 1.  At m >= 2 it is the float
-        # floor, the finest gap float64 resolves: the ellipsoid does not test
-        # ``certified`` after lam = 0 (ROADMAP item 3).  The m = 2 polygon,
-        # which tests it at every query, was measured on looser stops in
-        # ROADMAP item 4, which moves both.
         if problem.m == 1:
             self.tol_sq = 4.0 * effective_eps_tilde(problem, eps_tilde)
+        elif problem.m == 2:
+            # The polygon tests ``certified`` at every query.
+            self.tol_sq = 4.0 * max(_M2_GAP_PER_EPS_SQ * eps * eps, float_floor(problem))
         else:
+            # The ellipsoid tests ``certified`` only at lam = 0, so its
+            # queries stop at the finest gap float64 resolves (ROADMAP
+            # item 3).
             self.tol_sq = 4.0 * float_floor(problem)
         only = problem.constraints[0]
         krylov = problem.m == 1 and isinstance(only, QuadraticConstraint)

@@ -135,7 +135,10 @@ class SolverConfig:
     absent the inner accuracy follows the guaranteed schedule
     ``eps**4 / (256 (m R G)**6)``, which in practice is clamped to the float
     floor ``1e-13 (1 + ||x0||^2)``; the override, at most eps, exposes the
-    practical regime (e.g. ``500 * eps**2``, for eps <= 2e-3 only).
+    practical regime (e.g. ``500 * eps**2``, for eps <= 2e-3 only).  Either
+    acts only at m = 1: at m = 2 every inner solve stops at a value gap of
+    ``eps**2 / 10`` (at least the float floor), the accuracy the polygon's
+    certificate needs, and at m >= 3 at the float floor.
     ``engine`` selects nothing: the number of constraints picks the dual
     engine, the 1-D search at m = 1, the model polygon at m = 2 and the
     ellipsoid at m >= 3, so ``"ellipsoid"`` and ``"bisection"`` both run the

@@ -5,14 +5,16 @@
 minimization of the Lagrangian in the primal, yields the primal point, dual
 gradient and dual value together; the primal solution is the oracle's point
 at the dual point the engine returns.  Each solve's inner solves are one
-``dual_oracle.InnerSolves``, which fixes their stop, counts their gradient
-calls and gives the m = 1 search and the m = 2 polygon the dual's
-curvature at lam = 0.  They run AGD from x0, at every m from the start
-gradient ``lam . J`` read off the constraint gradients J at x0, taken once
-per solve, except on a problem whose one constraint is a quadratic: there
-every query of a solve reads its point off the object's one Lanczos basis
-and is proven on the products that basis stores, so the basis's products
-are the solve's only gradient calls.
+``dual_oracle.InnerSolves``, which fixes their stop from the solve's eps
+and inner accuracy, counts their gradient calls and gives the m = 1 search
+and the m = 2 polygon the dual's curvature at lam = 0.  The stop is the
+accuracy the certificate needs: the inner accuracy at m = 1, a value gap
+of eps^2 / 10 at m = 2, the float floor at m >= 3.  They run AGD from x0,
+at every m from the start gradient ``lam . J`` read off the constraint
+gradients J at x0, taken once per solve, except on a problem whose one
+constraint is a quadratic: there every query of a solve reads its point
+off the object's one Lanczos basis and is proven on the products that
+basis stores, so the basis's products are the solve's only gradient calls.
 ``cutting_plane.round_budget`` gives the number of rounds, for every
 engine.  With the guaranteed inner-accuracy schedule the output ``x_hat``
 satisfies, against every feasible x,
@@ -115,7 +117,10 @@ def certified(lam: Array, triple: OracleTriple, eps: float) -> bool:
 
     When it holds, ``x_lam`` violates no constraint by more than eps, and
     ``||x_lam - x0||^2 = v - lam . h(x_lam) <= d(lam) + eps_eff + eps``,
-    which is at most ``OPT + eps + eps_eff`` since ``d(lam) <= OPT``.
+    which is at most ``OPT + eps + eps_eff`` since ``d(lam) <= OPT``, with
+    ``eps_eff`` the inner solve's value gap.  Any ``eps_eff <= 5 eps``
+    proves the stated 6 eps; the m = 2 inner stop, a gap of eps^2 / 10, is
+    far inside that.
     """
     g = triple.g
     return float(g.max()) <= eps and -float(lam @ g) <= eps
@@ -133,14 +138,15 @@ def default_inner_accuracy(eps: float, m: int, R: float, G: float) -> float:
 def project(problem: ProjectionProblem, config: SolverConfig) -> ProjectionResult:
     """Compute an eps-approximate projection of ``problem.x0``.
 
-    Each solve builds its own ``InnerSolves``, with a Lanczos basis when the
-    one constraint is a quadratic, and every AGD inner solve starts cold at
-    ``x0``, its start gradient read off the constraint gradients at x0 that
-    the solve takes once.  The answer is the engine's own triple at
-    ``lambda_bar``; no inner solve is repeated, so without doubling
-    ``oracle_calls`` is the number of in-box rounds.  The result's
-    ``certified`` says whether that triple passes the ``certified`` duality
-    test, which proves its guarantee a posteriori.
+    Each solve builds its own ``InnerSolves`` from ``config.epsilon`` and the
+    inner accuracy, with a Lanczos basis when the one constraint is a
+    quadratic, and every AGD inner solve starts cold at ``x0``, its start
+    gradient read off the constraint gradients at x0 that the solve takes
+    once.  The answer is the engine's own triple at ``lambda_bar``; no
+    inner solve is repeated, so without doubling ``oracle_calls`` is the
+    number of in-box rounds.  The result's ``certified`` says whether that
+    triple passes the ``certified`` duality test, which proves its
+    guarantee a posteriori.
 
     While a multiplier of the answer is at or above 0.9 R, the solve is
     repeated on a copy of ``problem`` with R doubled, at most
@@ -180,7 +186,7 @@ def _solve(problem: ProjectionProblem, config: SolverConfig) -> ProjectionResult
 
     # The lam = 0 query is one of the capped rounds.
     T = round_budget(m, R, eps, G, config.max_outer_iterations - 1)
-    solves = InnerSolves(problem, eps_tilde)
+    solves = InnerSolves(problem, eps, eps_tilde)
     final, lam_bar, trace = cutting_plane_maximize(
         oracle=lambda lam: approx_dual_oracle(solves, lam),
         box=DualBox(R=R, m=m),

@@ -148,7 +148,7 @@ def _dual_values_quadratic(problem, quad, lams: Array) -> tuple[Array, Array]:
 def _dual_values_generic(problem, lams: Array) -> tuple[Array, Array]:
     vals = np.empty(lams.shape[0])
     xs = np.empty((lams.shape[0], problem.n))
-    solves = InnerSolves(problem, EPS_REF)
+    solves = InnerSolves(problem, 0.0, EPS_REF)  # eps = 0: the float floor at m = 2
     for i, lam in enumerate(lams):
         triple = approx_dual_oracle(solves, lam)
         vals[i] = triple.v

@@ -102,7 +102,7 @@ def test_criterion_3_oracle_accuracy():
         x_star = ball_primal_minimizer(x0, lam)
         # the Krylov path, and AGD on the same ball as a plain constraint
         for prob in (ball, replace(ball, constraints=(plain,))):
-            triple = approx_dual_oracle(InnerSolves(prob, eps_tilde), np.array([lam]))
+            triple = approx_dual_oracle(InnerSolves(prob, 0.0, eps_tilde), np.array([lam]))
             if float(np.sum((triple.x_lambda - x_star) ** 2)) > eps_tilde:
                 violations += 1
             if abs(triple.v - ball_dual_value(x0, lam)) > eps_tilde:
@@ -121,7 +121,7 @@ def test_criterion_4_dual_gradient_and_smoothness():
     m = prob.m
     eps_ref = 1e-12
     step = 1e-4
-    solves = InnerSolves(prob, eps_ref)
+    solves = InnerSolves(prob, 0.0, eps_ref)
     grads = []
     lams = []
     for _ in range(50):
@@ -267,9 +267,10 @@ def test_criterion_8_linear_scaling(tmp_path):
 def test_criterion_8_logarithmic_accuracy_scaling():
     # The abstract's other half: cost logarithmic in 1/eps.  At m = 2 the
     # polygon's inscribed radius is linear in eps and each centroid cut keeps
-    # at most 5/9 of its area, so each decade adds 2 ln 10 / ln(9/5) rounds,
-    # and the default schedule sits at the float floor, so inner evals per
-    # call do not grow.
+    # at most 5/9 of its area, so each decade adds 2 ln 10 / ln(9/5) rounds.
+    # The m = 2 inner stop, a value gap of eps^2 / 10, tightens a hundredfold
+    # per decade, which AGD's linear rate pays for with a logarithm: the
+    # extra evals stay within the extra rounds' at the most evals per call.
     decade = math.ceil(2.0 * math.log(10.0) / math.log(9.0 / 5.0)) + 1
     assert decade == 9
     for seed in range(7000, 7003):

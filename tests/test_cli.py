@@ -214,6 +214,44 @@ def test_bench_non_time_columns_deterministic(tmp_path):
     assert strip(a) == strip(b)
 
 
+def test_bench_reports_steps_and_step_cost_per_size(tmp_path, capsys):
+    # each size's summary line splits its median time into the median inner
+    # gradient evals per solve and the median time per eval, read off the
+    # same runs as the CSV
+    out = tmp_path / "bench.csv"
+    args = ["bench", "--n-list", "32,64", "--m", "2", "--repeats", "3", "--seed", "2"]
+    assert main(args + ["--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("n=")]
+    assert len(lines) == 2
+    for line, n in zip(lines, (32, 64)):
+        runs = [row for row in rows if int(row[0]) == n]
+        evals = np.median([int(row[5]) for row in runs])
+        per_eval = np.median([1e6 * float(row[3]) / int(row[5]) for row in runs])
+        assert line.split()[:2] == ["n=", str(n)]
+        assert f"{evals:.1f} evals per solve" in line
+        assert f"{per_eval:.1f} us per eval" in line
+
+
+def test_a_reader_closing_the_pipe_early_gets_no_traceback(tmp_path):
+    # the trace is written after the solve, by which time the reader has
+    # closed its end: the write fails with EPIPE, which must end the
+    # command with exit code 1 and nothing on stderr
+    inst = tmp_path / "m3.json"
+    assert main(["gen", "--n", "40", "--m", "3", "--seed", "3", "--out", str(inst)]) == 0
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fastproj", "trace", str(inst), "--eps", "1e-3"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert "Traceback" not in err and err == ""
+
+
 def test_bench_refuses_fewer_than_one_repeat(monkeypatch, capsys):
     # no repeat leaves no time to take a median of: an input error, raised
     # before the warm-up solve

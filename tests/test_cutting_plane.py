@@ -441,7 +441,7 @@ def test_polygon_stops_at_the_first_certified_query():
         quadratic_constraint(np.diag([1.0, 3.0]), np.array([0.4, 0.0]), 1.2),
     ]
     prob = quadratic_problem(np.array([2.0, 0.8]), quads, R=4.0)
-    solves = InnerSolves(prob, 1e-12)
+    solves = InnerSolves(prob, 0.0, 1e-12)
     oracle = lambda lam: approx_dual_oracle(solves, lam)
     stop = lambda lam, triple: certified(lam, triple, eps)
     triple, lam_bar, trace = cutting_plane_maximize(oracle, DualBox(R=4.0, m=2), 200, stop)
@@ -574,7 +574,7 @@ def test_polygon_budget_is_finite_up_to_the_largest_float():
 def test_bisection_converges_to_ball_multiplier():
     prob = unit_ball_problem([2.0, 0.0], R=4.0)
     T = 30
-    solves = InnerSolves(prob, 1e-12)
+    solves = InnerSolves(prob, 0.0, 1e-12)
     oracle = lambda lam: approx_dual_oracle(solves, np.array([lam]))
     triple_tau, lam_tau, trace = bisection_maximize(oracle, 4.0, T)
     assert abs(lam_tau - 1.0) <= 4.0 * 2.0**-T + 1e-6
@@ -584,7 +584,7 @@ def test_bisection_converges_to_ball_multiplier():
 
 def test_bisection_feasible_point_drives_lambda_to_zero():
     prob = unit_ball_problem([0.3, 0.1], R=2.0)
-    solves = InnerSolves(prob, 1e-12)
+    solves = InnerSolves(prob, 0.0, 1e-12)
     oracle = lambda lam: approx_dual_oracle(solves, np.array([lam]))
     triple_tau, lam_tau, _ = bisection_maximize(oracle, 2.0, 25)
     assert lam_tau <= 2.0 * 2.0**-24
@@ -594,7 +594,7 @@ def test_bisection_feasible_point_drives_lambda_to_zero():
 def test_bisection_value_trace_is_unimodal_on_ball():
     x0 = np.array([2.0, 0.0])
     prob = unit_ball_problem(x0, R=4.0)
-    solves = InnerSolves(prob, 1e-12)
+    solves = InnerSolves(prob, 0.0, 1e-12)
     oracle = lambda lam: approx_dual_oracle(solves, np.array([lam]))
     _, _, trace = bisection_maximize(oracle, 4.0, 20)
     lams = np.array([l[0] for l in trace.lam])
@@ -610,7 +610,7 @@ def test_bisection_value_trace_is_unimodal_on_ball():
 
 def test_bisection_stops_where_the_predicate_holds():
     prob = unit_ball_problem([2.0, 0.0], R=4.0)
-    solves = InnerSolves(prob, 1e-12)
+    solves = InnerSolves(prob, 0.0, 1e-12)
     oracle = lambda lam: approx_dual_oracle(solves, np.array([lam]))
     asked = []
 

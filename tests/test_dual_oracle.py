@@ -42,7 +42,19 @@ from conftest import (
 def query(prob, lam, eps_tilde):
     """One query on a fresh ``InnerSolves``: its own basis, when the problem
     has one, and its own count."""
-    return approx_dual_oracle(InnerSolves(prob, eps_tilde), np.asarray(lam, dtype=float))
+    return approx_dual_oracle(InnerSolves(prob, 0.0, eps_tilde), np.asarray(lam, dtype=float))
+
+
+def stop_rule(prob, eps, eps_tilde):
+    """The stop ``tol_sq`` that ``InnerSolves`` sets, written out: the
+    certificate at m = 1, a gap of eps^2 / 10 at m = 2, the float floor at
+    m >= 3, each at least the floor."""
+    floor = float_floor(prob)
+    if prob.m == 1:
+        return 4.0 * max(eps_tilde, floor)
+    if prob.m == 2:
+        return 4.0 * max(0.1 * eps * eps, floor)
+    return 4.0 * floor
 
 
 def plain(prob):
@@ -89,7 +101,7 @@ def test_zero_multiplier_returns_query_point(monkeypatch, rng):
     ball = unit_ball_problem([2.0, 0.0])
     for prob, with_basis in ((plain(ball), False), (ball, True), (two_quadratics_problem(rng), False)):
         prob = replace(prob, constraints=tuple(counted(c) for c in prob.constraints))
-        solves = InnerSolves(prob, 1e-8)
+        solves = InnerSolves(prob, 0.0, 1e-8)
         assert (solves.basis is not None) == with_basis
         calls.update(eval=0, grad=0)
         triple = approx_dual_oracle(solves, np.zeros(prob.m))
@@ -123,7 +135,27 @@ def test_rejects_a_negative_or_nan_eps_tilde_once_per_projection():
     # checked when the inner solves are set up, before any query
     for eps_tilde in (-1e-8, math.nan):
         with pytest.raises(ContractViolation):
-            InnerSolves(unit_ball_problem([2.0, 0.0]), eps_tilde)
+            InnerSolves(unit_ball_problem([2.0, 0.0]), 0.0, eps_tilde)
+
+
+def test_rejects_a_negative_or_non_finite_eps_once_per_projection(rng):
+    for prob in (unit_ball_problem([2.0, 0.0]), two_quadratics_problem(rng)):
+        for eps in (-1e-3, math.nan, math.inf):
+            with pytest.raises(ContractViolation):
+                InnerSolves(prob, eps, 1e-8)
+
+
+def test_the_inner_stop_is_the_rule_at_every_m():
+    # tol_sq is exactly the rule's value: eps_tilde sets it at m = 1 only,
+    # eps at m = 2 only, and the float floor bounds it below everywhere
+    for m in (1, 2, 3):
+        prob = random_quadratic_instance(16, m, 30 + m)
+        for eps in (1e-7, 1e-4, 1e-2):
+            for eps_tilde in (0.0, 1e-8, 5e-4):
+                solves = InnerSolves(prob, eps, eps_tilde)
+                assert solves.tol_sq == stop_rule(prob, eps, eps_tilde), (m, eps, eps_tilde)
+        if m == 2:  # both sides of the m = 2 maximum are taken
+            assert 0.1 * 1e-7**2 < float_floor(prob) < 0.1 * 1e-4**2
 
 
 def test_rejects_non_finite_multipliers(rng):
@@ -283,7 +315,7 @@ def test_gradient_counter_matches_real_calls(rng):
     prob = replace(prob, constraints=(replace(prob.constraints[0], grad=grad),))
     for eps_tilde in (1e-4, 1e-12):
         points.clear()
-        solves = InnerSolves(prob, eps_tilde)
+        solves = InnerSolves(prob, 0.0, eps_tilde)
         approx_dual_oracle(solves, np.array([0.7]))
         assert solves.gradient_evals == len(points) > 1
         assert points[0] == prob.x0.tobytes() != points[1]
@@ -313,7 +345,7 @@ def test_an_m1_query_returns_a_certified_point_within_the_first_budget(rng):
             objective = SmoothObjective(lagrangian_gradient_fn(prob, lam), 2.0, beta)
             run = agd_minimize(objective, prob.x0, budget, tol_sq=4.0 * eps_eff)
             points[0] = 0
-            solves = InnerSolves(prob, eps_tilde)
+            solves = InnerSolves(prob, 0.0, eps_tilde)
             triple = approx_dual_oracle(solves, lam)
             assert solves.gradient_evals == points[0] == run.gradient_calls < 1 + budget
             assert np.array_equal(triple.x_lambda, run.point)
@@ -349,9 +381,10 @@ def test_one_agd_run_per_query_capped_at_the_proven_step_count(monkeypatch, rng)
     # Each query makes exactly one AGD run, from x0, capped at
     # agd_iterations(2, beta, ||grad L(x0)||^2, tol_sq): the steps that
     # Nesterov's linear rate proves enough to bring the start's gradient to
-    # the stop threshold.  A rerun of exactly that many steps with no stop
-    # ends at or below tol_sq on every query.  Plain constraints keep the
-    # m = 1 queries off the Krylov path.
+    # the stop threshold, the rule's for the solve's eps and eps_tilde.  A
+    # rerun of exactly that many steps with no stop ends at or below tol_sq
+    # on every query.  Plain constraints keep the m = 1 queries off the
+    # Krylov path.
     runs = _recorded_agd(monkeypatch)
     problems = [random_quadratic_instance(n, m, 400 + n + m) for n in (8, 32) for m in (1, 2, 3)]
     problems += [_wide_spectrum_problem(rng, n, m, 1e-5) for n in (8, 32) for m in (1, 2, 3)]
@@ -361,12 +394,12 @@ def test_one_agd_run_per_query_capped_at_the_proven_step_count(monkeypatch, rng)
         for scale in (1e-2, 1.0, 1e2):
             lam = scale * rng.uniform(0.5, 1.5, prob.m)
             beta = 2.0 + lam.sum() * prob.max_smoothness()
-            for eps_tilde in (0.0, 1e-8, 1e-5, 5e-4, 2e-3):
+            pairs = ((1e-4, 0.0), (1e-3, 1e-8), (1e-3, 1e-5), (1e-2, 5e-4), (1e-2, 2e-3))
+            for eps, eps_tilde in pairs:
                 runs.clear()
-                solves = InnerSolves(prob, eps_tilde)
+                solves = InnerSolves(prob, eps, eps_tilde)
                 approx_dual_oracle(solves, lam)
-                eps_eff = effective_eps_tilde(prob, eps_tilde)
-                expected_tol_sq = 4.0 * (eps_eff if prob.m == 1 else float_floor(prob))
+                expected_tol_sq = stop_rule(prob, eps, eps_tilde)
                 assert solves.tol_sq == expected_tol_sq
                 at_x0 = lagrangian_gradient(prob, prob.x0, lam)
                 if float(at_x0 @ at_x0) <= expected_tol_sq:
@@ -396,7 +429,7 @@ def test_a_non_finite_gradient_closing_a_capped_run_raises(monkeypatch, rng):
     lam, cap = np.array([0.7, 0.7]), 5
     monkeypatch.setattr("fastproj.dual_oracle.agd_iterations", lambda *args: cap)
     runs = _recorded_agd(monkeypatch)
-    clean = InnerSolves(prob, 0.0)
+    clean = InnerSolves(prob, 0.0, 0.0)
     approx_dual_oracle(clean, lam)
     ((*_, iterations, _, tol_sq, run),) = runs
     assert iterations == run.gradient_calls == cap
@@ -434,12 +467,12 @@ def test_a_non_finite_gradient_at_x0_raises():
             query(prob, [0.5, 0.5], 1e-8)
 
 
-def test_an_m2_query_stops_at_its_first_point_at_the_float_floor(rng):
-    # On the default schedule eps_eff is the floor: AGD returns the first
-    # momentum point whose Lagrangian gradient passes 4 floor.  The cap is
-    # set against that stop, so a practical eps_tilde changes nothing in
-    # the run: the same point after the same count.  Both spectra reach
-    # down to 1e-4 at lam = 10.
+def test_an_m2_query_stops_at_its_first_point_below_eps_squared_over_10(rng):
+    # AGD returns the first momentum point whose Lagrangian gradient passes
+    # the stop 4 eps^2 / 10, here far above the float floor.  The cap is set
+    # against that stop, so a practical eps_tilde changes nothing in the
+    # run: the same point after the same count.  Both spectra reach down to
+    # 1e-4 at lam = 10.
     n = 16
     quads = []
     for _ in range(2):
@@ -448,7 +481,9 @@ def test_an_m2_query_stops_at_its_first_point_at_the_float_floor(rng):
         quads.append(quadratic_constraint(0.5 * (A + A.T), rng.standard_normal(n) * 0.3, 1.0))
     prob = quadratic_problem(rng.standard_normal(n) * 3.0, quads, R=100.0)
     lam = np.array([10.0, 10.0])
-    floor_sq = 4.0 * float_floor(prob)
+    eps = 1e-3
+    stop_sq = 4.0 * 0.1 * eps * eps
+    assert stop_sq > 1e4 * float_floor(prob)
     points = []
     first, second = prob.constraints
 
@@ -457,36 +492,39 @@ def test_an_m2_query_stops_at_its_first_point_at_the_float_floor(rng):
         return inner(x)
 
     counted = replace(prob, constraints=(replace(first, grad=grad), second))
-    exact = InnerSolves(counted, 0.0)
+    exact = InnerSolves(counted, eps, 0.0)
     triple = approx_dual_oracle(exact, lam)
     grad_sq = [float(g @ g) for g in (lagrangian_gradient(prob, x, lam) for x in points)]
+    assert exact.tol_sq == stop_sq
     assert exact.gradient_evals == len(points)
     assert np.array_equal(triple.x_lambda, points[-1])
-    assert grad_sq[-1] <= floor_sq < min(grad_sq[:-1])
+    assert grad_sq[-1] <= stop_sq < min(grad_sq[:-1])
 
-    practical = InnerSolves(prob, 2e-3)
+    practical = InnerSolves(prob, eps, 2e-3)
     triple_2e3 = approx_dual_oracle(practical, lam)
-    assert practical.tol_sq == exact.tol_sq == floor_sq
+    assert practical.tol_sq == exact.tol_sq
     assert practical.gradient_evals == exact.gradient_evals
     assert np.array_equal(triple_2e3.x_lambda, triple.x_lambda)
 
 
-def test_an_m2_start_inside_a_practical_eps_tilde_is_refined_to_the_float_floor():
-    # At m >= 2 the start is tested against the solve's own stop, 4 floor:
-    # here x0's ||grad L||^2 is about 4e-7, inside 4 eps_tilde = 4e-3 but far
-    # above 4 floor (about 3e-12), so an override cannot return x0 unrefined,
-    # and the answer does not depend on eps_tilde.
+def test_an_m2_start_inside_a_practical_eps_tilde_is_refined_to_eps_squared_over_10():
+    # At m = 2 the start is tested against the solve's own stop, 4 eps^2 /
+    # 10: here x0's ||grad L||^2 is about 4e-5, inside 4 eps_tilde = 4e-3
+    # but 100 times the stop 4e-7, so an override cannot return x0
+    # unrefined, and the answer does not depend on eps_tilde.
     prob = random_quadratic_instance(16, 2, 3)
-    lam = np.array([1e-4, 1e-4])
-    floor_sq = 4.0 * float_floor(prob)
+    lam = np.array([1e-3, 1e-3])
+    eps = 1e-3
+    stop_sq = 4.0 * 0.1 * eps * eps
     at_x0 = lagrangian_gradient(prob, prob.x0, lam)
-    assert 1e4 * floor_sq < float(at_x0 @ at_x0) <= 4.0 * 1e-3
+    assert 1e2 * stop_sq < float(at_x0 @ at_x0) <= 4.0 * 1e-3
     answers = []
     for eps_tilde in (0.0, 1e-3):
-        solves = InnerSolves(prob, eps_tilde)
+        solves = InnerSolves(prob, eps, eps_tilde)
+        assert solves.tol_sq == stop_sq
         triple = approx_dual_oracle(solves, lam)
         grad = lagrangian_gradient(prob, triple.x_lambda, lam)
-        assert float(grad @ grad) <= floor_sq and solves.gradient_evals >= 2
+        assert float(grad @ grad) <= stop_sq and solves.gradient_evals >= 2
         answers.append(triple.x_lambda)
     assert np.array_equal(*answers)
 
@@ -505,7 +543,7 @@ def test_a_noisy_gradient_runs_once_to_its_cap_and_keeps_the_better_point(monkey
 
     noisy = replace(prob, constraints=(replace(first, grad=grad), second))
     runs = _recorded_agd(monkeypatch)
-    solves = InnerSolves(noisy, 0.0)
+    solves = InnerSolves(noisy, 0.0, 0.0)
     triple = approx_dual_oracle(solves, lam)
     ((objective, x_init, cap, g_init, tol_sq, run),) = runs
     start_sq = float(g_init @ g_init)
@@ -544,10 +582,10 @@ def _exact_inner_solution(prob, lam):
 def test_a_basis_applies_only_to_a_single_quadratic(rng):
     dense = random_quadratic_instance(16, 1, 2)
     factored = random_quadratic_instance(64, 1, 2, factored=True)
-    assert isinstance(InnerSolves(dense, 0.0).basis, LanczosBasis)
-    assert isinstance(InnerSolves(factored, 0.0).basis, LanczosBasis)
-    assert InnerSolves(plain(dense), 0.0).basis is None
-    assert InnerSolves(two_quadratics_problem(rng), 0.0).basis is None
+    assert isinstance(InnerSolves(dense, 0.0, 0.0).basis, LanczosBasis)
+    assert isinstance(InnerSolves(factored, 0.0, 0.0).basis, LanczosBasis)
+    assert InnerSolves(plain(dense), 0.0, 0.0).basis is None
+    assert InnerSolves(two_quadratics_problem(rng), 0.0, 0.0).basis is None
 
 
 def test_a_ball_basis_breaks_down_after_one_product_and_is_exact():
@@ -556,7 +594,7 @@ def test_a_ball_basis_breaks_down_after_one_product_and_is_exact():
     # with no gradient call
     calls = [0]
     prob = _counted_grad(unit_ball_problem([2.0, -1.0, 0.5]), calls)
-    solves = InnerSolves(prob, 0.0)
+    solves = InnerSolves(prob, 0.0, 0.0)
     for lam, expected_calls in ((1.0, 1), (0.3, 0), (7.5, 0)):
         calls[0] = 0
         taken = solves.gradient_evals
@@ -573,7 +611,7 @@ def test_a_rank_r_basis_is_exact_after_r_plus_one_products(rng):
     quad = quadratic_constraint(0.5 * (A + A.T), rng.standard_normal(n) * 0.2, 1.0)
     calls = [0]
     prob = _counted_grad(quadratic_problem(rng.standard_normal(n) * 3.0, [quad], R=8.0), calls)
-    solves = InnerSolves(prob, 0.0)
+    solves = InnerSolves(prob, 0.0, 0.0)
     evals = []
     for lam in (0.5, 3.0, 6.0):
         calls[0] = 0
@@ -600,7 +638,7 @@ def test_the_residual_estimate_predicts_the_certificate(monkeypatch):
     monkeypatch.setattr(LanczosBasis, "_iterate", counted)
     for seed, factored in ((0, False), (1, False), (2, True)):
         prob = random_quadratic_instance(64, 1, seed, factored=factored)
-        solves = InnerSolves(prob, 0.0)
+        solves = InnerSolves(prob, 0.0, 0.0)
         eps_eff = effective_eps_tilde(prob, 0.0)
         for lam in (0.5, 2.0, 5.0, 20.0):
             lam = np.array([lam])
@@ -625,7 +663,7 @@ def test_a_krylov_answer_is_proven_on_its_stored_products(monkeypatch):
         prob = random_quadratic_instance(256 if factored else 128, 1, seed, factored=factored)
         quad = prob.constraints[0]
         for eps_tilde in (0.0, 1e-6):
-            solves = InnerSolves(prob, eps_tilde)
+            solves = InnerSolves(prob, 0.0, eps_tilde)
             eps_eff = effective_eps_tilde(prob, eps_tilde)
             for lam in (0.1, 0.4, 1.0, 2.5, 8.0, 30.0):
                 lam = np.array([lam])
@@ -645,7 +683,7 @@ def test_the_lam_zero_query_and_the_curvature_come_off_the_first_product():
         quad = prob.constraints[0]
         calls = [0]
         counted = _counted_grad(prob, calls)
-        solves = InnerSolves(counted, 0.0)
+        solves = InnerSolves(counted, 0.0, 0.0)
         triple = approx_dual_oracle(solves, np.zeros(1))
         assert calls[0] == solves.gradient_evals == solves.basis.products == 1
         assert triple.g[0] == pytest.approx(float(quad.eval(prob.x0)), rel=1e-12)
@@ -653,7 +691,7 @@ def test_the_lam_zero_query_and_the_curvature_come_off_the_first_product():
         grad = quad.grad(prob.x0)
         assert solves.curvature() == pytest.approx(0.5 * float(grad @ grad), rel=1e-12)
         assert calls[0] == solves.gradient_evals == 1
-        at_center = InnerSolves(replace(counted, x0=quad.center), 0.0)
+        at_center = InnerSolves(replace(counted, x0=quad.center), 0.0, 0.0)
         assert approx_dual_oracle(at_center, np.zeros(1)).g[0] == -quad.c
         assert at_center.curvature() == 0.0
         assert calls[0] == 1 and at_center.gradient_evals == 0
@@ -664,7 +702,7 @@ def test_a_failed_proof_grows_the_basis_and_proves_again(monkeypatch):
     # grow the basis past the estimate's stop, not fall back to AGD
     prob = random_quadratic_instance(64, 1, 3)
     lam = np.array([2.0])
-    clean = InnerSolves(prob, 0.0)
+    clean = InnerSolves(prob, 0.0, 0.0)
     approx_dual_oracle(clean, lam)
     iterate = LanczosBasis._iterate
     proofs = []
@@ -679,7 +717,7 @@ def test_a_failed_proof_grows_the_basis_and_proves_again(monkeypatch):
 
     monkeypatch.setattr(LanczosBasis, "_iterate", first_fails)
     monkeypatch.setattr("fastproj.dual_oracle.agd_minimize", no_agd)
-    solves = InnerSolves(prob, 0.0)
+    solves = InnerSolves(prob, 0.0, 0.0)
     triple = approx_dual_oracle(solves, lam)
     # the second proof costs no gradient: the failure shows as at least one
     # product more than the clean query took
@@ -723,7 +761,7 @@ def test_a_query_past_the_vector_cap_continues_with_agd_and_certifies(monkeypatc
 
     monkeypatch.setattr("fastproj.dual_oracle.agd_minimize", counted)
     lam = np.array([1e4])
-    solves = InnerSolves(prob, 0.0)
+    solves = InnerSolves(prob, 0.0, 0.0)
     triple = approx_dual_oracle(solves, lam)
     assert runs and solves.gradient_evals > _MAX_BASIS_VECTORS
     # AGD starts from the Krylov iterate, not from x0

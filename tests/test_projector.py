@@ -186,7 +186,7 @@ def test_primal_recovery_at_exact_multiplier():
     x0 = np.array([2.0, 1.0, 2.0])
     prob = unit_ball_problem(x0)
     lam_star = float(np.linalg.norm(x0)) - 1.0
-    triple = approx_dual_oracle(InnerSolves(prob, 1e-12), np.array([lam_star]))
+    triple = approx_dual_oracle(InnerSolves(prob, 0.0, 1e-12), np.array([lam_star]))
     assert_allclose(triple.x_lambda, x0 / np.linalg.norm(x0), atol=1e-6)
 
 
@@ -313,15 +313,17 @@ def test_huge_R_or_eps_overflows_neither_schedule_nor_budget():
 
 
 def test_a_schedule_that_underflows_solves_at_the_float_floor(monkeypatch):
-    # The guaranteed schedule sits below the float floor already, so reading
-    # 0 instead must give the same answer.
-    prob = random_quadratic_instance(6, 2, seed=9)
+    # At m = 1 the guaranteed schedule sits below the float floor already,
+    # and the m = 2 stop reads no schedule, so reading 0 instead must give
+    # the same answer.
     config = SolverConfig(epsilon=1e-3)
-    expected = project(prob, config)
+    cases = [random_quadratic_instance(6, m, seed=9) for m in (1, 2)]
+    expected = [project(prob, config) for prob in cases]
     monkeypatch.setattr(projector, "default_inner_accuracy", lambda *args: 0.0)
-    res = project(prob, config)
-    assert np.array_equal(res.x_hat, expected.x_hat)
-    assert res.oracle_calls == expected.oracle_calls
+    for prob, before in zip(cases, expected):
+        res = project(prob, config)
+        assert np.array_equal(res.x_hat, before.x_hat)
+        assert res.oracle_calls == before.oracle_calls
 
 
 def test_result_json_shape():
@@ -637,11 +639,57 @@ def test_oracle_calls_count_every_inner_solve(monkeypatch, rng):
         assert sum(np.array_equal(lam, res.lambda_bar) for lam in solves) == 1
 
 
+@pytest.mark.parametrize("override", [None, 5e-4])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_project_sets_the_inner_stop_by_the_rule(monkeypatch, m, override):
+    # the one InnerSolves of a projection gets its eps and its eps_tilde,
+    # the schedule's or the override, and sets tol_sq exactly to the rule:
+    # 4 eps_eff at m = 1, 4 eps^2 / 10 at m = 2 whatever the override, and
+    # 4 float_floor at m = 3
+    built = []
+
+    class Recorded(InnerSolves):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(projector, "InnerSolves", Recorded)
+    eps = 1e-3
+    prob = random_quadratic_instance(12, m, 40 + m)
+    res = project(prob, SolverConfig(epsilon=eps, epsilon_tilde_override=override))
+    assert res.certified
+    (solves,) = built
+    floor = float_floor(prob)
+    eps_tilde = override
+    if eps_tilde is None:
+        G = prob.max_lipschitz()
+        eps_tilde = projector.default_inner_accuracy(eps, m, prob.R, G)
+    expected = {
+        1: 4.0 * max(eps_tilde, floor),
+        2: 4.0 * max(0.1 * eps * eps, floor),
+        3: 4.0 * floor,
+    }[m]
+    assert solves.tol_sq == expected
+    assert (solves.tol_sq > 4.0 * floor) == (m == 2 or (m == 1 and override is not None))
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
+@pytest.mark.parametrize("n", [40, 128])
+def test_the_m2_polygon_certifies_every_answer_at_its_eps_squared_stop(n, eps):
+    # inner solves stopped at a gap of eps^2 / 10 still give the polygon a
+    # certified answer, within eps of feasibility, on every instance
+    for seed in range(10):
+        res = project(random_quadratic_instance(n, 2, 900 + seed), SolverConfig(epsilon=eps))
+        assert res.certified, seed
+        assert res.max_violation <= eps, seed
+
+
 @pytest.mark.parametrize("m", [2, 3])
 def test_inner_solves_stopped_at_the_float_floor_keep_every_answer_certified(m):
-    # the polygon's and the ellipsoid's inner solves stop at the first AGD
-    # point at the float floor, on the default schedule and at a practical
-    # eps_tilde
+    # every answer is certified on the default schedule and at a practical
+    # eps_tilde, which neither engine reads: the ellipsoid's inner solves
+    # stop at the first AGD point at the float floor, the polygon's at
+    # eps^2 / 10
     eps = 1e-3
     for seed in range(300, 306):
         for factored in (False, True):
@@ -653,23 +701,27 @@ def test_inner_solves_stopped_at_the_float_floor_keep_every_answer_certified(m):
                 assert res.max_violation <= eps
 
 
-def test_only_the_m1_search_stops_its_inner_solves_on_their_certificate(monkeypatch, rng):
+def test_only_the_m1_and_m2_searches_stop_their_inner_solves_above_the_float_floor(
+    monkeypatch, rng
+):
     # every AGD run under project returns its first momentum point below
-    # tol_sq, 4 eps_eff at m = 1 and 4 float_floor at m = 2, or its last
-    # iterate at the cap: checked against the same run made without a stop,
-    # with every point it visits recorded
+    # tol_sq, or its last iterate at the cap: checked against the same run
+    # made without a stop, with every point it visits recorded.  tol_sq is
+    # 4 eps_eff at m = 1, 4 eps^2 / 10 at m = 2 and 4 float_floor at
+    # m = 3, where the ellipsoid tests the certificate only at lam = 0.
     n = 8
     quads = [
-        quadratic_constraint(random_psd(rng, n), rng.standard_normal(n) * 0.2, 1.0),
-        quadratic_constraint(random_psd(rng, n), rng.standard_normal(n) * 0.2, 1.3),
+        quadratic_constraint(random_psd(rng, n), rng.standard_normal(n) * 0.2, level)
+        for level in (1.0, 1.3, 1.6)
     ]
     x0 = rng.standard_normal(n)
     x0 *= 2.5 / np.linalg.norm(x0)
     quad = quads[0]
     plain = ConstraintOracle(quad.eval, quad.grad, quad.lipschitz_G, quad.smoothness_L)
     single = dataclasses.replace(quadratic_problem(x0, quads[:1], R=5.0), constraints=(plain,))
-    pair = quadratic_problem(x0, quads, R=5.0)
-    eps_tilde = 1e-6
+    pair = quadratic_problem(x0, quads[:2], R=5.0)
+    trio = quadratic_problem(x0, quads, R=5.0)
+    eps, eps_tilde = 1e-4, 1e-6
     runs = []  # (objective, x_init, iterations, g_init, tol_sq, run) of every AGD run
 
     def recorded(objective, x_init, iterations, g_init, tol_sq):
@@ -678,16 +730,20 @@ def test_only_the_m1_search_stops_its_inner_solves_on_their_certificate(monkeypa
         return run
 
     monkeypatch.setattr("fastproj.dual_oracle.agd_minimize", recorded)
-    for prob in (single, pair):
+    for prob in (single, pair, trio):
         floor_sq = 4.0 * float_floor(prob)
-        certificate_sq = 4.0 * effective_eps_tilde(prob, eps_tilde)
-        assert floor_sq < certificate_sq
+        stop_sq = {
+            1: 4.0 * effective_eps_tilde(prob, eps_tilde),
+            2: 4.0 * 0.1 * eps * eps,
+            3: floor_sq,
+        }[prob.m]
+        assert floor_sq < 4.0 * 0.1 * eps * eps < 4.0 * effective_eps_tilde(prob, eps_tilde)
         runs.clear()
-        project(prob, SolverConfig(epsilon=1e-4, epsilon_tilde_override=eps_tilde))
+        project(prob, SolverConfig(epsilon=eps, epsilon_tilde_override=eps_tilde))
         assert runs
         early_above_floor = 0  # runs stopped before their cap, above the floor
         for objective, x_init, iterations, g_init, tol_sq, run in runs:
-            assert tol_sq == (certificate_sq if prob.m == 1 else floor_sq)
+            assert tol_sq == stop_sq
             visited = [(x_init, g_init)]
 
             def grad(x, inner=objective.gradient):
@@ -703,10 +759,11 @@ def test_only_the_m1_search_stops_its_inner_solves_on_their_certificate(monkeypa
             )
             assert run.gradient_calls == first
             assert np.array_equal(run.point, visited[first][0])
-            stop_sq = float(run.gradient @ run.gradient)
-            early_above_floor += run.gradient_calls < iterations and stop_sq > floor_sq
-        # the two thresholds differ in what they return, at m = 1 only
-        assert (early_above_floor > 0) == (prob.m == 1)
+            stop = float(run.gradient @ run.gradient)
+            early_above_floor += run.gradient_calls < iterations and stop > floor_sq
+        # the thresholds differ from the floor in what they return, at
+        # m <= 2 only
+        assert (early_above_floor > 0) == (prob.m <= 2), prob.m
 
 
 @pytest.mark.parametrize("factored", [False, True])
@@ -719,7 +776,8 @@ def test_the_krylov_and_agd_m1_paths_agree(factored):
     quad = prob.constraints[0]
     plain = ConstraintOracle(quad.eval, quad.grad, quad.lipschitz_G, quad.smoothness_L)
     agd_prob = dataclasses.replace(prob, constraints=(plain,))
-    assert InnerSolves(prob, 0.0).basis is not None and InnerSolves(agd_prob, 0.0).basis is None
+    assert InnerSolves(prob, 0.0, 0.0).basis is not None
+    assert InnerSolves(agd_prob, 0.0, 0.0).basis is None
     eps_eff = effective_eps_tilde(
         prob, projector.default_inner_accuracy(eps, 1, prob.R, prob.max_lipschitz())
     )
